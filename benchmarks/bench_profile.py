@@ -1,4 +1,4 @@
-"""Profile the serving engine's hot path and lock its vectorized shape.
+"""Profile the serving engine's hot path and lock its shape.
 
 Runs a mid-size dynamic-traffic simulation under ``cProfile`` and reports the
 top cumulative hot spots through ``benchmark.extra_info``, so the recorded
@@ -7,16 +7,16 @@ benchmark artifacts show *where* the time went, not just how much there was.
 Beyond reporting, the profile is used as a structural regression test of the
 hot path itself:
 
-* the engine must route through the vectorized ``select_index`` path (one
-  call per query per deployment) — if a change silently knocks the engine
-  back onto the scalar per-server loop, the assertion fails before any
-  wall-clock regression shows up in CI timing noise;
+* every routing decision goes through ``select_index`` over the replica
+  pool's arrays (one call per query per deployment), and no routing policy
+  keeps a per-server ``select`` loop beside it — the assertions fail before
+  any wall-clock regression shows up in CI timing noise;
 * ``serve_query`` must be called exactly once per served query, guarding the
   chunked arrival drain against double-serving or skipping;
-* the *cached* run must stay on the same vectorized shape: pricing happens
-  inline against the pool's array-backed fills, so neither the scalar
-  ``ReplicaCache.serve`` loop nor the ``cache_adjusted_multiplier`` helper
-  may appear in the profile at all.
+* the *cached* run must stay on the same shape: pricing happens inline
+  against the pool's array-backed fills, so neither the per-replica
+  ``ReplicaCache.serve`` reference nor the ``cache_adjusted_multiplier``
+  helper may appear in the profile at all.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import rm1
 from repro.serving.engine import ServingEngine
+from repro.serving.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.serving.traffic import paper_dynamic_pattern
 
 
@@ -53,8 +54,14 @@ def _stats_by_name(stats: pstats.Stats) -> dict[str, tuple[int, float]]:
     return table
 
 
+def _assert_select_index_only() -> None:
+    """No routing policy defines a per-server ``select`` beside ``select_index``."""
+    for cls in (RoutingPolicy, *ROUTING_POLICIES.values()):
+        assert "select" not in vars(cls), f"{cls.__name__} defines a scalar select"
+
+
 def test_bench_profile_hot_path(benchmark):
-    """Profile a mid-size run; assert the vectorized hot path carried it."""
+    """Profile a mid-size run; assert the pool-array hot path carried it."""
     pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
     profiler = cProfile.Profile()
 
@@ -78,12 +85,10 @@ def test_bench_profile_hot_path(benchmark):
 
     select_calls = table.get("routing.py:select_index", (0, 0.0))[0]
     assert select_calls == queries * deployments, (
-        "the vectorized select_index path must carry every routing decision "
+        "select_index must carry every routing decision "
         f"(saw {select_calls}, expected {queries * deployments})"
     )
-    assert "routing.py:_ready_pool" not in table, (
-        "the scalar _ready_pool loop leaked into a vectorized run"
-    )
+    _assert_select_index_only()
 
     top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
     benchmark.extra_info["queries"] = queries
@@ -95,10 +100,10 @@ def test_bench_profile_hot_path(benchmark):
 def test_bench_profile_cached_hot_path(benchmark):
     """Profile a cached run; assert pricing stayed inline and array-backed.
 
-    The per-replica embedding caches must not drag the engine off the
-    vectorized shape: fills live in ``ReplicaPool.fill_rows`` and pricing is
-    inlined in ``serve_query``, so the scalar ``ReplicaCache`` machinery and
-    the ``cache_adjusted_multiplier`` helper must be absent from the profile.
+    The per-replica embedding caches must not drag the engine off its
+    shape: fills live in ``ReplicaPool.fill_rows`` and pricing is inlined in
+    the dispatch loop, so the ``ReplicaCache`` reference machinery and the
+    ``cache_adjusted_multiplier`` helper must be absent from the profile.
     """
     pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
     profiler = cProfile.Profile()
@@ -126,12 +131,10 @@ def test_bench_profile_cached_hot_path(benchmark):
 
     select_calls = table.get("routing.py:select_index", (0, 0.0))[0]
     assert select_calls == queries * deployments, (
-        "the vectorized select_index path must carry every routing decision "
+        "select_index must carry every routing decision "
         f"(saw {select_calls}, expected {queries * deployments})"
     )
-    assert "routing.py:_ready_pool" not in table, (
-        "the scalar _ready_pool loop leaked into a vectorized cached run"
-    )
+    _assert_select_index_only()
     for leaked in (
         "replica_server.py:serve",
         "replica_server.py:hit_fractions",

@@ -34,8 +34,8 @@ class RoundRobinBalancer:
     def pick_index(self, deployment_name: str, pool_size: int) -> int:
         """Advance the deployment's cursor and return the pick's pool index.
 
-        Shared by the scalar and vectorized routing paths so both consume the
-        cursor identically.
+        The serving engine's round-robin policy calls this with the size of
+        its routable candidate set.
         """
         if pool_size < 1:
             raise ValueError(f"deployment {deployment_name!r} has no ready replicas")
@@ -87,8 +87,8 @@ class PowerOfTwoBalancer:
     def pick_pair(self, pool_size: int) -> tuple[int, int]:
         """Draw two distinct pool indices from the balancer's RNG.
 
-        Shared by the scalar and vectorized routing paths so both consume the
-        random stream identically.
+        The serving engine's power-of-two policy calls this with the size of
+        its routable candidate set.
         """
         first, second = self._rng.choice(pool_size, size=2, replace=False)
         return int(first), int(second)

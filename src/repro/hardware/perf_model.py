@@ -48,12 +48,12 @@ def cache_adjusted_multiplier(
     ``multiplier * hit_cost_fraction`` (a fully warm cache serving every
     gather).
 
-    The serving engine's vectorized cached branch inlines this exact algebra
-    (with ``1 - hit_cost_fraction`` precomputed per lane, the same single
-    subtraction) rather than calling it per query; the equivalence is locked
-    by the cached digests in ``tests/serving/test_vectorized_equivalence.py``
-    and the structural profile in ``benchmarks/bench_profile.py``.  Change
-    one and you must change the other.
+    The serving engine's dispatch loop inlines this exact algebra (with
+    ``1 - hit_cost_fraction`` precomputed per tenant, the same single
+    subtraction) rather than calling it per query; the cached digests in
+    ``tests/serving/test_digest_table.py`` and the structural profile in
+    ``benchmarks/bench_profile.py`` lock the two together.  Change one and
+    you must change the other.
     """
     if not 0.0 <= cache_hit_rate <= 1.0:
         raise ValueError("cache_hit_rate must be in [0, 1]")

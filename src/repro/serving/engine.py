@@ -67,10 +67,10 @@ times, readiness and availability with dirty-flag invalidation — so routing
 policies rank replicas with one ``argmin`` instead of a Python pass, the
 :class:`~repro.serving.latency.LatencyTracker` records into pre-allocated
 buffers, and per-deployment interval accounting lives in slotted lane
-structs rather than dict lookups.  ``vectorized=False`` selects the
-historical scalar routing path; both paths are bit-exact (locked by
-``tests/serving/test_vectorized_equivalence.py`` and the experiment golden
-digests).
+structs rather than dict lookups.  Every attempt of a query on a lane —
+first attempts, client retries and crash re-queues alike — goes through
+one dispatch loop (:meth:`_TenantRuntime._dispatch`) that routes, prices,
+submits and registers it.
 
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
@@ -100,7 +100,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.container import ContainerState
 from repro.cluster.deployment import Deployment
 from repro.core.plan import DeploymentPlan, ROLE_DENSE, ROLE_MONOLITHIC
-from repro.hardware.perf_model import PerfModel, cache_adjusted_multiplier
+from repro.hardware.perf_model import PerfModel
 from repro.hardware.specs import ClusterSpec
 from repro.serving.faults import (
     FaultModel,
@@ -174,6 +174,11 @@ class EventKind(IntEnum):
     TIMEOUT = 9
     #: A scheduled client retry re-issuing one query across all lanes.
     RETRY = 10
+
+
+#: Attempt kinds of :meth:`_TenantRuntime._dispatch`: a fresh arrival, a
+#: client retry, and a crash re-queue onto a surviving replica.
+_FIRST, _RETRY, _REQUEUE = 0, 1, 2
 
 
 @dataclass
@@ -420,7 +425,6 @@ class _DeploymentLane:
         "cost_bearing",
         "dense",
         "cached",
-        "server_list",
         "count",
         "latencies",
         "hit_sum",
@@ -447,10 +451,6 @@ class _DeploymentLane:
         #: ``_TenantRuntime.cache_geometry`` and unpacks it into locals once
         #: per query rather than re-reading per-lane slots.
         self.cached = cached
-        #: The deployment's live replica servers (dict-values order),
-        #: maintained on membership changes so the scalar routing path does
-        #: not rebuild the list per query.
-        self.server_list: list[ReplicaServer] = []
         #: Queries offered to the deployment this sample interval.
         self.count = 0
         #: Shard latencies recorded this sample interval (end-to-end for
@@ -485,7 +485,6 @@ class _TenantRuntime:
         max_batch: int = 1,
         batch_window_s: float = 0.0,
         faults: str | FaultModel | None = None,
-        vectorized: bool = True,
         stream: StreamConfig | None = None,
         cache_mb: float = 0.0,
         drift: str | object | None = None,
@@ -640,8 +639,7 @@ class _TenantRuntime:
         self._retired_totals: dict[str, list[int]] = {
             d.name: [0, 0] for d in self.deployments
         }
-        self.vectorized = bool(vectorized)
-        # Vectorized routing state: one replica pool per deployment, mirroring
+        # Routing state: one replica pool per deployment, mirroring
         # its servers dict; membership and failed/draining changes invalidate
         # the pool, accepted queries update its queue-drain array in place.
         self.pools: dict[str, ReplicaPool] = {
@@ -712,7 +710,6 @@ class _TenantRuntime:
                     changed = True
             if changed:
                 self.pools[deployment.name].invalidate()
-                self._lane_by_name[deployment.name].server_list = list(servers.values())
 
     def invalidate_caches(self) -> None:
         """Drop every replica's cached rows (they all restart cold).
@@ -728,7 +725,7 @@ class _TenantRuntime:
                 if server.cache is not None:
                     server.cache.invalidate()
         # Keep the pools' mirrored fill arrays consistent with the caches —
-        # one O(1) array clear per deployment on the vectorized path.
+        # one O(1) array clear per deployment.
         for pool in self.pools.values():
             pool.reset_fills()
 
@@ -1020,7 +1017,11 @@ class _TenantRuntime:
         heap: list | None = None,
         seq: itertools.count | None = None,
     ) -> None:
-        """Route one query through every deployment the tenant needs."""
+        """Route one query through every deployment the tenant needs.
+
+        Every arrival records exactly one tracker sample, in arrival order,
+        so a query's tracker index is its arrival index ``query_index``.
+        """
         watchdog_on = self.watchdog_on
         if watchdog_on:
             self.interval_arrivals += 1
@@ -1031,24 +1032,99 @@ class _TenantRuntime:
             if self.shed_armed and float(self.slo_rng.random()) < self.shed_fraction_value:
                 self._shed_query(arrival)
                 return
-        fallback_on = watchdog_on and self.fallback_armed
-        deadline_on = watchdog_on and self.deadline_armed
-        track_completions = self.track_completions
         multiplier = (
             1.0 if self.query_multipliers is None else self.query_multipliers[query_index]
         )
-        tracker = self.tracker
-        tracker_index = tracker.num_samples
-        rejected = False
-        worst_completion = -np.inf
-        policy = self.policy
-        select_index = policy.select_index
-        select = policy.select
+        fallback_on = self.fallback_armed
+        worst_completion, rejected = self._dispatch(
+            self._lanes, arrival, query_index, multiplier, _FIRST, fallback_on,
+            True, False, tenant_index, heap, seq,
+        )
+        query_completion = worst_completion + self.rpc_overhead_s
+        latency = query_completion - arrival
+        # End-to-end latency is what the dense (or monolithic) shard's HPA sees.
+        for lane in self._dense_lanes:
+            lane.latencies.append(latency)
+        if rejected:
+            self.rejected_indices.add(query_index)
+            if watchdog_on:
+                self.interval_rejected += 1
+        elif fallback_on:
+            self.degraded_indices.add(query_index)
+            self.interval_degraded += 1
+        self.tracker.record(arrival + latency, latency)
+        if self.deadline_armed and not rejected:
+            # Per-query deadline contract (ladder level >= 2): track the live
+            # population for the storm guard, and schedule the attempt's
+            # TIMEOUT only when it will actually outlive its timeout budget.
+            heapq.heappush(self._live_completions, query_completion)
+            attempt_deadline = arrival + self.attempt_timeout_s
+            if query_completion > attempt_deadline:
+                hot_split = cold_split = -1.0
+                if self.query_hot is not None:
+                    hot_split = float(self.query_hot[query_index])
+                    cold_split = float(self.query_cold[query_index])
+                token = next(seq)
+                self.pending_event[query_index] = token
+                heapq.heappush(
+                    heap,
+                    (
+                        attempt_deadline,
+                        EventKind.TIMEOUT,
+                        token,
+                        (
+                            tenant_index,
+                            query_index,
+                            arrival,
+                            multiplier,
+                            hot_split,
+                            cold_split,
+                            token,
+                        ),
+                    ),
+                )
+
+    def _dispatch(
+        self,
+        lanes: Sequence[_DeploymentLane],
+        now: float,
+        query_index: int,
+        multiplier: float,
+        mode: int,
+        fallback: bool,
+        cache: bool,
+        split_lost: bool,
+        tenant_index: int,
+        heap: list | None,
+        seq: itertools.count | None,
+    ) -> tuple[float, bool]:
+        """Send one attempt of a query to each lane: route, price, submit, register.
+
+        The one place an attempt reaches a replica.  ``mode`` is ``_FIRST``
+        (a fresh arrival), ``_RETRY`` (a client re-issue across every lane)
+        or ``_REQUEUE`` (a crashed replica's share of the query, re-sent to
+        its own lane).  Pricing stretches the service time by active fault
+        slowdowns, then applies quality fallback or the embedding-cache
+        tier; registering updates the pool's busy mirror, the routing
+        policy, the in-flight registry and the COMPLETION event.  First
+        attempts and retries enter the lanes' interval accounting (offered
+        count, shard latency, cache hits); a requeue is not a newly offered
+        query and does not.  A lane with no routable replica counts a
+        failure, and a first attempt is charged the full-SLA-violation
+        penalty there so the HPA sees the overload it most needs to react
+        to.
+
+        Returns the latest completion over the lanes and whether any lane
+        had no routable replica.
+        """
+        record = mode != _REQUEUE
+        select_index = self.policy.select_index
         on_submit = self.policy_on_submit
-        vectorized = self.vectorized
         faults_on = self.faults_on
-        track_inflight = self.track_inflight
-        if self.query_total is not None:
+        inflight = self.inflight if self.track_inflight else None
+        completions = heap if self.track_completions else None
+        cache = cache and self.query_total is not None
+        if cache:
             # One query's gather split is shared by every cached lane; read
             # the pre-priced values once, not once per lane.  Likewise the
             # tenant's single shared cache geometry: one tuple unpack here
@@ -1071,43 +1147,41 @@ class _TenantRuntime:
                 cache_hit_cost,
                 cache_miss_scale,
             ) = self.cache_geometry
-        for lane in self._lanes:
+        if inflight is not None:
+            arrival = self.arrival_at(query_index)
+        worst = -np.inf
+        rejected = False
+        for lane in lanes:
             name = lane.name
             service = lane.service_s
             cost = multiplier if lane.cost_bearing else 1.0
-            lane.count += 1
-            if vectorized:
-                pool = lane.pool
-                index = select_index(name, pool, arrival, (service, cost))
-                server = pool.servers[index] if index is not None else None
-            else:
-                index = None
-                server = select(name, lane.server_list, arrival, cost=(service, cost))
-            if server is None:
-                # No capacity at all: count a full SLA violation.  The
-                # rejection still lands in the interval metrics (count and
-                # latency), so the HPA can see the overload it most needs to
-                # react to.
-                self.interval_failures[name] += 1
+            pool = lane.pool
+            index = select_index(name, pool, now, (service, cost))
+            if index is None:
                 rejected = True
-                completion = arrival + 2.0 * self.sla_s
-                if completion > worst_completion:
-                    worst_completion = completion
-                if not lane.dense:
-                    lane.latencies.append(completion - arrival)
+                if record:
+                    lane.count += 1
+                    self.interval_failures[name] += 1
+                    if mode == _FIRST:
+                        completion = now + 2.0 * self.sla_s
+                        if completion > worst:
+                            worst = completion
+                        if not lane.dense:
+                            lane.latencies.append(completion - now)
                 continue
+            server = pool.servers[index]
             if faults_on:
                 # Stragglers and transient degradations stretch this shard's
                 # service time; a healthy run multiplies by nothing.
                 service = service * self._slowdown_factor(name, server.name)
             submit_cost = cost
-            if fallback_on and lane.cost_bearing:
+            if fallback and lane.cost_bearing:
                 # Quality fallback (ladder level 3): serve cache-hot-only
                 # gathers at their exact reduced price (or the policy's flat
                 # quality fraction when the cost model has no splits).  The
                 # cache tier's accounting is deliberately bypassed — a
                 # degraded gather admits nothing and warms nothing.
-                if self.query_hot is not None:
+                if self.query_hot is not None and not split_lost:
                     submit_cost = degraded_gather_multiplier(
                         cost,
                         self.query_hot[query_index],
@@ -1116,107 +1190,91 @@ class _TenantRuntime:
                     )
                 else:
                     submit_cost = cost * self.slo_policy.quality
-            elif lane.cached:
+            elif cache and lane.cached:
                 # Embedding-cache tier: the selected replica's cache serves a
                 # fill-dependent fraction of this query's gathers at the hit
                 # cost and admits the misses (warming itself up).  A cold
                 # cache (hit rate 0) leaves the cost multiplier untouched.
-                # The vectorized branch prices against the pool's fill list
-                # with the tenant's shared grid (unpacked into locals above)
-                # — one lerp, one divide, one FMA and one fill write per
-                # query, bit-exact with the scalar ``ReplicaCache.serve`` +
-                # ``cache_adjusted_multiplier`` composition the
-                # ``vectorized=False`` path still uses.
-                lane.gather_sum += total
-                if index is not None:
-                    if pool.cache_warm:
-                        # Every replica in the pool is pinned at capacity, so
-                        # the fill array cannot change and pricing was
-                        # precomputed in ``begin_run``: the whole branch is
-                        # one accumulate and one multiply.  (A zero-gather
-                        # query precomputed to warm_hits 0.0 / warm_scale
-                        # 1.0, both exact no-ops.)
-                        lane.hit_sum += warm_hits
-                        submit_cost = cost * warm_scale
-                    elif total > 0.0:
-                        fills = pool.fill_rows
-                        fill = fills[index]
-                        if fill >= cache_capacity:
-                            # This replica is warm (fill pinned at exactly the
-                            # capacity — admission clamps there) even though
-                            # the pool as a whole is not: same precomputed
-                            # grid-end pricing, no write-back.
-                            lane.hit_sum += warm_hits
-                            submit_cost = cost * warm_scale
-                        else:
-                            if fill <= 0.0:
-                                # Cold cache: hits nothing, admits everything.
-                                hit_rate = 0.0
-                                fill = fill + total
-                            else:
-                                position = fill / cache_step
-                                grid_index = int(position)
-                                if grid_index >= grid_last:
-                                    f_hot = hot_end
-                                    f_cold = cold_end
-                                else:
-                                    frac = position - grid_index
-                                    f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
-                                    f_cold = (
-                                        grid_cold[grid_index] + frac * grid_dcold[grid_index]
-                                    )
-                                hits = hot * f_hot + cold * f_cold
-                                hit_rate = hits / total
-                                fill = fill + (total - hits)
-                            if fill >= cache_capacity:
-                                # The admission just pinned this replica at
-                                # capacity; if it was the pool's last cold
-                                # one, the whole pool enters the precomputed
-                                # steady state.
-                                fills[index] = cache_capacity
-                                if min(fills) >= cache_capacity:
-                                    pool.cache_warm = True
-                            else:
-                                fills[index] = fill
-                            if hit_rate > 0.0:
-                                lane.hit_sum += hit_rate * total
-                                if hit_rate == 1.0:
-                                    # IEEE-exact warm-cache contract: the
-                                    # adjusted cost is exactly
-                                    # hit_cost_fraction * cost.
-                                    submit_cost = cost * cache_hit_cost
-                                else:
-                                    submit_cost = cost * (
-                                        1.0 - hit_rate * cache_miss_scale
-                                    )
+                # Pricing reads the pool's fill list with the tenant's shared
+                # grid (unpacked into locals above) — one lerp, one divide,
+                # one FMA and one fill write per query, bit-exact with the
+                # ``ReplicaCache.serve`` + ``cache_adjusted_multiplier``
+                # composition.
+                hit_add = 0.0
+                if pool.cache_warm:
+                    # Every replica in the pool is pinned at capacity, so
+                    # the fill array cannot change and pricing was
+                    # precomputed in ``begin_run``: the whole branch is one
+                    # accumulate and one multiply.  (A zero-gather query
+                    # precomputed to warm_hits 0.0 / warm_scale 1.0, both
+                    # exact no-ops.)
+                    hit_add = warm_hits
+                    submit_cost = cost * warm_scale
                 elif total > 0.0:
-                    # Scalar engine path: the per-replica ``ReplicaCache``
-                    # stays authoritative (the pool never builds fill arrays).
-                    hit_rate = server.cache.serve(hot, cold)
-                    if hit_rate > 0.0:
-                        lane.hit_sum += hit_rate * total
-                        if hit_rate == 1.0:
-                            # IEEE-exact warm-cache contract: the adjusted
-                            # cost is exactly hit_cost_fraction * cost.
-                            submit_cost = cost * cache_hit_cost
+                    fills = pool.fill_rows
+                    fill = fills[index]
+                    if fill >= cache_capacity:
+                        # This replica is warm (fill pinned at exactly the
+                        # capacity — admission clamps there) even though the
+                        # pool as a whole is not: same precomputed grid-end
+                        # pricing, no write-back.
+                        hit_add = warm_hits
+                        submit_cost = cost * warm_scale
+                    else:
+                        if fill <= 0.0:
+                            # Cold cache: hits nothing, admits everything.
+                            hit_rate = 0.0
+                            fill = fill + total
                         else:
-                            submit_cost = cost * (1.0 - hit_rate * cache_miss_scale)
-            completion = server.submit(arrival, service, submit_cost)
-            if index is not None:
-                pool.busy[index] = completion
+                            position = fill / cache_step
+                            grid_index = int(position)
+                            if grid_index >= grid_last:
+                                f_hot = hot_end
+                                f_cold = cold_end
+                            else:
+                                frac = position - grid_index
+                                f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
+                                f_cold = grid_cold[grid_index] + frac * grid_dcold[grid_index]
+                            hits = hot * f_hot + cold * f_cold
+                            hit_rate = hits / total
+                            fill = fill + (total - hits)
+                        if fill >= cache_capacity:
+                            # The admission just pinned this replica at
+                            # capacity; if it was the pool's last cold one,
+                            # the whole pool enters the precomputed steady
+                            # state.
+                            fills[index] = cache_capacity
+                            if min(fills) >= cache_capacity:
+                                pool.cache_warm = True
+                        else:
+                            fills[index] = fill
+                        if hit_rate > 0.0:
+                            hit_add = hit_rate * total
+                            if hit_rate == 1.0:
+                                # IEEE-exact warm-cache contract: the
+                                # adjusted cost is exactly
+                                # hit_cost_fraction * cost.
+                                submit_cost = cost * cache_hit_cost
+                            else:
+                                submit_cost = cost * (1.0 - hit_rate * cache_miss_scale)
+                if record:
+                    lane.gather_sum += total
+                    lane.hit_sum += hit_add
+            completion = server.submit(now, service, submit_cost)
+            pool.busy[index] = completion
             if on_submit is not None:
                 on_submit(name, server)
-            if track_inflight:
-                entry = [arrival, tracker_index, completion, lane.service_s, cost]
-                if lane.cached:
+            if inflight is not None:
+                entry = [arrival, query_index, completion, lane.service_s, cost]
+                if cache and lane.cached:
                     # Carry the gather split so a crash re-queue can reprice
                     # the query against the surviving replica's cache.
                     entry.append(hot)
                     entry.append(cold)
-                self.inflight.setdefault((name, server.name), []).append(entry)
-            if heap is not None and track_completions:
+                inflight.setdefault((name, server.name), []).append(entry)
+            if completions is not None:
                 heapq.heappush(
-                    heap,
+                    completions,
                     (
                         completion,
                         EventKind.COMPLETION,
@@ -1224,53 +1282,13 @@ class _TenantRuntime:
                         (tenant_index, name, server.name),
                     ),
                 )
-            if completion > worst_completion:
-                worst_completion = completion
-            if not lane.dense:
-                lane.latencies.append(completion - arrival)
-        query_completion = worst_completion + self.rpc_overhead_s
-        latency = query_completion - arrival
-        # End-to-end latency is what the dense (or monolithic) shard's HPA sees.
-        for lane in self._dense_lanes:
-            lane.latencies.append(latency)
-        if rejected:
-            self.rejected_indices.add(tracker_index)
-            if watchdog_on:
-                self.interval_rejected += 1
-        elif fallback_on:
-            self.degraded_indices.add(tracker_index)
-            self.interval_degraded += 1
-        tracker.record(arrival + latency, latency)
-        if deadline_on and not rejected:
-            # Per-query deadline contract (ladder level >= 2): track the live
-            # population for the storm guard, and schedule the attempt's
-            # TIMEOUT only when it will actually outlive its timeout budget.
-            heapq.heappush(self._live_completions, query_completion)
-            attempt_deadline = arrival + self.attempt_timeout_s
-            if query_completion > attempt_deadline:
-                hot_split = cold_split = -1.0
-                if self.query_hot is not None:
-                    hot_split = float(self.query_hot[query_index])
-                    cold_split = float(self.query_cold[query_index])
-                token = next(seq)
-                self.pending_event[tracker_index] = token
-                heapq.heappush(
-                    heap,
-                    (
-                        attempt_deadline,
-                        EventKind.TIMEOUT,
-                        token,
-                        (
-                            tenant_index,
-                            tracker_index,
-                            arrival,
-                            multiplier,
-                            hot_split,
-                            cold_split,
-                            token,
-                        ),
-                    ),
-                )
+            if completion > worst:
+                worst = completion
+            if record:
+                lane.count += 1
+                if not lane.dense:
+                    lane.latencies.append(completion - now)
+        return worst, rejected
 
     # ------------------------------------------------------------------
     # SLO watchdog: shedding, deadlines/retries, fallback, escalation
@@ -1481,68 +1499,11 @@ class _TenantRuntime:
         self.retried_count += 1
         deadline_at = arrival + self.deadline_s
         attempt_deadline = min(now + self.attempt_timeout_s, deadline_at)
-        policy = self.policy
-        select_index = policy.select_index
-        select = policy.select
-        on_submit = self.policy_on_submit
-        vectorized = self.vectorized
-        faults_on = self.faults_on
-        track_inflight = self.track_inflight
-        track_completions = self.track_completions
         fallback = self.fallback_armed
-        worst = -np.inf
-        failed = False
-        for lane in self._lanes:
-            name = lane.name
-            service = lane.service_s
-            cost = multiplier if lane.cost_bearing else 1.0
-            lane.count += 1
-            if vectorized:
-                pool = lane.pool
-                index = select_index(name, pool, now, (service, cost))
-                server = pool.servers[index] if index is not None else None
-            else:
-                index = None
-                server = select(name, lane.server_list, now, cost=(service, cost))
-            if server is None:
-                failed = True
-                self.interval_failures[name] += 1
-                continue
-            if faults_on:
-                service = service * self._slowdown_factor(name, server.name)
-            submit_cost = cost
-            if fallback and lane.cost_bearing:
-                # Retries re-price with the same fallback rule as first
-                # attempts; a non-fallback retry pays full price (the cache
-                # tier is not consulted for re-issues — no split carried).
-                if hot >= 0.0:
-                    submit_cost = degraded_gather_multiplier(
-                        cost, hot, cold, self._hot_cost_fraction
-                    )
-                else:
-                    submit_cost = cost * self.slo_policy.quality
-            completion = server.submit(now, service, submit_cost)
-            if index is not None:
-                pool.busy[index] = completion
-            if on_submit is not None:
-                on_submit(name, server)
-            if track_inflight:
-                entry = [arrival, tracker_index, completion, lane.service_s, cost]
-                self.inflight.setdefault((name, server.name), []).append(entry)
-            if track_completions:
-                heapq.heappush(
-                    heap,
-                    (
-                        completion,
-                        EventKind.COMPLETION,
-                        next(seq),
-                        (tenant_index, name, server.name),
-                    ),
-                )
-            if completion > worst:
-                worst = completion
-            if not lane.dense:
-                lane.latencies.append(completion - now)
+        worst, failed = self._dispatch(
+            self._lanes, now, tracker_index, multiplier, _RETRY, fallback,
+            False, hot < 0.0, tenant_index, heap, seq,
+        )
         if failed or worst == -np.inf:
             # The retry itself found no capacity: back off again within the
             # same budget, or finalize.
@@ -1702,9 +1663,6 @@ class _TenantRuntime:
         server = self.servers[deployment_name].pop(victim)
         server.fail()
         self.pools[deployment_name].invalidate()
-        self._lane_by_name[deployment_name].server_list = list(
-            self.servers[deployment_name].values()
-        )
         totals = self._retired_totals[deployment_name]
         totals[0] += server.completed_queries
         totals[1] += server.completed_batches
@@ -1724,8 +1682,9 @@ class _TenantRuntime:
         seq: itertools.count,
     ) -> None:
         """Re-queue or drop the dead replica's unfinished queries."""
+        lane = [self._lane_by_name[deployment_name]]
         for entry in self.inflight.pop((deployment_name, victim), []):
-            arrival, tracker_index, completion, service, cost = entry[:5]
+            arrival, tracker_index, completion, _, cost = entry[:5]
             tracker_index = int(tracker_index)
             if completion <= now:
                 continue  # finished before the failure
@@ -1738,24 +1697,16 @@ class _TenantRuntime:
                 # event is live): losing the abandoned attempt's server-side
                 # work changes nothing for it.
                 continue
-            new_server = None
-            new_index = None
+            failed = True
             if policy == "requeue":
-                if self.vectorized:
-                    pool = self.pools[deployment_name]
-                    new_index = self.policy.select_index(
-                        deployment_name, pool, now, (service, cost)
-                    )
-                    if new_index is not None:
-                        new_server = pool.servers[new_index]
-                else:
-                    survivors = self._lane_by_name[deployment_name].server_list
-                    if survivors:
-                        new_server = self.policy.select(
-                            deployment_name, survivors, now, cost=(service, cost)
-                        )
-            if new_server is None:
-                if self.watchdog_on and self.deadline_armed:
+                # A split-carrying entry is repriced against the survivor's
+                # cache (the victim's warm rows died with it).
+                new_completion, failed = self._dispatch(
+                    lane, now, tracker_index, cost, _REQUEUE, False,
+                    len(entry) == 7, False, tenant_index, heap, seq,
+                )
+            if failed:
+                if self.deadline_armed:
                     # Armed deadlines convert the drop into a client retry
                     # when budget and storm guard allow: the client sees its
                     # connection die and re-issues the whole query.
@@ -1779,44 +1730,6 @@ class _TenantRuntime:
                 latency = max(old_latency, 2.0 * self.sla_s)
                 self.tracker.update(tracker_index, arrival + latency, latency)
                 continue
-            effective = service * self._slowdown_factor(deployment_name, new_server.name)
-            submit_cost = cost
-            if len(entry) == 7 and new_server.cache is not None:
-                # Reprice the displaced query against the survivor's cache
-                # (the victim's warm rows died with it).  On the vectorized
-                # path the pool's fill array is authoritative, so the serve
-                # must read-modify-write through it.
-                if new_index is not None:
-                    hit_rate = self.pools[deployment_name].cache_serve(
-                        new_index, entry[5], entry[6]
-                    )
-                else:
-                    hit_rate = new_server.cache.serve(entry[5], entry[6])
-                if hit_rate > 0.0:
-                    submit_cost = cache_adjusted_multiplier(
-                        cost, hit_rate, self.cache_hit_cost
-                    )
-            new_completion = new_server.submit(now, effective, multiplier=submit_cost)
-            if new_index is not None:
-                self.pools[deployment_name].note_submit(new_index, new_completion)
-            self.policy.on_submit(deployment_name, new_server)
-            new_entry = [arrival, tracker_index, new_completion, service, cost]
-            if len(entry) == 7:
-                new_entry.append(entry[5])
-                new_entry.append(entry[6])
-            self.inflight.setdefault((deployment_name, new_server.name), []).append(
-                new_entry
-            )
-            if self.track_completions:
-                heapq.heappush(
-                    heap,
-                    (
-                        new_completion,
-                        EventKind.COMPLETION,
-                        next(seq),
-                        (tenant_index, deployment_name, new_server.name),
-                    ),
-                )
             self.requeued_count += 1
             self.interval_requeues[deployment_name] += 1
             # The re-queued shard finishes later than anything recorded for
@@ -2636,7 +2549,6 @@ class ServingEngine:
         max_batch: int = 1,
         batch_window_s: float = 0.0,
         faults: str | FaultModel | None = None,
-        vectorized: bool = True,
         cache_mb: float = 0.0,
         drift: str | object | None = None,
         replan: str | ReplanPolicy | None = None,
@@ -2661,7 +2573,6 @@ class ServingEngine:
             max_batch=max_batch,
             batch_window_s=batch_window_s,
             faults=faults,
-            vectorized=vectorized,
             cache_mb=cache_mb,
             drift=drift,
             replan=replan,
@@ -2728,9 +2639,6 @@ class TenantSpec:
     max_batch: int = 1
     batch_window_s: float = 0.0
     faults: str | FaultModel | None = None
-    #: Route via the vectorized replica pools (the default); ``False``
-    #: selects the bit-exact historical scalar path (equivalence testing).
-    vectorized: bool = True
     #: Per-replica embedding-cache budget in MB (0.0 disables the tier;
     #: requires a cost model exposing gather splits, i.e. ``skewed``).
     cache_mb: float = 0.0
@@ -2950,7 +2858,6 @@ class MultiTenantEngine:
                     max_batch=tenant.max_batch,
                     batch_window_s=tenant.batch_window_s,
                     faults=tenant.faults,
-                    vectorized=tenant.vectorized,
                     cache_mb=tenant.cache_mb,
                     drift=tenant.drift,
                     replan=tenant.replan,

@@ -132,9 +132,9 @@ class CacheSpec:
     def grid_hot(self) -> list:
         """Hot-gather hit fractions on the fill grid (treat as read-only).
 
-        Exposed so the serving engine can lane-slot the grid and inline the
-        :meth:`hit_fractions` lerp in its vectorized cached branch with the
-        exact same list lookups this class performs.
+        Exposed so the serving engine can inline the :meth:`hit_fractions`
+        lerp in its cached pricing with the exact same list lookups this
+        class performs.
         """
         return self._f_hot
 
@@ -186,9 +186,9 @@ class ReplicaCache:
         """Resident rows as a fraction of the effective capacity.
 
         Uses the spec's cached ``1/capacity_eff`` (a multiply, not a divide)
-        with the full cache special-cased to exactly 1.0; the vectorized
-        routing path computes the identical expression over the pool's fill
-        array, so both paths rank replicas bit-identically.
+        with the full cache special-cased to exactly 1.0; the recovery-aware
+        routing policy computes the identical expression over the pool's
+        fill array.
         """
         fill = self.fill_rows
         spec = self.spec
@@ -262,7 +262,7 @@ class ReplicaServer:
     incremental cost; every member's recorded completion is the batch
     completion as of the moment it joined, so completions stay monotone.
 
-    Invariant relied on by the vectorized routing layer: ``busy_until``
+    Invariant relied on by the pool-array routing layer: ``busy_until``
     starts at ``ready_at`` and only ever increases, so ``busy_until`` *is*
     the queue-drain time ``max(busy_until, ready_at)``.
     """
@@ -435,7 +435,7 @@ class ReplicaServer:
     def unit_service(self, service_time: float, multiplier: float = 1.0) -> float:
         """Service seconds of a fresh single-query batch (no queue effects).
 
-        The vectorized cost-weighted routing path uses this shared scalar:
+        The cost-weighted routing policy's array path uses this shared scalar:
         with uniform single-query batches, every replica's predicted
         completion is ``max(arrival, busy_until) + unit_service(...)``.
         """

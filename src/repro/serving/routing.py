@@ -49,20 +49,11 @@ cordoned by the fault layer (:mod:`repro.serving.faults`) never receives new
 traffic, even when the selection happens in the same event-loop step as the
 failure.
 
-Two selection paths
--------------------
-
-Each policy exposes the historical *scalar* path — :meth:`RoutingPolicy.select`
-over a list of replica servers — and a *vectorized* path,
-:meth:`RoutingPolicy.select_index` over a :class:`ReplicaPool`: per-deployment
-numpy state arrays (queue-drain times, readiness, availability mask) kept in
-sync by the engine with dirty-flag invalidation, so the hot policies pick
-replicas via an ``argmin`` over arrays instead of a Python loop.  The two
-paths are bit-exact: identical pools, identical tie-breaking (first replica in
-creation order) and identical RNG consumption, locked by the equivalence
-suite in ``tests/serving/test_vectorized_equivalence.py``.  Policies that do
-not override the vectorized path (``least-outstanding``) transparently fall
-back to their scalar implementation.
+Selection runs over a :class:`ReplicaPool`: per-deployment numpy state
+arrays (queue-drain times, readiness, availability mask) kept in sync by the
+engine with dirty-flag invalidation, so the hot policies pick replicas via an
+``argmin`` over arrays instead of a Python loop.  Ties resolve to the first
+replica in creation order.
 """
 
 from __future__ import annotations
@@ -71,11 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.loadbalancer import (
-    LeastOutstandingBalancer,
-    PowerOfTwoBalancer,
-    RoundRobinBalancer,
-)
+from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.serving.replica_server import ReplicaServer
 
 __all__ = [
@@ -100,22 +87,6 @@ def _queue_drain_time(server: ReplicaServer) -> float:
     return max(server.busy_until, server.ready_at)
 
 
-def _ready_pool(
-    servers: Sequence[ReplicaServer], now: float
-) -> Sequence[ReplicaServer]:
-    """Routable replicas: available ones, else still-starting live ones.
-
-    Preference order mirrors the historical behaviour — ready replicas first,
-    falling back to replicas that have not finished starting — but dead and
-    draining replicas are excluded outright: an empty result means every
-    replica is gone and the query must be rejected.
-    """
-    ready = [s for s in servers if s.is_available(now)]
-    if ready:
-        return ready
-    return [s for s in servers if not s.failed and not s.draining]
-
-
 class ReplicaPool:
     """Vectorized routing state of one deployment's replica servers.
 
@@ -131,7 +102,7 @@ class ReplicaPool:
 
     The arrays are rebuilt lazily: the engine calls :meth:`invalidate` on any
     membership or flag change (reconcile adds/removes, crashes, drains) and
-    :meth:`note_submit` after every accepted query, so between changes a
+    writes ``busy[index]`` after every accepted query, so between changes a
     selection costs one argmin rather than a Python pass over the servers.
 
     ``refresh`` also caches two fast-path facts: whether any replica is
@@ -264,16 +235,10 @@ class ReplicaPool:
             self.cache_warm = False
         self._dirty = False
 
-    def note_submit(self, index: int, busy_until: float) -> None:
-        """Record a replica's new queue-drain time after an accepted query."""
-        self.busy[index] = busy_until
-
     def flush_fills(self) -> None:
         """Write the fill array back into the mirrored replicas' caches.
 
-        No-op on cache-less pools (and in the scalar engine path, where the
-        array is never built and the ``ReplicaCache`` objects stay
-        authoritative throughout).
+        No-op on cache-less pools.
         """
         fills = self.fill_rows
         if fills is None:
@@ -292,10 +257,10 @@ class ReplicaPool:
     def cache_serve(self, index: int, hot_gathers: float, cold_gathers: float) -> float:
         """Serve one query's gathers through the indexed replica's cache.
 
-        Syncs the array entry through the scalar :class:`ReplicaCache`
-        reference (read-modify-write), so the rare paths that use it — crash
-        requeues repricing in-flight queries — admit rows with the exact same
-        rule as the engine's inline hot path and the scalar engine.
+        Syncs the array entry through the :class:`ReplicaCache` admission
+        reference (read-modify-write): the engine prices inline against
+        ``fill_rows``, and this method is the reference that inline rule is
+        checked against.
         """
         cache = self.servers[index].cache
         if cache is None:
@@ -319,10 +284,11 @@ class ReplicaPool:
         return now >= self.ready_threshold
 
     def routable_mask(self, now: float) -> np.ndarray | None:
-        """Boolean mask of the scalar path's ``_ready_pool`` over the arrays.
+        """Boolean mask of the routable replicas.
 
-        Available replicas first; if none, live-but-starting replicas;
-        ``None`` when nothing is routable (the query must be rejected).
+        Available replicas (ready, neither failed nor draining) first; if
+        none, live-but-starting replicas; ``None`` when nothing is routable
+        (the query must be rejected).
         """
         ready_now = self.ready <= now
         if self.has_blocked:
@@ -357,21 +323,6 @@ class RoutingPolicy:
     def reset(self, rng: np.random.Generator) -> None:
         """Clear per-run state; called by the engine before each run."""
 
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        """Pick the serving replica, or ``None`` to drop the query.
-
-        ``cost``, when given, is the query's cost hint: ``(service_s,
-        multiplier)`` — the deployment's mean per-query service seconds and
-        this query's sampled cost multiplier.  Policies may ignore it.
-        """
-        raise NotImplementedError
-
     def select_index(
         self,
         deployment_name: str,
@@ -379,17 +330,13 @@ class RoutingPolicy:
         now: float,
         cost: tuple[float, float] | None = None,
     ) -> int | None:
-        """Vectorized selection: the chosen replica's pool index, or ``None``.
+        """Pick the serving replica's pool index, or ``None`` to drop the query.
 
-        The default implementation delegates to the scalar :meth:`select`
-        over the pool's server list, so policies without a vectorized path
-        behave identically on both engine code paths.
+        ``cost``, when given, is the query's cost hint: ``(service_s,
+        multiplier)`` — the deployment's mean per-query service seconds and
+        this query's sampled cost multiplier.  Policies may ignore it.
         """
-        pool.refresh()
-        server = self.select(deployment_name, pool.servers, now, cost)
-        if server is None:
-            return None
-        return pool.index_of[server.name]
+        raise NotImplementedError
 
     def on_submit(self, deployment_name: str, server: ReplicaServer) -> None:
         """Notification that a query was enqueued on ``server``."""
@@ -402,21 +349,6 @@ class LeastWorkPolicy(RoutingPolicy):
     """Route to the replica whose queue drains first (the seed behaviour)."""
 
     name = "least-work"
-
-    def __init__(self) -> None:
-        self._balancer = LeastOutstandingBalancer(_queue_drain_time)
-
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        return self._balancer.pick(deployment_name, pool)
 
     def select_index(
         self,
@@ -463,18 +395,6 @@ class RoundRobinPolicy(RoutingPolicy):
     def reset(self, rng: np.random.Generator) -> None:
         self._balancer.reset()
 
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        return self._balancer.pick(deployment_name, pool)
-
     def select_index(
         self,
         deployment_name: str,
@@ -504,18 +424,6 @@ class PowerOfTwoPolicy(RoutingPolicy):
 
     def reset(self, rng: np.random.Generator) -> None:
         self._balancer.reset(rng)
-
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        return self._balancer.pick(deployment_name, pool)
 
     def select_index(
         self,
@@ -548,21 +456,6 @@ class ReadyOnlyPolicy(RoutingPolicy):
     """Least-work over ready replicas only; drop if nothing is ready."""
 
     name = "ready-only"
-
-    def __init__(self) -> None:
-        self._balancer = LeastOutstandingBalancer(_queue_drain_time)
-
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        ready = [s for s in servers if s.is_available(now)]
-        if not ready:
-            return None
-        return self._balancer.pick(deployment_name, ready)
 
     def select_index(
         self,
@@ -597,28 +490,35 @@ class LeastOutstandingPolicy(RoutingPolicy):
 
     def __init__(self) -> None:
         self._in_flight: dict[tuple[str, str], int] = {}
-        self._deployment = ""
-        self._balancer = LeastOutstandingBalancer(self._load_key)
 
     def reset(self, rng: np.random.Generator) -> None:
         self._in_flight.clear()
 
-    def _load_key(self, server: ReplicaServer) -> tuple[float, float]:
-        count = self._in_flight.get((self._deployment, server.name), 0)
-        return (float(count), _queue_drain_time(server))
-
-    def select(
+    def select_index(
         self,
         deployment_name: str,
-        servers: Sequence[ReplicaServer],
+        pool: ReplicaPool,
         now: float,
         cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        self._deployment = deployment_name
-        return self._balancer.pick(deployment_name, pool)
+    ) -> int | None:
+        # Candidates are the routable replicas (available ones, else live
+        # but still-starting ones); the key is (in-flight count, queue-drain
+        # time) and ``min`` keeps the lowest pool index on ties.
+        pool.refresh()
+        if pool.all_ready(now):
+            candidates = range(pool.size)
+        else:
+            mask = pool.routable_mask(now)
+            if mask is None:
+                return None
+            candidates = np.flatnonzero(mask).tolist()
+        in_flight = self._in_flight
+        servers = pool.servers
+        busy = pool.busy
+        return min(
+            candidates,
+            key=lambda i: (in_flight.get((deployment_name, servers[i].name), 0), busy[i]),
+        )
 
     def on_submit(self, deployment_name: str, server: ReplicaServer) -> None:
         key = (deployment_name, server.name)
@@ -648,23 +548,6 @@ class CostWeightedPolicy(RoutingPolicy):
     """
 
     name = "cost-weighted"
-
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        if cost is None:
-            return min(pool, key=_queue_drain_time)
-        service_s, multiplier = cost
-        return min(
-            pool, key=lambda s: s.predicted_completion(now, service_s, multiplier)
-        )
 
     def select_index(
         self,
@@ -744,31 +627,6 @@ class RecoveryAwarePolicy(RoutingPolicy):
         self.warmup_s = float(warmup_s)
         self.cold_penalty_queries = float(cold_penalty_queries)
 
-    def _cold_fraction(self, server: ReplicaServer, now: float) -> float:
-        cache = server.cache
-        if cache is not None:
-            return 1.0 - cache.fill_fraction
-        return max(0.0, (server.ready_at + self.warmup_s - now)) / self.warmup_s
-
-    def _key(self, server: ReplicaServer, now: float, service_s: float) -> float:
-        penalty = (
-            self.cold_penalty_queries * service_s * self._cold_fraction(server, now)
-        )
-        return _queue_drain_time(server) + penalty
-
-    def select(
-        self,
-        deployment_name: str,
-        servers: Sequence[ReplicaServer],
-        now: float,
-        cost: tuple[float, float] | None = None,
-    ) -> ReplicaServer | None:
-        pool = _ready_pool(servers, now)
-        if not pool:
-            return None
-        service_s = cost[0] * cost[1] if cost is not None else 0.0
-        return min(pool, key=lambda s: self._key(s, now, service_s))
-
     def select_index(
         self,
         deployment_name: str,
@@ -785,23 +643,16 @@ class RecoveryAwarePolicy(RoutingPolicy):
             # time-window fast path does not apply; the cold fractions come
             # from each replica's actual fill.
             service_s = cost[0] * cost[1] if cost is not None else 0.0
-            if pool.fill_rows is not None:
-                # Elementwise mirror of the scalar ``1 - fill_fraction`` —
-                # including the full-cache == exactly-1.0 special case — so
-                # both paths rank replicas bit-identically.  The pool keeps
-                # its fills as a Python list for the engine's scalar hot
-                # path; this per-query conversion stays off the benchmark's
-                # default least-work route.
-                fills = np.asarray(pool.fill_rows)
-                remaining = 1.0 - np.where(
-                    fills >= pool.cache_capacity,
-                    1.0,
-                    fills * pool.cache_inv_capacity,
-                )
-            else:
-                remaining = np.array(
-                    [self._cold_fraction(server, now) for server in pool.servers]
-                )
+            # Elementwise ``1 - ReplicaCache.fill_fraction``, including its
+            # full-cache == exactly-1.0 special case.  The pool keeps its
+            # fills as a Python list for the engine's per-query pricing;
+            # this conversion stays off the default least-work route.
+            fills = np.asarray(pool.fill_rows)
+            remaining = 1.0 - np.where(
+                fills >= pool.cache_capacity,
+                1.0,
+                fills * pool.cache_inv_capacity,
+            )
             keys = pool.busy + (self.cold_penalty_queries * service_s) * remaining
             if pool.all_ready(now):
                 return int(keys.argmin())

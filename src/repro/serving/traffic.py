@@ -42,7 +42,7 @@ class TrafficPattern:
             raise ValueError("phase start times must increase strictly")
         if self.duration_s <= starts[-1]:
             raise ValueError("duration_s must extend past the last phase start")
-        # Cached phase arrays backing the vectorized rate_at lookup.
+        # Cached phase arrays backing the array rate_at lookup.
         object.__setattr__(self, "_starts", np.asarray(starts, dtype=np.float64))
         object.__setattr__(
             self, "_rates", np.asarray([p.rate_qps for p in phases], dtype=np.float64)
@@ -70,7 +70,7 @@ class TrafficPattern:
         samplers whose grid overshoots ``duration_s`` (e.g. a sample boundary
         landing just beyond the last arrival) read a well-defined value.
 
-        Given an array, the lookup is one vectorized ``searchsorted`` over
+        Given an array, the lookup is one ``searchsorted`` over
         the phase starts and returns a float64 array — the engine builds the
         ``target_qps`` series this way instead of a per-sample Python loop.
         """

@@ -24,7 +24,8 @@ from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import ServingEngine
-from repro.serving.replica_server import CacheSpec, ReplicaCache
+from repro.serving.replica_server import CacheSpec, ReplicaCache, ReplicaServer
+from repro.serving.routing import ReplicaPool
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import SkewedCostModel
 
@@ -319,3 +320,95 @@ class TestEngineWithCaches:
         dip_index = int(post.argmin())
         recovery = post[dip_index:]
         assert recovery[-1] >= 0.9 * pre_crash or recovery[-1] > recovery[0]
+
+
+# ----------------------------------------------------------------------
+# Cache-fill equivalence (Hypothesis): pool arrays == scalar ReplicaCache
+# ----------------------------------------------------------------------
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_SETTINGS = dict(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# Interleaved cache operations: (kind selector, replica selector fraction,
+# hot gathers, cold gathers).  kind 0 invalidates every cache, kind 1
+# crash-replaces one replica (cold restart through a pool rebuild), the
+# rest serve one query's gathers through the selected replica.
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=19),
+        st.floats(min_value=0.0, max_value=0.999),
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestPoolFillEquivalence:
+    @given(ops=_CACHE_OPS, capacity=st.sampled_from([40, 600, 10_000]))
+    @settings(**_SETTINGS)
+    def test_array_backed_fills_match_scalar_caches(self, ops, capacity):
+        """Drive pool-owned fill arrays and scalar caches through the same ops.
+
+        The pool mirrors each replica's ``ReplicaCache`` fill into
+        ``fill_rows``; serves route through :meth:`ReplicaPool.cache_serve`
+        (the admission reference), crash replacements rebuild the
+        pool membership, and ``reset_fills`` models ``invalidate_caches``.
+        Every returned hit rate, every mirrored fill, the pool's warm flag,
+        and the final flushed-back cache fills must match the standalone
+        scalar reference bit-for-bit.
+        """
+        spec = _spec(capacity)
+        names = [f"r{i}" for i in range(3)]
+        source = {
+            name: ReplicaServer(name, cache=ReplicaCache(spec)) for name in names
+        }
+        pool = ReplicaPool(source)
+        pool.refresh()
+        reference = {name: ReplicaCache(spec) for name in names}
+        spawned = len(names)
+
+        for kind, fraction, hot, cold in ops:
+            if kind == 0:
+                pool.reset_fills()
+                for cache in reference.values():
+                    cache.invalidate()
+            elif kind == 1:
+                victim = names[int(fraction * len(names))]
+                del source[victim]
+                del reference[victim]
+                replacement = f"r{spawned}"
+                spawned += 1
+                source[replacement] = ReplicaServer(
+                    replacement, cache=ReplicaCache(spec)
+                )
+                reference[replacement] = ReplicaCache(spec)
+                names = list(source)
+                pool.invalidate()
+                pool.refresh()
+            else:
+                name = names[int(fraction * len(names))]
+                index = pool.index_of[name]
+                rate = pool.cache_serve(index, hot, cold)
+                expected = reference[name].serve(hot, cold)
+                assert rate == expected
+                assert pool.fill_rows[index] == reference[name].fill_rows
+            # The warm flag may lag (it is only recomputed on clamp events
+            # and rebuilds) but must never claim warmth that is not there.
+            if pool.cache_warm:
+                assert min(pool.fill_rows) >= pool.cache_capacity
+
+        pool.flush_fills()
+        for name, server in source.items():
+            assert server.cache.fill_rows == reference[name].fill_rows
+            assert server.cache.fill_fraction == reference[name].fill_fraction

@@ -23,7 +23,7 @@ from repro.serving.faults import (
     validate_fault_spec,
 )
 from repro.serving.replica_server import ReplicaServer
-from repro.serving.routing import make_routing_policy
+from repro.serving.routing import ReplicaPool, make_routing_policy
 from repro.serving.traffic import TrafficPattern
 
 
@@ -36,6 +36,13 @@ def plan():
 @pytest.fixture(scope="module")
 def pattern():
     return TrafficPattern.constant(25.0, duration_s=240.0)
+
+
+def _pick(policy, deployment, servers, now, cost=None):
+    """The replica ``policy`` routes to among ``servers`` (``None``: drop)."""
+    pool = ReplicaPool({server.name: server for server in servers})
+    index = policy.select_index(deployment, pool, now, cost)
+    return None if index is None else pool.servers[index]
 
 
 class TestFaultModel:
@@ -346,7 +353,7 @@ class TestRoutingUnderFaults:
             policy = make_routing_policy(name)
             policy.reset(np.random.default_rng(0))
             for _ in range(4):
-                choice = policy.select("d", [dead, alive, draining], now=10.0)
+                choice = _pick(policy, "d", [dead, alive, draining], now=10.0)
                 assert choice is alive, name
 
     def test_all_dead_means_rejection(self):
@@ -354,7 +361,7 @@ class TestRoutingUnderFaults:
         dead.fail()
         for name in ("least-work", "recovery-aware", "ready-only"):
             policy = make_routing_policy(name)
-            assert policy.select("d", [dead], now=10.0) is None
+            assert _pick(policy, "d", [dead], now=10.0) is None
 
     def test_recovery_aware_deprioritises_cold_replicas(self):
         # Warm replica with a 25 s backlog vs. a just-recovered idle one.
@@ -365,10 +372,10 @@ class TestRoutingUnderFaults:
         # Inside the warm-up window the cold replica's penalty (4 queries x
         # 10 s x 55/60 remaining ~ 36.7 s on top of drain time 95) outweighs
         # the warm replica's 25 s backlog...
-        assert policy.select("d", [cold, warm], now=100.0, cost=(10.0, 1.0)) is warm
+        assert _pick(policy, "d", [cold, warm], now=100.0, cost=(10.0, 1.0)) is warm
         # ...after the window the penalty is gone and the idle (previously
         # cold) replica wins on queue state alone (95 < 120).
-        assert policy.select("d", [cold, warm], now=160.0, cost=(10.0, 1.0)) is cold
+        assert _pick(policy, "d", [cold, warm], now=160.0, cost=(10.0, 1.0)) is cold
 
     def test_recovery_aware_penalty_is_bounded_by_real_work(self):
         # The cold penalty is a few service times, not an absolute quarantine:
@@ -378,7 +385,7 @@ class TestRoutingUnderFaults:
             warm.submit(float(i), 2.0)  # ~100 s of backlog
         cold = ReplicaServer("cold", ready_at=95.0)
         policy = make_routing_policy("recovery-aware")
-        assert policy.select("d", [warm, cold], now=100.0, cost=(2.0, 1.0)) is cold
+        assert _pick(policy, "d", [warm, cold], now=100.0, cost=(2.0, 1.0)) is cold
 
 
 class TestAutoscalerCapacityLoss:

@@ -105,3 +105,154 @@ class TestWindowBoundaries:
         tracker.record(3.0, 0.1)
         assert np.array_equal(tracker.completion_times, np.array([5.0, 3.0]))
         assert np.array_equal(tracker.latencies_s, np.array([0.2, 0.1]))
+
+
+# ----------------------------------------------------------------------
+# Tracker-level equivalence (Hypothesis)
+# ----------------------------------------------------------------------
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+class _ReferenceTracker:
+    """The pre-PR5 list-based LatencyTracker, kept verbatim as the oracle."""
+
+    def __init__(self) -> None:
+        self._completion_times: list[float] = []
+        self._latencies: list[float] = []
+
+    def record(self, completion_time: float, latency_s: float) -> None:
+        if latency_s < 0:
+            raise ValueError("latency_s must be non-negative")
+        self._completion_times.append(completion_time)
+        self._latencies.append(latency_s)
+
+    def sample(self, index: int) -> tuple[float, float]:
+        return self._completion_times[index], self._latencies[index]
+
+    def update(self, index: int, completion_time: float, latency_s: float) -> None:
+        self._completion_times[index] = completion_time
+        self._latencies[index] = latency_s
+
+    @property
+    def completion_times(self) -> np.ndarray:
+        return np.asarray(self._completion_times, dtype=np.float64)
+
+    @property
+    def latencies_s(self) -> np.ndarray:
+        return np.asarray(self._latencies, dtype=np.float64)
+
+    def percentile(self, percentile: float) -> float:
+        return float(np.percentile(self._latencies, percentile))
+
+    def mean(self) -> float:
+        return float(np.mean(self._latencies))
+
+    def sla_violation_fraction(self, sla_s: float) -> float:
+        if not self._latencies:
+            return 0.0
+        return float(np.mean(np.asarray(self._latencies) > sla_s))
+
+    def count_exceeding(self, threshold_s: float) -> int:
+        return int(np.sum(np.asarray(self._latencies) > threshold_s))
+
+
+_SAMPLES = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+# Requeue-style rewrites: (victim index fraction, completion delta, latency).
+_REWRITES = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.999),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+        st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+    ),
+    max_size=50,
+)
+
+_SETTINGS = dict(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestTrackerEquivalence:
+    @given(samples=_SAMPLES, rewrites=_REWRITES, sla=st.floats(min_value=0.01, max_value=30.0))
+    @settings(**_SETTINGS)
+    def test_buffered_tracker_matches_the_list_reference(self, samples, rewrites, sla):
+        tracker = LatencyTracker()
+        reference = _ReferenceTracker()
+        for completion, latency in samples:
+            tracker.record(completion, latency)
+            reference.record(completion, latency)
+        # Interleave in-place rewrites the way fault requeues/drops do:
+        # read the sample, then overwrite it with a later completion.
+        for fraction, delta, latency in rewrites:
+            index = int(fraction * tracker.num_samples)
+            assert tracker.sample(index) == tuple(
+                map(float, reference.sample(index))
+            )
+            old_completion, _ = tracker.sample(index)
+            tracker.update(index, old_completion + delta, latency)
+            reference.update(index, old_completion + delta, latency)
+
+        assert tracker.num_samples == len(samples)
+        assert np.array_equal(tracker.completion_times, reference.completion_times)
+        assert np.array_equal(tracker.latencies_s, reference.latencies_s)
+        assert tracker.percentile(95.0) == reference.percentile(95.0)
+        assert tracker.percentile(50.0) == reference.percentile(50.0)
+        assert tracker.mean() == reference.mean()
+        assert tracker.sla_violation_fraction(sla) == reference.sla_violation_fraction(sla)
+        assert tracker.count_exceeding(sla) == reference.count_exceeding(sla)
+        # The shared-sort view must equal an independent stable argsort.
+        order = tracker.completion_order()
+        assert np.array_equal(
+            order, np.argsort(reference.completion_times, kind="stable")
+        )
+        assert np.array_equal(
+            tracker.completion_times[order], np.sort(reference.completion_times)
+        )
+
+    @given(samples=_SAMPLES)
+    @settings(**_SETTINGS)
+    def test_amortized_growth_invariants(self, samples):
+        tracker = LatencyTracker()
+        capacities = set()
+        for index, (completion, latency) in enumerate(samples):
+            tracker.record(completion, latency)
+            assert tracker.num_samples == index + 1
+            assert tracker.capacity >= tracker.num_samples
+            capacities.add(tracker.capacity)
+        # Doubling growth: every observed capacity is the initial one times a
+        # power of two, and at most O(log n) distinct capacities appear.
+        smallest = min(capacities)
+        for capacity in capacities:
+            ratio = capacity / smallest
+            assert ratio == int(ratio) and int(ratio) & (int(ratio) - 1) == 0
+        assert len(capacities) <= int(np.log2(max(len(samples), 1))) + 2
+        # Snapshots are stable copies: growing or rewriting the buffer must
+        # not mutate a previously taken view.
+        snapshot = tracker.completion_times
+        tracker.record(1.0, 1.0)
+        tracker.update(0, 2.0, 2.0)
+        assert np.array_equal(snapshot, np.asarray([s[0] for s in samples]))
+
+    def test_update_out_of_range_raises(self):
+        tracker = LatencyTracker()
+        tracker.record(1.0, 0.1)
+        with pytest.raises(IndexError):
+            tracker.update(1, 1.0, 0.1)
+        with pytest.raises(IndexError):
+            tracker.sample(-1)
+        with pytest.raises(ValueError):
+            tracker.update(0, 1.0, -0.5)

@@ -17,6 +17,7 @@ from repro.serving.routing import (
     LeastWorkPolicy,
     PowerOfTwoPolicy,
     ReadyOnlyPolicy,
+    ReplicaPool,
     RoundRobinPolicy,
     RoutingPolicy,
     make_routing_policy,
@@ -27,6 +28,13 @@ from repro.serving.traffic import TrafficPattern
 
 def _servers(n: int, ready_at: float = 0.0) -> list[ReplicaServer]:
     return [ReplicaServer(f"r{i}", ready_at=ready_at) for i in range(n)]
+
+
+def _pick(policy, deployment, servers, now, cost=None):
+    """The replica ``policy`` routes to among ``servers`` (``None``: drop)."""
+    pool = ReplicaPool({server.name: server for server in servers})
+    index = policy.select_index(deployment, pool, now, cost)
+    return None if index is None else pool.servers[index]
 
 
 class TestRegistry:
@@ -62,22 +70,22 @@ class TestLeastWork:
         servers[0].submit(0.0, 5.0)
         servers[1].submit(0.0, 1.0)
         policy = LeastWorkPolicy()
-        assert policy.select("d", servers, now=2.0) is servers[2]
+        assert _pick(policy, "d", servers, now=2.0) is servers[2]
 
     def test_prefers_ready_replicas(self):
         idle_but_starting = ReplicaServer("starting", ready_at=100.0)
         busy_but_ready = ReplicaServer("ready")
         busy_but_ready.submit(0.0, 10.0)
         policy = LeastWorkPolicy()
-        assert policy.select("d", [idle_but_starting, busy_but_ready], 1.0) is busy_but_ready
+        assert _pick(policy, "d", [idle_but_starting, busy_but_ready], 1.0) is busy_but_ready
 
     def test_falls_back_to_starting_replicas(self):
         starting = _servers(2, ready_at=50.0)
         policy = LeastWorkPolicy()
-        assert policy.select("d", starting, now=1.0) is starting[0]
+        assert _pick(policy, "d", starting, now=1.0) is starting[0]
 
     def test_empty_pool(self):
-        assert LeastWorkPolicy().select("d", [], 0.0) is None
+        assert _pick(LeastWorkPolicy(), "d", [], 0.0) is None
 
 
 class TestCostWeighted:
@@ -85,17 +93,17 @@ class TestCostWeighted:
         servers = _servers(3)
         servers[0].submit(0.0, 5.0)
         servers[1].submit(0.0, 1.0)
-        assert CostWeightedPolicy().select("d", servers, now=2.0) is servers[2]
+        assert _pick(CostWeightedPolicy(), "d", servers, now=2.0) is servers[2]
 
     def test_routes_by_predicted_completion(self):
         servers = _servers(2)
         servers[0].submit(0.0, 1.0)
         policy = CostWeightedPolicy()
         # Both idle by now=5: tie on completion, first replica wins.
-        assert policy.select("d", servers, 5.0, cost=(1.0, 1.0)) is servers[0]
+        assert _pick(policy, "d", servers, 5.0, cost=(1.0, 1.0)) is servers[0]
         # Replica 0 backlogged: the prediction routes around it.
         servers[0].submit(5.0, 10.0)
-        assert policy.select("d", servers, 6.0, cost=(1.0, 1.0)) is servers[1]
+        assert _pick(policy, "d", servers, 6.0, cost=(1.0, 1.0)) is servers[1]
 
     def test_prefers_a_joinable_forming_batch(self):
         from repro.hardware.perf_model import BatchLatencyModel
@@ -112,41 +120,41 @@ class TestCostWeighted:
         # replica; the batch-aware prediction knows a cheap query can join
         # the forming batch (completing at 2.24, vs 2.34 queued behind the
         # loaded replica).
-        assert LeastWorkPolicy().select("d", [batching, loaded], 0.7) is loaded
+        assert _pick(LeastWorkPolicy(), "d", [batching, loaded], 0.7) is loaded
         policy = CostWeightedPolicy()
-        assert policy.select("d", [batching, loaded], 0.7, cost=(1.0, 0.3)) is batching
+        assert _pick(policy, "d", [batching, loaded], 0.7, cost=(1.0, 0.3)) is batching
 
     def test_empty_pool(self):
-        assert CostWeightedPolicy().select("d", [], 0.0, cost=(1.0, 1.0)) is None
+        assert _pick(CostWeightedPolicy(), "d", [], 0.0, cost=(1.0, 1.0)) is None
 
 
 class TestRoundRobin:
     def test_cycles_per_deployment(self):
         servers = _servers(3)
         policy = RoundRobinPolicy()
-        picks = [policy.select("d", servers, 0.0) for _ in range(4)]
+        picks = [_pick(policy, "d", servers, 0.0) for _ in range(4)]
         assert picks == [servers[0], servers[1], servers[2], servers[0]]
 
     def test_independent_cursors(self):
         a, b = _servers(2)
         policy = RoundRobinPolicy()
-        assert policy.select("d1", [a, b], 0.0) is a
-        assert policy.select("d2", [a, b], 0.0) is a
-        assert policy.select("d1", [a, b], 0.0) is b
+        assert _pick(policy, "d1", [a, b], 0.0) is a
+        assert _pick(policy, "d2", [a, b], 0.0) is a
+        assert _pick(policy, "d1", [a, b], 0.0) is b
 
     def test_reset_restarts_cursors(self):
         servers = _servers(2)
         policy = RoundRobinPolicy()
-        policy.select("d", servers, 0.0)
+        _pick(policy, "d", servers, 0.0)
         policy.reset(np.random.default_rng(0))
-        assert policy.select("d", servers, 0.0) is servers[0]
+        assert _pick(policy, "d", servers, 0.0) is servers[0]
 
 
 class TestPowerOfTwo:
     def test_single_replica(self):
         servers = _servers(1)
         policy = PowerOfTwoPolicy(rng=np.random.default_rng(0))
-        assert policy.select("d", servers, 0.0) is servers[0]
+        assert _pick(policy, "d", servers, 0.0) is servers[0]
 
     def test_prefers_less_loaded_of_the_sampled_pair(self):
         servers = _servers(2)
@@ -154,29 +162,29 @@ class TestPowerOfTwo:
         policy = PowerOfTwoPolicy(rng=np.random.default_rng(0))
         # With two replicas both are always sampled, so the idle one wins.
         for _ in range(10):
-            assert policy.select("d", servers, 0.0) is servers[1]
+            assert _pick(policy, "d", servers, 0.0) is servers[1]
 
     def test_deterministic_after_reset(self):
         servers = _servers(8)
         policy = PowerOfTwoPolicy()
         policy.reset(np.random.default_rng(42))
-        first = [policy.select("d", servers, 0.0).name for _ in range(20)]
+        first = [_pick(policy, "d", servers, 0.0).name for _ in range(20)]
         policy.reset(np.random.default_rng(42))
-        second = [policy.select("d", servers, 0.0).name for _ in range(20)]
+        second = [_pick(policy, "d", servers, 0.0).name for _ in range(20)]
         assert first == second
 
 
 class TestReadyOnly:
     def test_drops_when_nothing_ready(self):
         policy = ReadyOnlyPolicy()
-        assert policy.select("d", _servers(3, ready_at=100.0), now=1.0) is None
+        assert _pick(policy, "d", _servers(3, ready_at=100.0), now=1.0) is None
 
     def test_routes_least_work_among_ready(self):
         ready = _servers(2)
         ready[0].submit(0.0, 5.0)
         starting = ReplicaServer("s", ready_at=100.0)
         policy = ReadyOnlyPolicy()
-        assert policy.select("d", ready + [starting], now=1.0) is ready[1]
+        assert _pick(policy, "d", ready + [starting], now=1.0) is ready[1]
 
 
 class TestLeastOutstanding:
@@ -184,19 +192,19 @@ class TestLeastOutstanding:
         servers = _servers(2)
         policy = LeastOutstandingPolicy()
         assert policy.needs_completion_events
-        first = policy.select("d", servers, 0.0)
+        first = _pick(policy, "d", servers, 0.0)
         policy.on_submit("d", first)
-        assert policy.select("d", servers, 0.0) is servers[1]
+        assert _pick(policy, "d", servers, 0.0) is servers[1]
         policy.on_submit("d", servers[1])
         policy.on_complete("d", first.name)
-        assert policy.select("d", servers, 0.0) is first
+        assert _pick(policy, "d", servers, 0.0) is first
 
     def test_reset_clears_counts(self):
         servers = _servers(2)
         policy = LeastOutstandingPolicy()
         policy.on_submit("d", servers[0])
         policy.reset(np.random.default_rng(0))
-        assert policy.select("d", servers, 0.0) is servers[0]
+        assert _pick(policy, "d", servers, 0.0) is servers[0]
 
 
 class TestPoliciesUnderIdenticalArrivals:
