@@ -1710,10 +1710,17 @@ class _TenantRuntime:
                     # Armed deadlines convert the drop into a client retry
                     # when budget and storm guard allow: the client sees its
                     # connection die and re-issues the whole query.
+                    # The re-issue carries the query's own multiplier, not
+                    # this lane's cost (1.0 on a dense lane).
                     entry_hot = float(entry[5]) if len(entry) == 7 else -1.0
                     entry_cold = float(entry[6]) if len(entry) == 7 else -1.0
+                    multiplier = (
+                        1.0
+                        if self.query_multipliers is None
+                        else self.query_multipliers[tracker_index]
+                    )
                     if self._try_retry(
-                        now, tenant_index, tracker_index, arrival, cost,
+                        now, tenant_index, tracker_index, arrival, multiplier,
                         entry_hot, entry_cold, heap, seq,
                     ):
                         continue
