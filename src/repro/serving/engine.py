@@ -931,10 +931,11 @@ class _TenantRuntime:
         self.slowdowns: dict[tuple[str, str], list[float]] = {}
         #: deployment -> stack of active transient-degradation factors.
         self.degradations: dict[str, list[float]] = {}
-        #: (deployment, replica) -> [arrival, tracker index, shard
-        #: completion, base service seconds, cost multiplier] per in-flight
-        #: query, maintained only while faults are active.
-        self.inflight: dict[tuple[str, str], list[list[float]]] = {}
+        #: (deployment, replica) -> (shard completion, query index) per
+        #: in-flight attempt, maintained only while faults are active.  The
+        #: query index is also the query's tracker index; everything else
+        #: a requeue or retry needs is looked up by it.
+        self.inflight: dict[tuple[str, str], list[tuple[float, int]]] = {}
         self.rejected_indices: set[int] = set()
         self.dropped_indices: set[int] = set()
         self.requeued_count = 0
@@ -1032,13 +1033,9 @@ class _TenantRuntime:
             if self.shed_armed and float(self.slo_rng.random()) < self.shed_fraction_value:
                 self._shed_query(arrival)
                 return
-        multiplier = (
-            1.0 if self.query_multipliers is None else self.query_multipliers[query_index]
-        )
         fallback_on = self.fallback_armed
         worst_completion, rejected = self._dispatch(
-            self._lanes, arrival, query_index, multiplier, _FIRST, fallback_on,
-            True, False, tenant_index, heap, seq,
+            self._lanes, arrival, query_index, _FIRST, fallback_on, tenant_index, heap, seq
         )
         query_completion = worst_completion + self.rpc_overhead_s
         latency = query_completion - arrival
@@ -1060,28 +1057,8 @@ class _TenantRuntime:
             heapq.heappush(self._live_completions, query_completion)
             attempt_deadline = arrival + self.attempt_timeout_s
             if query_completion > attempt_deadline:
-                hot_split = cold_split = -1.0
-                if self.query_hot is not None:
-                    hot_split = float(self.query_hot[query_index])
-                    cold_split = float(self.query_cold[query_index])
-                token = next(seq)
-                self.pending_event[query_index] = token
-                heapq.heappush(
-                    heap,
-                    (
-                        attempt_deadline,
-                        EventKind.TIMEOUT,
-                        token,
-                        (
-                            tenant_index,
-                            query_index,
-                            arrival,
-                            multiplier,
-                            hot_split,
-                            cold_split,
-                            token,
-                        ),
-                    ),
+                self._schedule(
+                    attempt_deadline, EventKind.TIMEOUT, tenant_index, query_index, heap, seq
                 )
 
     def _dispatch(
@@ -1089,11 +1066,8 @@ class _TenantRuntime:
         lanes: Sequence[_DeploymentLane],
         now: float,
         query_index: int,
-        multiplier: float,
         mode: int,
         fallback: bool,
-        cache: bool,
-        split_lost: bool,
         tenant_index: int,
         heap: list | None,
         seq: itertools.count | None,
@@ -1114,17 +1088,23 @@ class _TenantRuntime:
         penalty there so the HPA sees the overload it most needs to react
         to.
 
+        Everything an attempt needs beyond the lanes and the instant — cost
+        multiplier, gather split, arrival — is looked up by ``query_index``,
+        so every kind of attempt prices the query identically.
+
         Returns the latest completion over the lanes and whether any lane
         had no routable replica.
         """
         record = mode != _REQUEUE
+        multiplier = (
+            1.0 if self.query_multipliers is None else self.query_multipliers[query_index]
+        )
         select_index = self.policy.select_index
         on_submit = self.policy_on_submit
         faults_on = self.faults_on
         inflight = self.inflight if self.track_inflight else None
         completions = heap if self.track_completions else None
-        cache = cache and self.query_total is not None
-        if cache:
+        if self.query_total is not None:
             # One query's gather split is shared by every cached lane; read
             # the pre-priced values once, not once per lane.  Likewise the
             # tenant's single shared cache geometry: one tuple unpack here
@@ -1147,8 +1127,6 @@ class _TenantRuntime:
                 cache_hit_cost,
                 cache_miss_scale,
             ) = self.cache_geometry
-        if inflight is not None:
-            arrival = self.arrival_at(query_index)
         worst = -np.inf
         rejected = False
         for lane in lanes:
@@ -1181,7 +1159,7 @@ class _TenantRuntime:
                 # quality fraction when the cost model has no splits).  The
                 # cache tier's accounting is deliberately bypassed — a
                 # degraded gather admits nothing and warms nothing.
-                if self.query_hot is not None and not split_lost:
+                if self.query_hot is not None:
                     submit_cost = degraded_gather_multiplier(
                         cost,
                         self.query_hot[query_index],
@@ -1190,7 +1168,7 @@ class _TenantRuntime:
                     )
                 else:
                     submit_cost = cost * self.slo_policy.quality
-            elif cache and lane.cached:
+            elif lane.cached:
                 # Embedding-cache tier: the selected replica's cache serves a
                 # fill-dependent fraction of this query's gathers at the hit
                 # cost and admits the misses (warming itself up).  A cold
@@ -1265,13 +1243,9 @@ class _TenantRuntime:
             if on_submit is not None:
                 on_submit(name, server)
             if inflight is not None:
-                entry = [arrival, query_index, completion, lane.service_s, cost]
-                if cache and lane.cached:
-                    # Carry the gather split so a crash re-queue can reprice
-                    # the query against the surviving replica's cache.
-                    entry.append(hot)
-                    entry.append(cold)
-                inflight.setdefault((name, server.name), []).append(entry)
+                inflight.setdefault((name, server.name), []).append(
+                    (completion, query_index)
+                )
             if completions is not None:
                 heapq.heappush(
                     completions,
@@ -1388,39 +1362,55 @@ class _TenantRuntime:
                 heap, (now, EventKind.REPLAN, next(seq), (tenant_index, "fire"))
             )
 
+    def _schedule(
+        self,
+        at: float,
+        kind: EventKind,
+        tenant_index: int,
+        query_index: int,
+        heap: list,
+        seq: itertools.count,
+    ) -> None:
+        """Push a query's one live TIMEOUT or RETRY event."""
+        token = next(seq)
+        self.pending_event[query_index] = token
+        heapq.heappush(heap, (at, kind, token, (tenant_index, query_index, token)))
+
+    def _claim(self, query_index: int, token: int) -> bool:
+        """Whether a popped TIMEOUT/RETRY event is the query's live one.
+
+        A stale event (the query re-entered the pipeline since) or a query
+        already settled as a rejection, drop or timeout is inert.
+        """
+        if self.pending_event.get(query_index) != token:
+            return False
+        del self.pending_event[query_index]
+        return not (
+            query_index in self.rejected_indices
+            or query_index in self.dropped_indices
+            or query_index in self.timeout_indices
+        )
+
     def handle_timeout(
         self, now: float, payload: tuple, heap: list, seq: itertools.count
     ) -> None:
         """One attempt's timeout fired: retry within budget or finalize."""
-        tenant_index, tracker_index, arrival, multiplier, hot, cold, token = payload
-        if self.pending_event.get(tracker_index) != token:
-            return  # Stale: the query re-entered the pipeline since.
-        del self.pending_event[tracker_index]
-        if (
-            tracker_index in self.rejected_indices
-            or tracker_index in self.dropped_indices
-            or tracker_index in self.timeout_indices
-        ):
+        tenant_index, query_index, token = payload
+        if not self._claim(query_index, token):
             return
-        completion, _ = self.tracker.sample(tracker_index)
+        completion, _ = self.tracker.sample(query_index)
         if completion <= now:
             # The attempt settled before its timeout (a retry pulled the
             # completion in); nothing to do.
-            self.retry_attempts.pop(tracker_index, None)
+            self.retry_attempts.pop(query_index, None)
             return
-        self._try_retry(
-            now, tenant_index, tracker_index, arrival, multiplier, hot, cold, heap, seq
-        )
+        self._try_retry(now, tenant_index, query_index, heap, seq)
 
     def _try_retry(
         self,
         now: float,
         tenant_index: int,
-        tracker_index: int,
-        arrival: float,
-        multiplier: float,
-        hot: float,
-        cold: float,
+        query_index: int,
         heap: list,
         seq: itertools.count,
     ) -> bool:
@@ -1433,39 +1423,29 @@ class _TenantRuntime:
         actually launch.
         """
         policy = self.slo_policy
-        deadline_at = arrival + self.deadline_s
-        attempts = self.retry_attempts.get(tracker_index, 0)
+        deadline_at = self.arrival_at(query_index) + self.deadline_s
+        attempts = self.retry_attempts.get(query_index, 0)
         if attempts >= policy.retries or now >= deadline_at:
-            self._finalize_timeout(now, tracker_index, arrival)
+            self._finalize_timeout(now, query_index)
             return False
         if not retry_allowed(
             self._prune_retries(now), self._prune_live(now), policy.storm
         ):
-            self._finalize_timeout(now, tracker_index, arrival)
+            self._finalize_timeout(now, query_index)
             return False
         delay = policy.backoff_s * (2.0**attempts)
         if policy.jitter > 0.0:
             delay *= 1.0 + policy.jitter * float(self.slo_rng.random())
         retry_at = now + delay
         if retry_at >= deadline_at:
-            self._finalize_timeout(now, tracker_index, arrival)
+            self._finalize_timeout(now, query_index)
             return False
-        self.retry_attempts[tracker_index] = attempts + 1
+        self.retry_attempts[query_index] = attempts + 1
         self._retries_scheduled += 1
-        token = next(seq)
-        self.pending_event[tracker_index] = token
-        heapq.heappush(
-            heap,
-            (
-                retry_at,
-                EventKind.RETRY,
-                token,
-                (tenant_index, tracker_index, arrival, multiplier, hot, cold, token),
-            ),
-        )
+        self._schedule(retry_at, EventKind.RETRY, tenant_index, query_index, heap, seq)
         return True
 
-    def _finalize_timeout(self, now: float, tracker_index: int, arrival: float) -> None:
+    def _finalize_timeout(self, now: float, query_index: int) -> None:
         """Give up on a query: its deadline contract ends in a timeout.
 
         The client learns of the failure no earlier than its attempt timeout
@@ -1473,76 +1453,50 @@ class _TenantRuntime:
         give-up point (conservation moves the query from completions to
         ``timeout_queries``).
         """
+        arrival = self.arrival_at(query_index)
         deadline_at = arrival + self.deadline_s
         give_up = min(max(now, arrival + self.attempt_timeout_s), deadline_at)
-        self.timeout_indices.add(tracker_index)
-        self.degraded_indices.discard(tracker_index)
+        self.timeout_indices.add(query_index)
+        self.degraded_indices.discard(query_index)
         self.interval_timeouts += 1
-        self.retry_attempts.pop(tracker_index, None)
-        self.tracker.update(tracker_index, give_up, give_up - arrival)
+        self.retry_attempts.pop(query_index, None)
+        self.tracker.update(query_index, give_up, give_up - arrival)
 
     def handle_retry(
         self, now: float, payload: tuple, heap: list, seq: itertools.count
     ) -> None:
         """Re-issue one query across all lanes (a scheduled client retry)."""
-        tenant_index, tracker_index, arrival, multiplier, hot, cold, token = payload
+        tenant_index, query_index, token = payload
         self._retries_scheduled -= 1
-        if self.pending_event.get(tracker_index) != token:
-            return
-        del self.pending_event[tracker_index]
-        if (
-            tracker_index in self.rejected_indices
-            or tracker_index in self.dropped_indices
-            or tracker_index in self.timeout_indices
-        ):
+        if not self._claim(query_index, token):
             return
         self.retried_count += 1
-        deadline_at = arrival + self.deadline_s
-        attempt_deadline = min(now + self.attempt_timeout_s, deadline_at)
+        arrival = self.arrival_at(query_index)
+        attempt_deadline = min(now + self.attempt_timeout_s, arrival + self.deadline_s)
         fallback = self.fallback_armed
         worst, failed = self._dispatch(
-            self._lanes, now, tracker_index, multiplier, _RETRY, fallback,
-            False, hot < 0.0, tenant_index, heap, seq,
+            self._lanes, now, query_index, _RETRY, fallback, tenant_index, heap, seq
         )
         if failed or worst == -np.inf:
             # The retry itself found no capacity: back off again within the
             # same budget, or finalize.
-            self._try_retry(
-                now, tenant_index, tracker_index, arrival, multiplier, hot, cold,
-                heap, seq,
-            )
+            self._try_retry(now, tenant_index, query_index, heap, seq)
             return
         new_total = worst + self.rpc_overhead_s
         latency = new_total - arrival
-        self.tracker.update(tracker_index, new_total, latency)
+        self.tracker.update(query_index, new_total, latency)
         for lane in self._dense_lanes:
             lane.latencies.append(latency)
-        if fallback and tracker_index not in self.degraded_indices:
-            self.degraded_indices.add(tracker_index)
+        if fallback and query_index not in self.degraded_indices:
+            self.degraded_indices.add(query_index)
             self.interval_degraded += 1
         heapq.heappush(self._retry_resolutions, min(new_total, attempt_deadline))
         if new_total > attempt_deadline:
-            next_token = next(seq)
-            self.pending_event[tracker_index] = next_token
-            heapq.heappush(
-                heap,
-                (
-                    attempt_deadline,
-                    EventKind.TIMEOUT,
-                    next_token,
-                    (
-                        tenant_index,
-                        tracker_index,
-                        arrival,
-                        multiplier,
-                        hot,
-                        cold,
-                        next_token,
-                    ),
-                ),
+            self._schedule(
+                attempt_deadline, EventKind.TIMEOUT, tenant_index, query_index, heap, seq
             )
         else:
-            self.retry_attempts.pop(tracker_index, None)
+            self.retry_attempts.pop(query_index, None)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -1683,68 +1637,54 @@ class _TenantRuntime:
     ) -> None:
         """Re-queue or drop the dead replica's unfinished queries."""
         lane = [self._lane_by_name[deployment_name]]
-        for entry in self.inflight.pop((deployment_name, victim), []):
-            arrival, tracker_index, completion, _, cost = entry[:5]
-            tracker_index = int(tracker_index)
+        for completion, query_index in self.inflight.pop((deployment_name, victim), []):
             if completion <= now:
                 continue  # finished before the failure
-            if tracker_index in self.dropped_indices or tracker_index in self.rejected_indices:
+            if query_index in self.dropped_indices or query_index in self.rejected_indices:
                 continue  # the query already failed elsewhere
-            if tracker_index in self.timeout_indices:
+            if query_index in self.timeout_indices:
                 continue  # the client already gave up on it
-            if tracker_index in self.pending_event:
+            if query_index in self.pending_event:
                 # The client is already between attempts (a TIMEOUT or RETRY
                 # event is live): losing the abandoned attempt's server-side
                 # work changes nothing for it.
                 continue
             failed = True
             if policy == "requeue":
-                # A split-carrying entry is repriced against the survivor's
-                # cache (the victim's warm rows died with it).
+                # Re-sent to a survivor on the same lane, priced there (its
+                # cache, not the victim's warm rows, serves the gathers).
                 new_completion, failed = self._dispatch(
-                    lane, now, tracker_index, cost, _REQUEUE, False,
-                    len(entry) == 7, False, tenant_index, heap, seq,
+                    lane, now, query_index, _REQUEUE, False, tenant_index, heap, seq
                 )
-            if failed:
-                if self.deadline_armed:
-                    # Armed deadlines convert the drop into a client retry
-                    # when budget and storm guard allow: the client sees its
-                    # connection die and re-issues the whole query.
-                    # The re-issue carries the query's own multiplier, not
-                    # this lane's cost (1.0 on a dense lane).
-                    entry_hot = float(entry[5]) if len(entry) == 7 else -1.0
-                    entry_cold = float(entry[6]) if len(entry) == 7 else -1.0
-                    multiplier = (
-                        1.0
-                        if self.query_multipliers is None
-                        else self.query_multipliers[tracker_index]
-                    )
-                    if self._try_retry(
-                        now, tenant_index, tracker_index, arrival, multiplier,
-                        entry_hot, entry_cold, heap, seq,
-                    ):
-                        continue
+            if not failed:
+                self.requeued_count += 1
+                self.interval_requeues[deployment_name] += 1
+                # The re-queued shard finishes later than anything recorded
+                # for this query so far, so it now defines the end-to-end
+                # latency.
+                old_completion, _ = self.tracker.sample(query_index)
+                new_total = new_completion + self.rpc_overhead_s
+                if new_total > old_completion:
+                    arrival = self.arrival_at(query_index)
+                    self.tracker.update(query_index, new_total, new_total - arrival)
+                continue
+            if self.deadline_armed:
+                # Armed deadlines convert the drop into a client retry when
+                # budget and storm guard allow: the client sees its
+                # connection die and re-issues the whole query.
+                if not self._try_retry(now, tenant_index, query_index, heap, seq):
                     # _try_retry finalized it as a timeout instead of a drop.
                     self.interval_failures[deployment_name] += 1
-                    continue
-                # Dropped: charge the rejection penalty (the query never
-                # completed, so its recorded latency becomes the penalty).
-                self.dropped_indices.add(tracker_index)
-                self.interval_failures[deployment_name] += 1
-                if self.watchdog_on:
-                    self.interval_rejected += 1
-                _, old_latency = self.tracker.sample(tracker_index)
-                latency = max(old_latency, 2.0 * self.sla_s)
-                self.tracker.update(tracker_index, arrival + latency, latency)
                 continue
-            self.requeued_count += 1
-            self.interval_requeues[deployment_name] += 1
-            # The re-queued shard finishes later than anything recorded for
-            # this query so far, so it now defines the end-to-end latency.
-            old_completion, _ = self.tracker.sample(tracker_index)
-            new_total = new_completion + self.rpc_overhead_s
-            if new_total > old_completion:
-                self.tracker.update(tracker_index, new_total, new_total - arrival)
+            # Dropped: charge the rejection penalty (the query never
+            # completed, so its recorded latency becomes the penalty).
+            self.dropped_indices.add(query_index)
+            self.interval_failures[deployment_name] += 1
+            if self.watchdog_on:
+                self.interval_rejected += 1
+            _, old_latency = self.tracker.sample(query_index)
+            latency = max(old_latency, 2.0 * self.sla_s)
+            self.tracker.update(query_index, self.arrival_at(query_index) + latency, latency)
 
     def start_straggler(
         self,
@@ -2019,7 +1959,7 @@ class _TenantRuntime:
         if self.track_inflight:
             # Prune settled in-flight entries so the registry stays bounded.
             for key, entries in self.inflight.items():
-                self.inflight[key] = [e for e in entries if e[2] > now]
+                self.inflight[key] = [e for e in entries if e[0] > now]
         for name in self.interval_failures:
             self.interval_failures[name] = 0
             self.interval_requeues[name] = 0
@@ -2046,8 +1986,7 @@ class _TenantRuntime:
         watermark = self.tracker.num_samples
         if self.track_inflight:
             for entries in self.inflight.values():
-                for entry in entries:
-                    index = int(entry[1])
+                for _, index in entries:
                     if index < watermark:
                         watermark = index
         if self.pending_event:

@@ -15,11 +15,13 @@ import itertools
 import pytest
 
 from repro.core.planner import ElasticRecPlanner
+from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import EventKind, ServingEngine
 from repro.serving.replica_server import ReplicaServer
 from repro.serving.traffic import TrafficPattern
+from repro.serving.workload import degraded_gather_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def charged(monkeypatch):
 class Harness:
     """A begun run of one skewed-cost, watchdog-guarded tenant."""
 
-    def __init__(self, plan, charged, **options):
+    def __init__(self, plan, charged, warm=False, **options):
         engine = ServingEngine(
             plan,
             seed=3,
@@ -56,6 +58,11 @@ class Harness:
             **options,
         )
         self.runtime = runtime = engine._runtime
+        if warm:
+            for servers in runtime.servers.values():
+                for server in servers.values():
+                    if server.cache is not None:
+                        server.cache.warm()
         runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
         runtime.track_inflight = True
         self.charged = charged
@@ -91,14 +98,15 @@ class Harness:
             now, self.lane_of(victim).name, victim, policy, 0, self.heap, self.seq
         )
 
-    def replay_retry(self) -> None:
-        """Pop the query's scheduled client retry and re-issue it."""
+    def replay_retry(self) -> float:
+        """Pop the query's scheduled client retry, re-issue it, return its time."""
         while True:
             at, kind, _, payload = heapq.heappop(self.heap)
             if kind == EventKind.RETRY and payload[1] == self.query:
                 break
         self.charged.clear()
         self.runtime.handle_retry(at, payload, self.heap, self.seq)
+        return at
 
     def embedding_charges(self) -> list[float]:
         return [m for name, m in self.charged if self.lane_of(name).cost_bearing]
@@ -106,6 +114,11 @@ class Harness:
     @property
     def multiplier(self) -> float:
         return self.runtime.query_multipliers[self.query]
+
+    @property
+    def split(self) -> tuple[float, float]:
+        runtime = self.runtime
+        return runtime.query_hot[self.query], runtime.query_cold[self.query]
 
 
 def test_crash_converted_retry_keeps_the_query_multiplier(plan, charged):
@@ -119,3 +132,39 @@ def test_crash_converted_retry_keeps_the_query_multiplier(plan, charged):
     harness.replay_retry()
     charges = harness.embedding_charges()
     assert charges and all(m == harness.multiplier for m in charges)
+
+
+
+def test_crash_converted_retry_keeps_the_gather_split(plan, charged):
+    # An embedding replica without a cache tier dies under armed deadlines
+    # and quality fallback: the retry must price the exact cache-hot-only
+    # gather, not the policy's flat quality fraction.
+    harness = Harness(plan, charged)
+    harness.runtime.deadline_armed = True
+    now = harness.serve()
+    harness.runtime.fallback_armed = True
+    harness.crash(now, dense=False, policy="drop")
+    harness.replay_retry()
+    expected = degraded_gather_multiplier(
+        harness.multiplier, *harness.split, harness.runtime.cost_model.hot_cost_fraction
+    )
+    charges = harness.embedding_charges()
+    assert charges and all(m == expected for m in charges)
+
+
+def test_requeued_retry_is_repriced_on_the_survivor_cache(plan, charged):
+    # Warm caches everywhere; a retry's shard is crash-requeued onto a
+    # survivor, which must price it through its cache like a first attempt.
+    harness = Harness(plan, charged, warm=True, cache_mb=16.0, initial_replicas=2)
+    harness.runtime.deadline_armed = True
+    now = harness.serve()
+    harness.crash(now, dense=True, policy="drop")
+    retry_at = harness.replay_retry()
+    harness.crash(retry_at, dense=False, policy="requeue")
+    survivor, charge = harness.charged[-1]
+    cache = harness.runtime.servers[harness.lane_of(survivor).name][survivor].cache
+    hit_rate = cache.hit_rate(*harness.split)
+    assert hit_rate > 0.0
+    assert charge == cache_adjusted_multiplier(
+        harness.multiplier, hit_rate, cache.spec.hit_cost_fraction
+    )
