@@ -546,7 +546,6 @@ class _TenantRuntime:
         # ReplicaServer so replacement containers restart cold.
         self.cache_mb = float(cache_mb)
         self.cache_spec: CacheSpec | None = None
-        self.cache_hit_cost = 0.0
         if self.cache_mb > 0:
             if not getattr(self.cost_model, "supports_gather_splits", False):
                 raise ValueError(
@@ -563,7 +562,6 @@ class _TenantRuntime:
                     hot_rows=self.cost_model.hot_rank_limit,
                     hit_cost_fraction=self.cost_model.hot_cost_fraction,
                 )
-                self.cache_hit_cost = self.cache_spec.hit_cost_fraction
         self.caches_on = self.cache_spec is not None
         # The tenant's one shared cache geometry, flattened into a tuple the
         # hot path unpacks into locals once per query (the adjacent-point
@@ -1035,7 +1033,7 @@ class _TenantRuntime:
                 return
         fallback_on = self.fallback_armed
         worst_completion, rejected = self._dispatch(
-            self._lanes, arrival, query_index, _FIRST, fallback_on, tenant_index, heap, seq
+            self._lanes, arrival, query_index, _FIRST, tenant_index, heap, seq
         )
         query_completion = worst_completion + self.rpc_overhead_s
         latency = query_completion - arrival
@@ -1067,7 +1065,6 @@ class _TenantRuntime:
         now: float,
         query_index: int,
         mode: int,
-        fallback: bool,
         tenant_index: int,
         heap: list | None,
         seq: itertools.count | None,
@@ -1088,14 +1085,15 @@ class _TenantRuntime:
         penalty there so the HPA sees the overload it most needs to react
         to.
 
-        Everything an attempt needs beyond the lanes and the instant — cost
-        multiplier, gather split, arrival — is looked up by ``query_index``,
-        so every kind of attempt prices the query identically.
+        The query's cost multiplier and gather split are looked up by
+        ``query_index`` and the fallback flag is read at ``now``, so every
+        kind of attempt prices the query identically.
 
         Returns the latest completion over the lanes and whether any lane
         had no routable replica.
         """
         record = mode != _REQUEUE
+        fallback = self.fallback_armed
         multiplier = (
             1.0 if self.query_multipliers is None else self.query_multipliers[query_index]
         )
@@ -1475,7 +1473,7 @@ class _TenantRuntime:
         attempt_deadline = min(now + self.attempt_timeout_s, arrival + self.deadline_s)
         fallback = self.fallback_armed
         worst, failed = self._dispatch(
-            self._lanes, now, query_index, _RETRY, fallback, tenant_index, heap, seq
+            self._lanes, now, query_index, _RETRY, tenant_index, heap, seq
         )
         if failed or worst == -np.inf:
             # The retry itself found no capacity: back off again within the
@@ -1654,7 +1652,7 @@ class _TenantRuntime:
                 # Re-sent to a survivor on the same lane, priced there (its
                 # cache, not the victim's warm rows, serves the gathers).
                 new_completion, failed = self._dispatch(
-                    lane, now, query_index, _REQUEUE, False, tenant_index, heap, seq
+                    lane, now, query_index, _REQUEUE, tenant_index, heap, seq
                 )
             if not failed:
                 self.requeued_count += 1

@@ -168,3 +168,15 @@ def test_requeued_retry_is_repriced_on_the_survivor_cache(plan, charged):
     assert charge == cache_adjusted_multiplier(
         harness.multiplier, hit_rate, cache.spec.hit_cost_fraction
     )
+
+
+def test_requeue_under_quality_fallback_pays_the_degraded_price(plan, charged):
+    # With fallback armed, a crash requeue pays the cache-hot-only price a
+    # first attempt or a retry would pay at the same instant.
+    harness = Harness(plan, charged, initial_replicas=2)
+    now = harness.serve()
+    harness.runtime.fallback_armed = True
+    harness.crash(now, dense=False, policy="requeue")
+    assert harness.charged[-1][1] == degraded_gather_multiplier(
+        harness.multiplier, *harness.split, harness.runtime.cost_model.hot_cost_fraction
+    )
