@@ -49,6 +49,12 @@ class Lane:
     #: a dense lane, whose service time ignores the multiplier.
     slope: float | None
 
+    def shard_seconds(self, multiplier: float) -> float:
+        """Service seconds of one query's shard on this lane."""
+        if self.slope is None:
+            return self.service_s
+        return self.service_s * (1.0 + self.slope * (multiplier - 1.0))
+
 
 def plan_lanes(plan: DeploymentPlan, replicas: int | None = None) -> list[Lane]:
     """The plan's deployments as lanes, in plan order.
@@ -57,46 +63,18 @@ def plan_lanes(plan: DeploymentPlan, replicas: int | None = None) -> list[Lane]:
     otherwise).
     """
     perf = PerfModel(plan.cluster)
-    lanes = []
-    for shard in plan.deployments:
-        slope = None
-        if shard.role != ROLE_DENSE:
-            slope = 1.0 - perf.batch_model(shard.role).overhead_fraction
-        lanes.append(
-            Lane(
-                replicas=replicas if replicas is not None else shard.replicas,
-                service_s=1.0 / shard.per_replica_qps,
-                slope=slope,
-            )
+    return [
+        Lane(
+            replicas=replicas if replicas is not None else shard.replicas,
+            service_s=1.0 / shard.per_replica_qps,
+            slope=(
+                None
+                if shard.role == ROLE_DENSE
+                else 1.0 - perf.batch_model(shard.role).overhead_fraction
+            ),
         )
-    return lanes
-
-
-def rpc_overhead_s(plan: DeploymentPlan) -> float:
-    """Fan-out overhead: only a disaggregated plan pays for the RPC hop."""
-    if plan.strategy != "elasticrec":
-        return 0.0
-    return PerfModel(plan.cluster).rpc_overhead_s()
-
-
-def shard_seconds(lane: Lane, multiplier: float) -> float:
-    """Service seconds of one query's shard on ``lane``."""
-    if lane.slope is None:
-        return lane.service_s
-    return lane.service_s * (1.0 + lane.slope * (multiplier - 1.0))
-
-
-def pick(routing: str, free_at: list[float], cursor: int) -> int:
-    """The replica a rule routes to, given each replica's free time."""
-    if routing == "least-work":
-        best = 0
-        for index in range(1, len(free_at)):
-            if free_at[index] < free_at[best]:
-                best = index
-        return best
-    if routing == "round-robin":
-        return cursor % len(free_at)
-    raise ValueError(f"the oracle does not model routing {routing!r}")
+        for shard in plan.deployments
+    ]
 
 
 def run(
@@ -107,20 +85,23 @@ def run(
     overhead_s: float,
 ) -> tuple[list[float], list[float]]:
     """Per-query (completion time, latency) for a fixed fleet of FIFO lanes."""
+    if routing not in ROUTINGS:
+        raise ValueError(f"the oracle does not model routing {routing!r}")
     free_at = [[0.0] * lane.replicas for lane in lanes]
-    cursors = [0] * len(lanes)
+    served = 0
     completions: list[float] = []
     latencies: list[float] = []
     for arrival, multiplier in zip(arrivals, multipliers):
         slowest = -np.inf
-        for number, lane in enumerate(lanes):
-            replicas = free_at[number]
-            index = pick(routing, replicas, cursors[number])
-            cursors[number] += 1
-            start = max(arrival, replicas[index])
-            done = start + shard_seconds(lane, multiplier)
+        for lane, replicas in zip(lanes, free_at):
+            if routing == "round-robin":
+                index = served % len(replicas)
+            else:
+                index = min(range(len(replicas)), key=replicas.__getitem__)
+            done = max(arrival, replicas[index]) + lane.shard_seconds(multiplier)
             replicas[index] = done
             slowest = max(slowest, done)
+        served += 1
         latency = (slowest + overhead_s) - arrival
         completions.append(arrival + latency)
         latencies.append(latency)
@@ -140,7 +121,8 @@ def simulate(
 
     Arrivals come from ``default_rng(seed)`` and cost multipliers from the
     dedicated ``[seed, 2]`` stream, as in the engine.  Queries arriving after
-    the last sample boundary are never served.
+    the last sample boundary are never served, and only a disaggregated plan
+    pays the RPC fan-out overhead.
     """
     arrivals = pattern.arrivals(np.random.default_rng(seed))
     boundaries = np.arange(
@@ -152,11 +134,14 @@ def simulate(
         multipliers = [1.0] * arrivals.size
     else:
         multipliers = model.sample(arrivals.size, np.random.default_rng([seed, 2])).tolist()
+    overhead_s = 0.0
+    if plan.strategy == "elasticrec":
+        overhead_s = PerfModel(plan.cluster).rpc_overhead_s()
     completions, latencies = run(
         arrivals[:served].tolist(),
         multipliers[:served],
         plan_lanes(plan, replicas),
         routing,
-        rpc_overhead_s(plan),
+        overhead_s,
     )
     return np.asarray(completions), np.asarray(latencies)

@@ -50,33 +50,27 @@ class Harness:
 
     def __init__(self, plan, charged, warm=False, **options):
         engine = ServingEngine(
-            plan,
-            seed=3,
-            autoscale=False,
-            cost_model="skewed",
-            slo="p95@1.5:storm=1.0",
+            plan, seed=3, autoscale=False, cost_model="skewed", slo="p95@1.5:storm=1.0",
             **options,
         )
         self.runtime = runtime = engine._runtime
-        if warm:
-            for servers in runtime.servers.values():
-                for server in servers.values():
-                    if server.cache is not None:
-                        server.cache.warm()
+        for servers in runtime.servers.values():
+            for server in servers.values():
+                if warm and server.cache is not None:
+                    server.cache.warm()
         runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
         runtime.track_inflight = True
         self.charged = charged
         self.heap: list = []
         self.seq = itertools.count()
         # An expensive query, so a wrong multiplier cannot pass for it.
-        self.query = next(
-            i for i, m in enumerate(runtime.query_multipliers) if m > 1.5
-        )
-        self.lanes = {lane.name: lane for lane in runtime._lanes}
+        self.query = next(i for i, m in enumerate(runtime.query_multipliers) if m > 1.5)
+        self.multiplier = runtime.query_multipliers[self.query]
+        self.split = (runtime.query_hot[self.query], runtime.query_cold[self.query])
 
     def lane_of(self, server_name: str):
         return next(
-            lane for lane in self.lanes.values()
+            lane for lane in self.runtime._lanes
             if server_name in self.runtime.servers[lane.name]
         )
 
@@ -90,9 +84,7 @@ class Harness:
 
     def crash(self, now: float, dense: bool, policy: str) -> None:
         """Kill the replica that holds the last dispatch's shard on a lane."""
-        victim = next(
-            name for name, _ in self.charged if self.lane_of(name).dense == dense
-        )
+        victim = next(name for name, _ in self.charged if self.lane_of(name).dense == dense)
         self.charged.clear()
         self.runtime._kill_server(
             now, self.lane_of(victim).name, victim, policy, 0, self.heap, self.seq
@@ -111,14 +103,10 @@ class Harness:
     def embedding_charges(self) -> list[float]:
         return [m for name, m in self.charged if self.lane_of(name).cost_bearing]
 
-    @property
-    def multiplier(self) -> float:
-        return self.runtime.query_multipliers[self.query]
-
-    @property
-    def split(self) -> tuple[float, float]:
-        runtime = self.runtime
-        return runtime.query_hot[self.query], runtime.query_cold[self.query]
+    def fallback_price(self) -> float:
+        """The query's cache-hot-only price under quality fallback."""
+        hot_cost = self.runtime.cost_model.hot_cost_fraction
+        return degraded_gather_multiplier(self.multiplier, *self.split, hot_cost)
 
 
 def test_crash_converted_retry_keeps_the_query_multiplier(plan, charged):
@@ -134,7 +122,6 @@ def test_crash_converted_retry_keeps_the_query_multiplier(plan, charged):
     assert charges and all(m == harness.multiplier for m in charges)
 
 
-
 def test_crash_converted_retry_keeps_the_gather_split(plan, charged):
     # An embedding replica without a cache tier dies under armed deadlines
     # and quality fallback: the retry must price the exact cache-hot-only
@@ -145,11 +132,8 @@ def test_crash_converted_retry_keeps_the_gather_split(plan, charged):
     harness.runtime.fallback_armed = True
     harness.crash(now, dense=False, policy="drop")
     harness.replay_retry()
-    expected = degraded_gather_multiplier(
-        harness.multiplier, *harness.split, harness.runtime.cost_model.hot_cost_fraction
-    )
     charges = harness.embedding_charges()
-    assert charges and all(m == expected for m in charges)
+    assert charges and all(m == harness.fallback_price() for m in charges)
 
 
 def test_requeued_retry_is_repriced_on_the_survivor_cache(plan, charged):
@@ -159,8 +143,7 @@ def test_requeued_retry_is_repriced_on_the_survivor_cache(plan, charged):
     harness.runtime.deadline_armed = True
     now = harness.serve()
     harness.crash(now, dense=True, policy="drop")
-    retry_at = harness.replay_retry()
-    harness.crash(retry_at, dense=False, policy="requeue")
+    harness.crash(harness.replay_retry(), dense=False, policy="requeue")
     survivor, charge = harness.charged[-1]
     cache = harness.runtime.servers[harness.lane_of(survivor).name][survivor].cache
     hit_rate = cache.hit_rate(*harness.split)
@@ -177,6 +160,4 @@ def test_requeue_under_quality_fallback_pays_the_degraded_price(plan, charged):
     now = harness.serve()
     harness.runtime.fallback_armed = True
     harness.crash(now, dense=False, policy="requeue")
-    assert harness.charged[-1][1] == degraded_gather_multiplier(
-        harness.multiplier, *harness.split, harness.runtime.cost_model.hot_cost_fraction
-    )
+    assert harness.charged[-1][1] == harness.fallback_price()

@@ -23,8 +23,9 @@ from repro.serving.faults import (
     validate_fault_spec,
 )
 from repro.serving.replica_server import ReplicaServer
-from repro.serving.routing import ReplicaPool, make_routing_policy
+from repro.serving.routing import make_routing_policy
 from repro.serving.traffic import TrafficPattern
+from test_routing import _pick
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +37,6 @@ def plan():
 @pytest.fixture(scope="module")
 def pattern():
     return TrafficPattern.constant(25.0, duration_s=240.0)
-
-
-def _pick(policy, deployment, servers, now, cost=None):
-    """The replica ``policy`` routes to among ``servers`` (``None``: drop)."""
-    pool = ReplicaPool({server.name: server for server in servers})
-    index = policy.select_index(deployment, pool, now, cost)
-    return None if index is None else pool.servers[index]
 
 
 class TestFaultModel:

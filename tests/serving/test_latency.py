@@ -99,6 +99,12 @@ class TestWindowBoundaries:
         with pytest.raises(ValueError):
             LatencyTracker().record(1.0, -0.1)
 
+    def test_sla_fraction_rejects_a_non_positive_sla(self):
+        tracker = LatencyTracker()
+        tracker.record(1.0, 0.2)
+        with pytest.raises(ValueError):
+            tracker.sla_violation_fraction(0.0)
+
     def test_completion_arrays_preserve_insertion_order(self):
         tracker = LatencyTracker()
         tracker.record(5.0, 0.2)

@@ -37,29 +37,20 @@ FAULTS = "degrade@20+60:factor=3;crash@40:policy=drop"
 SLO = "p95@0.5:patience=1,shed=0.2,deadline=20,timeout=6,retries=2,storm=1.0,recover=3"
 
 
-def _replanned(result) -> bool:
-    return result.replans_applied >= 1
-
-
-def _drifted(result) -> bool:
-    return result.drift == DRIFT and result.replans_applied == 0
-
-
 def _guarded(result) -> bool:
     return result.slo_tier1_breaches >= 1 and result.shed_queries >= 1
 
 
-def _cached(result) -> bool:
-    return bool(result.cache_hit_rate) and result.faults_injected >= 1
-
-
 #: Row id -> (engine options, liveness check).  Every row runs skewed costs.
 ROWS = {
-    "drift+replan": (dict(drift=DRIFT, replan=REPLAN), _replanned),
-    "drift-only": (dict(drift=DRIFT), _drifted),
+    "drift+replan": (dict(drift=DRIFT, replan=REPLAN), lambda r: r.replans_applied >= 1),
+    "drift-only": (dict(drift=DRIFT), lambda r: r.drift == DRIFT and r.replans_applied == 0),
     "faults+watchdog": (dict(faults=FAULTS, slo=SLO), _guarded),
     "watchdog-only": (dict(slo=SLO), _guarded),
-    "cached+crash": (dict(cache_mb=16.0, faults="single-crash"), _cached),
+    "cached+crash": (
+        dict(cache_mb=16.0, faults="single-crash"),
+        lambda r: bool(r.cache_hit_rate) and r.faults_injected >= 1,
+    ),
 }
 
 
@@ -152,7 +143,10 @@ def test_sharded_and_streamed_match_serial(shard_plan, row, tmp_path):
     serial = run_sharded(tenants, workers=1)
     _assert_live(serial.tenant("t1"), alive)
     sharded = run_sharded(tenants, workers=2)
-    streamed = run_sharded(tenants, workers=1, stream_dir=str(tmp_path))
+    # Tiny spill/flush thresholds split every series across many chunks.
+    streamed = run_sharded(
+        tenants, workers=1, stream_dir=str(tmp_path), spill_threshold=64, flush_series_every=3
+    )
     assert _fleet(sharded) == _fleet(serial)
     assert _fleet(streamed) == _fleet(serial)
 

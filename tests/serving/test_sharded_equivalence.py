@@ -61,10 +61,7 @@ def make_tenants(
     cost_model: str = "skewed",
     duration_s: float = 120.0,
 ) -> list[TenantSpec]:
-    """``count`` tenants; tenant 2 gets the faults, tenant 3 the cost model.
-
-    Mixed fleets with an embedding cache or an SLO watchdog on one tenant
-    are covered by ``test_mode_matrix.py``."""
+    """``count`` tenants; tenant 2 gets the faults, tenant 3 the cost model."""
     return [
         TenantSpec(
             name=f"t{index}",
