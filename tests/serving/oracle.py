@@ -36,6 +36,9 @@ from repro.serving.workload import make_cost_model
 
 #: The routing rules the oracle models.
 ROUTINGS = ("least-work", "round-robin")
+#: The engine's default sample interval: arrivals after the last sample
+#: boundary are never served.
+SAMPLE_INTERVAL_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ def simulate(
     routing: str = "least-work",
     cost_model: str = "homogeneous",
     replicas: int | None = None,
-    sample_interval_s: float = 15.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Completion times and latencies of every served query, arrival order.
 
@@ -126,7 +128,7 @@ def simulate(
     """
     arrivals = pattern.arrivals(np.random.default_rng(seed))
     boundaries = np.arange(
-        sample_interval_s, pattern.duration_s + sample_interval_s, sample_interval_s
+        SAMPLE_INTERVAL_S, pattern.duration_s + SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S
     )
     served = int(np.searchsorted(arrivals, boundaries[-1], side="right"))
     model = make_cost_model(cost_model, plan.workload)
