@@ -50,11 +50,8 @@ class TestEventKinds:
 
 class TestDeterminism:
     def test_engine_reproduces_seed_simulator_summary(self, plan, pattern):
-        # The defaults — homogeneous costs, batch size one — are the
-        # compatibility mode that must stay bit-identical with the seed.
         result = ServingEngine(plan, autoscale=False, seed=0).run(pattern)
         assert repr(result.summary()) == repr(SEED_MICRO_SUMMARY)
-        assert (result.cost_model, result.max_batch) == ("homogeneous", 1)
 
     def test_facade_and_engine_are_byte_identical(self, plan, pattern):
         facade = ServingSimulator(plan, autoscale=False, seed=0).run(pattern)
@@ -64,6 +61,15 @@ class TestDeterminism:
                      "p95_latency_ms"):
             assert getattr(facade, name).tobytes() == getattr(engine, name).tobytes()
 
+    def test_repeated_runs_identical(self, plan, pattern):
+        first = ServingEngine(plan, autoscale=False, seed=7).run(pattern)
+        second = ServingEngine(plan, autoscale=False, seed=7).run(pattern)
+        assert repr(first.summary()) == repr(second.summary())
+
+    def test_power_of_two_deterministic_per_seed(self, plan, pattern):
+        first = ServingEngine(plan, routing="power-of-two", autoscale=False, seed=5).run(pattern)
+        second = ServingEngine(plan, routing="power-of-two", autoscale=False, seed=5).run(pattern)
+        assert repr(first.summary()) == repr(second.summary())
 
 
 class TestEngineBehaviour:
@@ -110,6 +116,16 @@ class TestEngineBehaviour:
 
 
 class TestQueryCosts:
+    def test_homogeneous_compat_kwargs_reproduce_seed_summary(self, plan, pattern):
+        # The compatibility contract: homogeneous cost model + batch size one
+        # is bit-identical with the pre-cost-model engine.
+        result = ServingEngine(
+            plan, autoscale=False, seed=0, cost_model="homogeneous", max_batch=1
+        ).run(pattern)
+        assert repr(result.summary()) == repr(SEED_MICRO_SUMMARY)
+        assert result.cost_model == "homogeneous"
+        assert result.max_batch == 1
+
     def test_skewed_costs_change_the_tail_not_the_arrivals(self, plan, pattern):
         hom = ServingEngine(plan, autoscale=False, seed=0).run(pattern)
         skew = ServingEngine(plan, autoscale=False, seed=0, cost_model="skewed").run(pattern)
@@ -118,6 +134,13 @@ class TestQueryCosts:
         # ...but per-query service times now spread around the planner mean.
         assert skew.overall_p95_latency_ms != hom.overall_p95_latency_ms
         assert skew.cost_model == "skewed"
+
+    def test_skewed_runs_deterministic_per_seed(self, plan, pattern):
+        runs = [
+            ServingEngine(plan, autoscale=False, seed=4, cost_model="skewed").run(pattern)
+            for _ in range(2)
+        ]
+        assert repr(runs[0].summary()) == repr(runs[1].summary())
 
     def test_cost_weighted_routing_sustains_load(self, plan, pattern):
         result = ServingEngine(

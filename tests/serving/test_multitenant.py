@@ -108,6 +108,12 @@ class TestMultiTenantRun:
         ) - 1e-9
         assert (np.diff(series.sample_times) > 0).all()
 
+    def test_summary_is_deterministic_for_seed(self, plan, result):
+        again = MultiTenantEngine(
+            three_tenants(plan), cluster_spec=cpu_only_cluster(num_nodes=3)
+        ).run()
+        assert repr(again.summary()) == repr(result.summary())
+
 
 class TestSharedPoolContention:
     def test_tight_pool_queues_pending_placements(self, plan):
@@ -176,6 +182,14 @@ class TestHeterogeneousCosts:
         # Same seed, same arrival process per tenant; different service costs.
         assert flat.tracker.num_samples == spiky.tracker.num_samples
         assert flat.overall_p95_latency_ms != spiky.overall_p95_latency_ms
+
+    def test_skewed_single_tenant_run_is_deterministic(self, plan, pattern):
+        def run():
+            return MultiTenantEngine(
+                [TenantSpec("t", plan, pattern, seed=2, cost_model="skewed")]
+            ).run()
+
+        assert repr(run().summary()) == repr(run().summary())
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
-"""Tests for the RPC model (latency tracking is covered in test_latency.py)."""
+"""Tests for the RPC model and latency tracking."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.serving.latency import LatencyTracker
 from repro.serving.rpc import RPCModel
 
 
@@ -80,3 +82,57 @@ class TestRPCLatencyComposition:
         slow = RPCModel(network_gbps=1.0)
         assert slow.query_overhead(8, 1e5, 1e5) > fast.query_overhead(8, 1e5, 1e5)
         assert fast.query_overhead(16, 1e5, 1e5) > fast.query_overhead(2, 1e5, 1e5)
+
+
+class TestLatencyTracker:
+    def test_percentiles_and_mean(self):
+        tracker = LatencyTracker()
+        for value in np.linspace(0.01, 1.0, 100):
+            tracker.record(completion_time=float(value * 10), latency_s=float(value))
+        assert tracker.num_samples == 100
+        assert tracker.mean() == pytest.approx(0.505, rel=0.01)
+        assert tracker.percentile(50) == pytest.approx(0.505, rel=0.05)
+        assert tracker.percentile(95) > tracker.percentile(50)
+
+    def test_sla_violation_fraction(self):
+        tracker = LatencyTracker()
+        for latency in (0.1, 0.2, 0.5, 0.6):
+            tracker.record(0.0, latency)
+        assert tracker.sla_violation_fraction(0.4) == pytest.approx(0.5)
+        assert LatencyTracker().sla_violation_fraction(0.4) == 0.0
+
+    def test_windowed_buckets(self):
+        tracker = LatencyTracker()
+        tracker.record(completion_time=5.0, latency_s=0.1)
+        tracker.record(completion_time=65.0, latency_s=0.3)
+        points = tracker.windowed(duration_s=120.0, bucket_s=60.0)
+        assert len(points) == 2
+        assert points[0].completions == 1
+        assert points[0].p95_ms == pytest.approx(100.0)
+        assert points[1].mean_ms == pytest.approx(300.0)
+
+    def test_empty_bucket_reports_zeros(self):
+        tracker = LatencyTracker()
+        tracker.record(completion_time=5.0, latency_s=0.1)
+        points = tracker.windowed(duration_s=180.0, bucket_s=60.0)
+        assert points[2].completions == 0
+        assert points[2].p95_ms == 0.0
+
+    def test_accessors(self):
+        tracker = LatencyTracker()
+        tracker.record(1.0, 0.2)
+        assert tracker.completion_times.tolist() == [1.0]
+        assert tracker.latencies_s.tolist() == [0.2]
+
+    def test_validation(self):
+        tracker = LatencyTracker()
+        with pytest.raises(ValueError):
+            tracker.record(0.0, -1.0)
+        with pytest.raises(ValueError):
+            tracker.percentile(95)
+        with pytest.raises(ValueError):
+            tracker.mean()
+        with pytest.raises(ValueError):
+            tracker.sla_violation_fraction(0.0)
+        with pytest.raises(ValueError):
+            tracker.windowed(0.0)

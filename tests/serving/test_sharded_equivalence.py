@@ -60,8 +60,12 @@ def make_tenants(
     faults: str | None = "crash-storm",
     cost_model: str = "skewed",
     duration_s: float = 120.0,
+    cache_mb: float = 0.0,
+    slo: str = "none",
 ) -> list[TenantSpec]:
-    """``count`` tenants; tenant 2 gets the faults, tenant 3 the cost model."""
+    """``count`` tenants; tenant 2 gets the faults, tenant 3 the cost model
+    (and the embedding cache, when ``cache_mb`` is set); tenants 2 and 3
+    both get the SLO watchdog when ``slo`` is set."""
     return [
         TenantSpec(
             name=f"t{index}",
@@ -72,6 +76,8 @@ def make_tenants(
             max_replicas=6,
             cost_model=cost_model if index == 3 else "homogeneous",
             faults=faults if index == 2 else None,
+            cache_mb=cache_mb if index == 3 else 0.0,
+            slo=slo if index in (2, 3) else "none",
         )
         for index in range(count)
     ]
@@ -191,6 +197,65 @@ class TestShardedEquivalenceFast:
         )
         assert sharded.sharding_stats["streamed"] is True
         assert_tenants_identical(serial, sharded)
+
+    def test_cached_tenant_matches_serial_and_streamed(self, plan, cluster, tmp_path):
+        # Tenant 3 runs skewed with a per-replica embedding cache: the
+        # hit-rate series must round-trip through the sharded merge and the
+        # streamed spool bit-exactly (its rows travel under the manifest's
+        # cached-deployment order).
+        tenants = make_tenants(plan, count=4, duration_s=60.0, cache_mb=16.0)
+        serial = MultiTenantEngine(tenants, cluster_spec=cluster).run()
+        cached = serial.tenants["t3"]
+        assert cached.cache_hit_rate and cached.cache_mb == 16.0
+        assert serial.tenants["t0"].cache_hit_rate == {}
+        sharded = run_sharded(tenants, cluster, workers=2)
+        streamed = run_sharded(
+            tenants,
+            cluster,
+            workers=2,
+            stream_dir=tmp_path / "spool",
+            spill_threshold=64,
+            flush_series_every=3,
+        )
+        assert_tenants_identical(serial, sharded)
+        assert_tenants_identical(serial, streamed)
+        assert streamed.tenants["t3"].cache_mb == 16.0
+
+    def test_watchdog_tenant_matches_serial_and_streamed(self, plan, cluster, tmp_path):
+        # Tenants 2 (faulted) and 3 (skewed) run under an aggressive SLO
+        # watchdog: the degradation ladder, shed decisions, retries and the
+        # per-tick watchdog series must all round-trip through the sharded
+        # merge and the streamed spool bit-exactly.
+        slo = (
+            "p95@0.5:availability=0.999,reject=0.001,patience=1,"
+            "shed=0.2,deadline=20,timeout=6,retries=2,recover=3"
+        )
+        tenants = make_tenants(plan, count=4, duration_s=60.0, slo=slo)
+        serial = MultiTenantEngine(tenants, cluster_spec=cluster).run()
+        guarded = serial.tenants["t2"]
+        assert guarded.slo != "none"
+        assert guarded.watchdog_series and max(guarded.watchdog_series["level"]) > 0
+        assert serial.tenants["t0"].watchdog_series == {}
+        # Conservation identity: every arrival is accounted for exactly once.
+        assert (
+            guarded.completed_queries
+            + guarded.rejected_queries
+            + guarded.dropped_queries
+            + guarded.timeout_queries
+            == guarded.tracker.num_samples
+        )
+        sharded = run_sharded(tenants, cluster, workers=2)
+        streamed = run_sharded(
+            tenants,
+            cluster,
+            workers=2,
+            stream_dir=tmp_path / "spool",
+            spill_threshold=64,
+            flush_series_every=3,
+        )
+        assert_tenants_identical(serial, sharded)
+        assert_tenants_identical(serial, streamed)
+        assert streamed.tenants["t2"].slo == slo
 
     def test_merged_cluster_series_sums_shard_pools(self, plan, cluster, serial):
         tenants = make_tenants(plan, count=3, duration_s=60.0)

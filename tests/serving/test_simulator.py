@@ -1,9 +1,4 @@
-"""Tests for the end-to-end serving simulator.
-
-Exact per-query latencies of fixed fleets (RPC overhead, monolithic plans)
-are held to the independent oracle in ``test_oracle.py``; scale-out under a
-traffic step is covered through the engine in ``test_engine.py``.
-"""
+"""Tests for the end-to-end serving simulator."""
 
 from __future__ import annotations
 
@@ -47,6 +42,18 @@ class TestSteadyState:
         assert result.tracker.num_samples == pytest.approx(25 * 240, rel=0.1)
         assert result.sla_violation_fraction() < 0.05
 
+    def test_latency_includes_rpc_overhead(self, elastic_plan, sim_cluster):
+        pattern = TrafficPattern.constant(5.0, duration_s=120.0)
+        result = ServingSimulator(elastic_plan, seed=0, autoscale=False).run(pattern)
+        # Even unloaded, latency >= dense + sparse + RPC overhead (~100+ ms).
+        assert result.mean_latency_ms > 31.0
+
+    def test_monolithic_plan_single_queue(self, baseline_plan):
+        pattern = TrafficPattern.constant(20.0, duration_s=120.0)
+        result = ServingSimulator(baseline_plan, seed=0, autoscale=False).run(pattern)
+        assert result.strategy == "model-wise"
+        assert np.mean(result.achieved_qps[2:]) == pytest.approx(20.0, rel=0.15)
+
     def test_memory_matches_plan_when_not_autoscaling(self, elastic_plan):
         pattern = TrafficPattern.constant(10.0, duration_s=60.0)
         result = ServingSimulator(elastic_plan, seed=0, autoscale=False).run(pattern)
@@ -72,6 +79,14 @@ class TestSteadyState:
 
 
 class TestAutoscaling:
+    def test_scales_out_when_traffic_grows(self, elastic_plan):
+        pattern = TrafficPattern.from_steps([(0, 20), (120, 60)], duration_s=360)
+        result = ServingSimulator(elastic_plan, seed=1).run(pattern)
+        # Memory grows once the traffic step hits.
+        assert result.memory_gb[-1] > result.memory_gb[0]
+        # And the higher load is eventually served.
+        assert np.mean(result.achieved_qps[-4:]) == pytest.approx(60.0, rel=0.15)
+
     def test_scales_down_after_traffic_drops(self, elastic_plan):
         pattern = TrafficPattern.from_steps([(0, 60), (180, 10)], duration_s=600)
         result = ServingSimulator(elastic_plan, seed=1).run(pattern)
