@@ -18,7 +18,6 @@ from repro import ElasticRecPlanner, ModelWisePlanner, cpu_only_cluster, rm1
 from repro.analysis import format_table
 from repro.serving import (
     ServingEngine,
-    ServingSimulator,
     build_scenario,
     paper_dynamic_pattern,
     routing_policy_names,
@@ -44,8 +43,7 @@ def main() -> None:
         ("model-wise", ModelWisePlanner(cluster)),
     ):
         plan = planner.plan(workload, BASE_QPS)
-        simulator = ServingSimulator(plan, seed=3)
-        results[label] = simulator.run(pattern)
+        results[label] = ServingEngine(plan, seed=3).run(pattern)
 
     rows = []
     for label, result in results.items():

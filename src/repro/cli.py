@@ -58,12 +58,11 @@ from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import ClusterSpec, cpu_gpu_cluster, cpu_only_cluster
 from repro.model.configs import DLRMConfig, workload_presets
 from repro.serving.engine import ServingEngine
-from repro.serving.faults import fault_scenario_names, validate_fault_spec
-from repro.serving.replanner import validate_replan_spec
+from repro.serving.faults import fault_scenario_names
 from repro.serving.routing import resolve_routing_names, routing_policy_names
-from repro.serving.watchdog import validate_slo_spec
 from repro.serving.scenarios import build_scenario, resolve_scenario_names, scenario_names
-from repro.serving.workload import cost_model_names, validate_drift_spec
+from repro.serving.spec import SpecError, is_off
+from repro.serving.workload import cost_model_names
 
 __all__ = ["main", "build_parser"]
 
@@ -91,14 +90,6 @@ def _check_names(scenarios: str, routings: str, seed: int) -> tuple[list[str], l
         raise SystemExit(str(error)) from None
 
 
-def _check_faults(spec: str) -> None:
-    """Exit with a one-line hint on an unknown fault scenario or a bad script."""
-    try:
-        validate_fault_spec(spec)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
-
 def _check_cache(cache_mb: float, cost_model: str) -> None:
     """Exit with a one-line hint on an unusable --cache-mb setting.
 
@@ -115,35 +106,15 @@ def _check_cache(cache_mb: float, cost_model: str) -> None:
 
 
 def _check_drift(spec: str, cost_model: str) -> None:
-    """Exit with a one-line hint on a malformed or unusable --drift spec.
+    """Exit with a one-line hint on a --drift spec the cost model cannot serve.
 
     Drift re-prices each query's gather set against the distribution at its
     arrival time, which only the skewed cost model samples per query.
     """
-    try:
-        validate_drift_spec(spec)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    if spec.strip().lower() not in ("", "none") and cost_model == "homogeneous":
+    if not is_off(spec) and cost_model == "homogeneous":
         raise SystemExit(
             "--drift needs per-query gather sampling; use --cost-model skewed"
         )
-
-
-def _check_replan(spec: str) -> None:
-    """Exit with a one-line hint on a malformed --replan spec."""
-    try:
-        validate_replan_spec(spec)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
-
-def _check_slo(spec: str) -> None:
-    """Exit with a one-line hint on a malformed --slo spec."""
-    try:
-        validate_slo_spec(spec)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
 
 
 def _resolve_cluster(system: str, num_nodes: int | None) -> ClusterSpec:
@@ -475,11 +446,8 @@ def _command_manifests(args: argparse.Namespace) -> int:
 
 def _command_simulate(args: argparse.Namespace) -> int:
     _check_names(args.scenario, args.routing, args.seed)
-    _check_faults(args.faults)
     _check_cache(args.cache_mb, args.cost_model)
     _check_drift(args.drift, args.cost_model)
-    _check_replan(args.replan)
-    _check_slo(args.slo)
     workload = _resolve_workload(args.workload)
     cluster = _resolve_cluster(args.system, args.num_nodes)
     try:
@@ -654,11 +622,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     _resolve_workload(args.workload)
     scenarios, routings = _check_names(args.scenarios, args.routings, args.seed)
-    _check_faults(args.faults)
     _check_cache(args.cache_mb, args.cost_model)
     _check_drift(args.drift, args.cost_model)
-    _check_replan(args.replan)
-    _check_slo(args.slo)
     try:
         budgets = [int(b) for b in args.replica_budgets.split(",") if b.strip()]
     except ValueError:
@@ -709,15 +674,24 @@ def _command_experiments(args: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
+_COMMANDS = {
+    "plan": _command_plan,
+    "manifests": _command_manifests,
+    "simulate": _command_simulate,
+    "sweep": _command_sweep,
+    "experiments": _command_experiments,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A malformed ``--faults``, ``--drift``, ``--replan`` or ``--slo`` spec
+    raises :class:`~repro.serving.spec.SpecError` where the engine, tenant
+    or sweep config is built; it exits here with its one-line message.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "plan":
-        return _command_plan(args)
-    if args.command == "manifests":
-        return _command_manifests(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    return _command_experiments(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SpecError as error:
+        raise SystemExit(str(error)) from None

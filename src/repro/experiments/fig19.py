@@ -29,7 +29,7 @@ from repro.core.planner import ElasticRecPlanner
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import cluster_for_system
 from repro.model.configs import rm1
-from repro.serving.simulator import ServingSimulator, SimulationResult
+from repro.serving.engine import ServingEngine, SimulationResult
 from repro.serving.traffic import paper_dynamic_pattern
 from repro.hardware.specs import ClusterSpec
 from repro.model.configs import DLRMConfig
@@ -40,10 +40,10 @@ __all__ = ["run"]
 def _simulate(
     plan, pattern, seed: int, sample_interval_s: float, routing: str = "least-work"
 ) -> SimulationResult:
-    simulator = ServingSimulator(
+    engine = ServingEngine(
         plan, seed=seed, sample_interval_s=sample_interval_s, routing=routing
     )
-    return simulator.run(pattern)
+    return engine.run(pattern)
 
 
 def _series_rows(result: SimulationResult, stride: int) -> list[dict[str, float]]:

@@ -36,12 +36,13 @@ from repro.experiments.common import cluster_for_system, plan_elasticrec
 from repro.model.configs import DLRMConfig, workload_presets
 from repro.parallel import pool_context, subseed
 from repro.serving.engine import MultiTenantEngine, TenantSpec
-from repro.serving.faults import validate_fault_spec
-from repro.serving.replanner import validate_replan_spec
+from repro.serving.faults import resolve_fault_spec
+from repro.serving.replanner import make_replan_policy
 from repro.serving.routing import resolve_routing_names
-from repro.serving.watchdog import validate_slo_spec
 from repro.serving.scenarios import build_scenario, resolve_scenario_names
-from repro.serving.workload import resolve_cost_model_name, validate_drift_spec
+from repro.serving.spec import is_off
+from repro.serving.watchdog import make_slo_policy
+from repro.serving.workload import parse_drift_spec, resolve_cost_model_name
 
 __all__ = [
     "SweepConfig",
@@ -101,10 +102,13 @@ class SweepConfig:
         if self.cache_mb < 0:
             raise ValueError("cache_mb must be non-negative")
         resolve_cost_model_name(self.cost_model)
-        validate_fault_spec(self.faults)
-        validate_drift_spec(self.drift)
-        validate_replan_spec(self.replan)
-        validate_slo_spec(self.slo)
+        # Cells run in worker processes: resolve the control specs here so a
+        # malformed one fails once, in the parent, with its SpecError.
+        resolve_fault_spec(self.faults)
+        if not is_off(self.drift):
+            parse_drift_spec(self.drift)
+        make_replan_policy(self.replan)
+        make_slo_policy(self.slo)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ discrete-event engine with pluggable policies:
   transient degradation) scheduled as first-class engine events with seeded
   determinism.  See :data:`FAULT_SCENARIOS` / :func:`make_fault_model` and
   the ``faults=`` knob on :class:`ServingEngine` / :class:`TenantSpec`.
+* :mod:`repro.serving.spec` — the one ``kind@at[+duration][:key=value,...]``
+  grammar behind the ``faults=``, ``drift=``, ``replan=`` and ``slo=``
+  knobs; every malformed spec raises a one-line :class:`SpecError`.
 * :mod:`repro.serving.sharding` — the sharded run executor:
   :func:`run_sharded` partitions a multi-tenant run by tenant across worker
   processes (bit-exact with the serial run whenever tenants do not contend
@@ -54,9 +57,6 @@ discrete-event engine with pluggable policies:
   crash-recovery semantics).
 * :mod:`repro.serving.rpc` — the cross-shard RPC latency model.
 * :mod:`repro.serving.latency` — latency bookkeeping and percentiles.
-* :mod:`repro.serving.simulator` — :class:`ServingSimulator`, the historical
-  façade over the engine (kept for compatibility; ``least-work`` routing
-  reproduces the pre-engine simulator bit-for-bit).
 * :mod:`repro.serving.stress` — stress testing a single replica to find its
   ``QPS_max`` (used to derive the sparse shards' HPA targets).
 
@@ -118,6 +118,7 @@ from repro.serving.replanner import (
     make_replan_policy,
     parse_replan_spec,
 )
+from repro.serving.spec import SpecError
 from repro.serving.sharding import (
     ShardPlan,
     merge_stream,
@@ -130,7 +131,6 @@ from repro.serving.streaming import (
     SpoolTruncatedError,
     StreamConfig,
 )
-from repro.serving.simulator import ServingSimulator
 from repro.serving.stress import StressTestResult, find_qps_max
 from repro.serving.workload import (
     COST_MODELS,
@@ -153,7 +153,6 @@ __all__ = [
     "LatencyTracker",
     "EventKind",
     "ServingEngine",
-    "ServingSimulator",
     "SimulationResult",
     "TenantSpec",
     "MultiTenantEngine",
@@ -204,4 +203,5 @@ __all__ = [
     "DriftDetector",
     "parse_replan_spec",
     "make_replan_policy",
+    "SpecError",
 ]

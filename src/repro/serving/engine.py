@@ -78,10 +78,8 @@ Series post-processing (achieved QPS, windowed p95) is vectorised with a
 ``np.searchsorted`` window lookups, replacing the seed simulator's
 per-window boolean masks over the full completion array.
 
-The historical :class:`~repro.serving.simulator.ServingSimulator` API is a
-thin façade over this engine; with the default ``least-work`` routing policy
-the engine reproduces the seed simulator's results bit-for-bit for the same
-seed.
+With the default ``least-work`` routing policy the engine reproduces the
+seed simulator's results bit-for-bit for the same seed.
 """
 
 from __future__ import annotations
@@ -109,17 +107,17 @@ from repro.serving.faults import (
     StragglerSlowdown,
     TransientDegradation,
     make_fault_model,
-    validate_fault_spec,
+    resolve_fault_spec,
 )
 from repro.serving.latency import LatencyTracker
 from repro.serving.replanner import (
     DriftDetector,
     ReplanPolicy,
     make_replan_policy,
-    validate_replan_spec,
 )
 from repro.serving.replica_server import CacheSpec, ReplicaCache, ReplicaServer
 from repro.serving.routing import ReplicaPool, RoutingPolicy, make_routing_policy
+from repro.serving.spec import is_off
 from repro.serving.streaming import ShardManifest, SpoolWriter, StreamConfig
 from repro.serving.traffic import TrafficPattern
 from repro.serving.watchdog import (
@@ -128,7 +126,6 @@ from repro.serving.watchdog import (
     SloWatchdog,
     make_slo_policy,
     retry_allowed,
-    validate_slo_spec,
 )
 from repro.serving.workload import (
     QueryCostModel,
@@ -136,8 +133,8 @@ from repro.serving.workload import (
     drift_endpoint_model,
     make_cost_model,
     make_drift_model,
+    parse_drift_spec,
     sample_drifting_priced,
-    validate_drift_spec,
 )
 
 __all__ = [
@@ -499,10 +496,6 @@ class _TenantRuntime:
             raise ValueError("batch_window_s must be non-negative")
         if cache_mb < 0:
             raise ValueError("cache_mb must be non-negative")
-        validate_fault_spec(faults)
-        validate_drift_spec(drift)
-        validate_replan_spec(replan)
-        validate_slo_spec(slo)
         # Streamed mode: per-interval series and settled tracker samples are
         # flushed to this tenant's spool directory instead of accumulating
         # in RAM for the whole run (the values written are bit-identical).
@@ -523,7 +516,9 @@ class _TenantRuntime:
         )
         self.max_batch = int(max_batch)
         self.batch_window_s = float(batch_window_s)
-        self.faults_spec = faults
+        # Scripts parse here, once; registry scenarios are duration-relative
+        # and build per run in begin_run.
+        self.faults_spec = resolve_fault_spec(faults)
         self.servers: dict[str, dict[str, ReplicaServer]] = {
             d.name: {} for d in self.deployments
         }
@@ -595,20 +590,19 @@ class _TenantRuntime:
         # of two distribution endpoints; the replan policy watches the live
         # p95 series and swaps in a successor plan mid-run.  Both resolve
         # here, once, so a malformed spec fails at construction time.
-        self.drift_spec = drift
         self.drift_name = "none"
         self.drift_model = None
         self.end_cost_model = None
-        if drift is not None and not (
-            isinstance(drift, str) and drift.strip().lower() in ("", "none")
-        ):
+        if not is_off(drift):
+            self.drift_name = drift if isinstance(drift, str) else "custom"
+            if isinstance(drift, str):
+                drift = parse_drift_spec(drift)
             if not getattr(self.cost_model, "supports_gather_splits", False):
                 raise ValueError(
                     "access-skew drift needs per-query gather sampling; "
                     "use the skewed cost model (--cost-model skewed)"
                 )
             self.drift_model = make_drift_model(drift, self.cost_model.distribution)
-            self.drift_name = drift if isinstance(drift, str) else "custom"
             self.end_cost_model = drift_endpoint_model(
                 self.cost_model, self.drift_model.end
             )
@@ -623,8 +617,8 @@ class _TenantRuntime:
                     "sharding layout to re-partition (strategy 'elasticrec')"
                 )
         # SLO watchdog control plane (ROADMAP item 5).  Resolved once, here,
-        # so a malformed --slo spec fails at construction time with the
-        # grammar hint; the per-run state lives in begin_run.
+        # so a malformed --slo spec fails at construction time; the per-run
+        # state lives in begin_run.
         self.slo_policy = make_slo_policy(slo)
         self.slo_name = "none"
         if self.slo_policy is not None:
@@ -2587,13 +2581,13 @@ class TenantSpec:
     #: requires a cost model exposing gather splits, i.e. ``skewed``).
     cache_mb: float = 0.0
     #: Access-skew drift spec (``None``/``"none"`` for a static distribution;
-    #: requires the skewed cost model).  See ``parse_drift_spec``.
+    #: requires the skewed cost model).  Grammar: :mod:`repro.serving.spec`.
     drift: str | object | None = None
     #: Re-plan trigger spec (``None``/``"none"`` keeps the initial plan).
-    #: See ``parse_replan_spec``.
+    #: Grammar: :mod:`repro.serving.spec`.
     replan: str | ReplanPolicy | None = None
     #: SLO watchdog spec (``None``/``"none"`` keeps the control plane off).
-    #: See ``parse_slo_spec``.
+    #: Grammar: :mod:`repro.serving.spec`.
     slo: str | SloPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -2611,10 +2605,13 @@ class TenantSpec:
             raise ValueError("batch_window_s must be non-negative")
         if self.cache_mb < 0:
             raise ValueError("cache_mb must be non-negative")
-        validate_fault_spec(self.faults)
-        validate_drift_spec(self.drift)
-        validate_replan_spec(self.replan)
-        validate_slo_spec(self.slo)
+        # Resolve the control specs here, so a malformed one fails with its
+        # one-line SpecError in the parent process, before any worker starts.
+        resolve_fault_spec(self.faults)
+        if isinstance(self.drift, str) and not is_off(self.drift):
+            parse_drift_spec(self.drift)
+        make_replan_policy(self.replan)
+        make_slo_policy(self.slo)
 
 
 @dataclass

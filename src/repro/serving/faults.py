@@ -37,22 +37,26 @@ Models come from three places:
 
 * the :data:`FAULT_SCENARIOS` registry (named, duration-relative scenarios
   mirroring :data:`repro.serving.scenarios.SCENARIOS`);
-* the compact script syntax parsed by :func:`parse_fault_script`, e.g.
+* fault scripts in the shared spec grammar of :mod:`repro.serving.spec`,
+  parsed by :func:`parse_fault_script`, e.g.
   ``"crash@120:policy=drop;drain@300+60:node=1;straggler@400+90:factor=4"``;
 * plain Python construction.
 
-Use :func:`make_fault_model` to resolve any of the three (plus ``None`` /
-``"none"`` for the healthy baseline) into a model; an empty model resolves
-to ``None`` so the engine's no-fault path stays bit-exact with the
+Use :func:`make_fault_model` to resolve any of the three (plus ``None``,
+``""`` or ``"none"`` for the healthy baseline) into a model; an empty model
+resolves to ``None`` so the engine's no-fault path stays bit-exact with the
 fault-unaware engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
+
+from repro.serving.spec import Grammar, is_off
 
 __all__ = [
     "ReplicaCrash",
@@ -66,7 +70,7 @@ __all__ = [
     "fault_scenario_names",
     "parse_fault_script",
     "make_fault_model",
-    "validate_fault_spec",
+    "resolve_fault_spec",
 ]
 
 #: What happens to a dead replica's in-flight queries.
@@ -198,8 +202,8 @@ class RandomCrashes:
     policy: str = "requeue"
 
     def __post_init__(self) -> None:
-        if self.rate_per_min <= 0:
-            raise ValueError("rate_per_min must be positive")
+        if not 0 < self.rate_per_min < math.inf:
+            raise ValueError("rate_per_min must be positive and finite")
         if self.start_s < 0:
             raise ValueError("start_s must be non-negative")
         if self.end_s is not None and self.end_s <= self.start_s:
@@ -273,155 +277,69 @@ class FaultModel:
 
 
 # ----------------------------------------------------------------------
-# Script syntax
+# Script syntax (the shared grammar of repro.serving.spec)
 # ----------------------------------------------------------------------
-_SCRIPT_HINT = (
-    "expected 'kind@start[+duration][:key=value,...]' with kinds "
-    "crash, drain, straggler, degrade or crashes "
-    "(e.g. 'crash@120:policy=drop;drain@300+60:node=1')"
+#: Each script kind's dataclass and its spec-key -> field map.
+_SCRIPT_KINDS: dict[str, tuple[type, dict[str, str]]] = {
+    "crash": (
+        ReplicaCrash,
+        {"deployment": "deployment", "replica": "replica", "policy": "policy"},
+    ),
+    "drain": (NodeDrain, {"node": "node", "policy": "policy", "grace": "grace_s"}),
+    "straggler": (
+        StragglerSlowdown,
+        {"factor": "factor", "deployment": "deployment", "replica": "replica"},
+    ),
+    "degrade": (TransientDegradation, {"factor": "factor", "deployment": "deployment"}),
+    "crashes": (
+        RandomCrashes,
+        {"rate": "rate_per_min", "deployment": "deployment", "policy": "policy"},
+    ),
+}
+
+_GRAMMAR = Grammar(
+    what="fault",
+    kinds=tuple(_SCRIPT_KINDS),
+    kind_label="fault kind",
+    at_label="start time",
+    hint=(
+        "expected 'kind@start[+duration][:key=value,...]' joined by ';' with "
+        f"kinds {', '.join(_SCRIPT_KINDS)} "
+        "(e.g. 'crash@120:policy=drop;drain@300+60:node=1')"
+    ),
+    duration=True,
+    many=True,
 )
 
 
-def _parse_number(chunk: str, text: str, kind: str = "number") -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"malformed fault spec {chunk!r}: {text!r} is not a valid {kind}"
-        ) from None
-
-
-def _parse_params(chunk: str, text: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for pair in text.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        key, sep, value = pair.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise ValueError(
-                f"malformed fault spec {chunk!r}: bad parameter {pair!r} ({_SCRIPT_HINT})"
-            )
-        params[key.strip()] = value.strip()
-    return params
-
-
-def _pop_param(
-    chunk: str, params: dict[str, str], key: str, convert: Callable | None = None
-):
-    value = params.pop(key, None)
-    if value is None or convert is None:
-        return value
-    if convert in (int, float):
-        number = _parse_number(chunk, value, kind=convert.__name__)
-        return convert(number)
-    return convert(value)
-
-
 def parse_fault_script(script: str) -> FaultModel:
-    """Parse the compact fault-script syntax into a :class:`FaultModel`.
+    """Parse a fault script (grammar: :mod:`repro.serving.spec`) into a model.
 
-    Events are separated by ``;``.  Each is ``kind@start[+duration]`` with
-    optional ``:key=value,...`` parameters:
+    Clauses are joined by ``;``; each builds one event or process:
 
     * ``crash@120:deployment=emb,replica=0,policy=drop``
-    * ``drain@300+60:node=1`` (drain node 1 at t=300s, uncordon 60s later)
+    * ``drain@300+60:node=1,grace=10`` (drain node 1 at t=300s, uncordon 60s later)
     * ``straggler@200+90:factor=4,deployment=dense``
     * ``degrade@400+30:factor=2``
     * ``crashes@0+600:rate=0.5,policy=requeue`` (Poisson, 0.5 crashes/min)
-
-    Raises a one-line :class:`ValueError` on any malformed chunk.
     """
     events: list[FaultEvent] = []
     processes: list[RandomCrashes] = []
-    chunks = [chunk.strip() for chunk in script.split(";") if chunk.strip()]
-    if not chunks:
-        raise ValueError(f"empty fault script {script!r}: {_SCRIPT_HINT}")
-    for chunk in chunks:
-        head, _, params_text = chunk.partition(":")
-        kind, at_sep, when = head.strip().partition("@")
-        kind = kind.strip().lower()
-        if not at_sep or not when.strip():
-            raise ValueError(f"malformed fault spec {chunk!r}: {_SCRIPT_HINT}")
-        start_text, duration_sep, duration_text = when.partition("+")
-        start = _parse_number(chunk, start_text.strip(), kind="start time")
-        duration = (
-            _parse_number(chunk, duration_text.strip(), kind="duration")
-            if duration_sep
-            else None
-        )
-        params = _parse_params(chunk, params_text)
-        try:
-            if kind == "crash":
-                if duration is not None:
-                    raise ValueError(
-                        "a crash is instantaneous and takes no '+duration' "
-                        "(did you mean 'drain' or 'straggler'?)"
-                    )
-                events.append(
-                    ReplicaCrash(
-                        at_s=start,
-                        deployment=_pop_param(chunk, params, "deployment"),
-                        replica=_pop_param(chunk, params, "replica", int),
-                        policy=_pop_param(chunk, params, "policy") or "requeue",
-                    )
-                )
-            elif kind == "drain":
-                grace = _pop_param(chunk, params, "grace", float)
-                events.append(
-                    NodeDrain(
-                        at_s=start,
-                        node=_pop_param(chunk, params, "node", int) or 0,
-                        duration_s=duration if duration is not None else 0.0,
-                        policy=_pop_param(chunk, params, "policy") or "requeue",
-                        grace_s=grace if grace is not None else 10.0,
-                    )
-                )
-            elif kind == "straggler":
-                factor = _pop_param(chunk, params, "factor", float)
-                events.append(
-                    StragglerSlowdown(
-                        at_s=start,
-                        duration_s=duration if duration is not None else 60.0,
-                        factor=factor if factor is not None else 4.0,
-                        deployment=_pop_param(chunk, params, "deployment"),
-                        replica=_pop_param(chunk, params, "replica", int),
-                    )
-                )
-            elif kind == "degrade":
-                factor = _pop_param(chunk, params, "factor", float)
-                events.append(
-                    TransientDegradation(
-                        at_s=start,
-                        duration_s=duration if duration is not None else 60.0,
-                        factor=factor if factor is not None else 2.0,
-                        deployment=_pop_param(chunk, params, "deployment"),
-                    )
-                )
-            elif kind == "crashes":
-                rate = _pop_param(chunk, params, "rate", float)
-                if rate is None:
-                    raise ValueError("a crashes process needs rate=<per minute>")
-                processes.append(
-                    RandomCrashes(
-                        rate_per_min=rate,
-                        start_s=start,
-                        end_s=start + duration if duration is not None else None,
-                        deployment=_pop_param(chunk, params, "deployment"),
-                        policy=_pop_param(chunk, params, "policy") or "requeue",
-                    )
-                )
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        except ValueError as error:
-            message = str(error)
-            if not message.startswith("malformed fault spec"):
-                message = f"malformed fault spec {chunk!r}: {message}"
-            raise ValueError(message) from None
-        if params:
-            unknown = ", ".join(sorted(params))
-            raise ValueError(
-                f"malformed fault spec {chunk!r}: unknown parameter(s) {unknown}"
+    for clause in _GRAMMAR.parse(script):
+        cls, keys = _SCRIPT_KINDS[clause.kind]
+        if cls is RandomCrashes:
+            end_s = None if clause.duration is None else clause.at + clause.duration
+            processes.append(clause.build(cls, keys, start_s=clause.at, end_s=end_s))
+        elif clause.duration is None:
+            events.append(clause.build(cls, keys, at_s=clause.at))
+        elif cls is ReplicaCrash:
+            raise clause.error(
+                "a crash is instantaneous and takes no '+duration' "
+                "(did you mean 'drain' or 'straggler'?)"
+            )
+        else:
+            events.append(
+                clause.build(cls, keys, at_s=clause.at, duration_s=clause.duration)
             )
     return FaultModel(events=events, processes=processes, name="script")
 
@@ -497,37 +415,42 @@ def fault_scenario_names() -> list[str]:
     return list(FAULT_SCENARIOS)
 
 
+def resolve_fault_spec(
+    spec: "str | FaultModel | None",
+) -> "str | FaultModel | None":
+    """Check a fault spec before the run duration is known.
+
+    Returns ``None`` when the spec is off (``None``, ``""`` or ``"none"``),
+    a registry scenario's name (scenarios are duration-relative, so they
+    build per run), or a model: a script parses here, once.  Anything else
+    raises a one-line :class:`~repro.serving.spec.SpecError`.
+    """
+    if is_off(spec):
+        return None
+    if not isinstance(spec, str):
+        return spec
+    name = spec.strip().lower()
+    if name in FAULT_SCENARIOS:
+        return name
+    if "@" in name:
+        return parse_fault_script(spec)
+    known = ", ".join(fault_scenario_names())
+    raise _GRAMMAR.error(
+        spec.strip(),
+        f"unknown fault scenario {spec.strip()!r} (choose from {known} or pass a script)",
+    )
+
+
 def make_fault_model(
     spec: "str | FaultModel | None", duration_s: float
 ) -> FaultModel | None:
     """Resolve a fault spec into a model, or ``None`` for a healthy run.
 
-    ``spec`` may be ``None``, a :class:`FaultModel`, a registered scenario
-    name, or a fault script (recognised by the ``@`` in its first event).
-    Empty models resolve to ``None`` so the engine's no-fault path is taken.
+    ``spec`` may be off, a :class:`FaultModel`, a registered scenario name,
+    or a fault script (recognised by the ``@`` in its first event).  Empty
+    models resolve to ``None`` so the engine's no-fault path is taken.
     """
-    if spec is None:
-        return None
-    if isinstance(spec, FaultModel):
-        return None if spec.is_empty else spec
-    name = spec.strip()
-    if name in FAULT_SCENARIOS:
-        model = FAULT_SCENARIOS[name](duration_s)
-    elif "@" in name:
-        model = parse_fault_script(name)
-    else:
-        known = ", ".join(fault_scenario_names())
-        raise ValueError(
-            f"unknown fault scenario {name!r}; choose from {known} or pass a "
-            "script like 'crash@120;drain@300+60:node=1'"
-        )
-    return None if model.is_empty else model
-
-
-def validate_fault_spec(spec: "str | FaultModel | None") -> None:
-    """Fail fast (one-line :class:`ValueError`) on an unresolvable spec.
-
-    Registry scenarios are duration-relative, so validation instantiates them
-    against a nominal duration; scripts are fully parsed.
-    """
-    make_fault_model(spec, duration_s=600.0)
+    spec = resolve_fault_spec(spec)
+    if isinstance(spec, str):
+        spec = FAULT_SCENARIOS[spec](duration_s)
+    return None if spec is None or spec.is_empty else spec

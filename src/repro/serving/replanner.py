@@ -17,7 +17,7 @@ The engine models the migration itself with typed heap events (see
 replicas as synthetic work, and arrival on the successor plan triggers the
 cache tier's ``invalidate_caches()`` storm with a cold-cache warm-up.
 
-``--replan`` specs use the fault-script grammar:
+``--replan`` specs use the shared grammar of :mod:`repro.serving.spec`:
 ``sla@<threshold>[:key=value,...]`` — the threshold is a multiple of the
 tenant's SLA, e.g. ``sla@1.5:patience=3,cooldown=120,max=2``.
 """
@@ -26,19 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.serving.spec import Grammar, is_off
+
 __all__ = [
     "ReplanPolicy",
     "DriftDetector",
     "parse_replan_spec",
     "make_replan_policy",
-    "validate_replan_spec",
 ]
-
-_REPLAN_HINT = (
-    "expected 'sla@<threshold>[:key=value,...]' with the threshold a multiple "
-    "of the SLA and optional keys patience, cooldown, max, bandwidth "
-    "(e.g. 'sla@1.5:patience=3,cooldown=120,max=2')"
-)
 
 
 @dataclass(frozen=True)
@@ -74,79 +69,38 @@ class ReplanPolicy:
             raise ValueError(f"bandwidth must be positive, got {self.copy_gb_per_s}")
 
 
-def _replan_number(chunk: str, text: str, kind: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"malformed replan spec {chunk!r}: bad {kind} {text!r}; {_REPLAN_HINT}"
-        ) from None
+#: ``--replan`` spec key -> :class:`ReplanPolicy` field.
+_REPLAN_KEYS = {
+    "patience": "patience",
+    "cooldown": "cooldown_s",
+    "max": "max_replans",
+    "bandwidth": "copy_gb_per_s",
+}
+
+_GRAMMAR = Grammar(
+    what="replan",
+    kinds=("sla",),
+    kind_label="replan trigger",
+    at_label="threshold",
+    hint=(
+        "expected 'sla@<threshold>[:key=value,...]' with the threshold a multiple "
+        f"of the SLA and optional keys {', '.join(_REPLAN_KEYS)} "
+        "(e.g. 'sla@1.5:patience=3,cooldown=120,max=2')"
+    ),
+)
 
 
 def parse_replan_spec(spec: str) -> ReplanPolicy:
-    """Parse a ``sla@<threshold>[:key=value,...]`` replan spec."""
-    chunk = spec.strip()
-    if not chunk:
-        raise ValueError(f"malformed replan spec {spec!r}: empty spec; {_REPLAN_HINT}")
-    head, _, param_text = chunk.partition(":")
-    kind, at_sign, threshold_text = head.partition("@")
-    kind = kind.strip()
-    if kind != "sla":
-        raise ValueError(
-            f"unknown replan trigger {kind!r}; the threshold tier is 'sla' "
-            f"({_REPLAN_HINT})"
-        )
-    if not at_sign:
-        raise ValueError(
-            f"malformed replan spec {chunk!r}: missing '@<threshold>'; {_REPLAN_HINT}"
-        )
-    threshold = _replan_number(chunk, threshold_text.strip(), "threshold")
-    values = {
-        "patience": 3.0,
-        "cooldown": 120.0,
-        "max": 1.0,
-        "bandwidth": 1.0,
-    }
-    if param_text.strip():
-        for pair in param_text.split(","):
-            key, eq, value = pair.partition("=")
-            key = key.strip()
-            if not eq or not key or not value.strip():
-                raise ValueError(
-                    f"malformed replan spec {chunk!r}: bad parameter {pair!r}; "
-                    f"{_REPLAN_HINT}"
-                )
-            if key not in values:
-                known = ", ".join(sorted(values))
-                raise ValueError(
-                    f"malformed replan spec {chunk!r}: unknown parameter {key!r} "
-                    f"(choose from {known}); {_REPLAN_HINT}"
-                )
-            values[key] = _replan_number(chunk, value.strip(), key)
-    try:
-        return ReplanPolicy(
-            threshold=threshold,
-            patience=int(values["patience"]),
-            cooldown_s=values["cooldown"],
-            max_replans=int(values["max"]),
-            copy_gb_per_s=values["bandwidth"],
-        )
-    except ValueError as error:
-        raise ValueError(f"malformed replan spec {chunk!r}: {error}") from None
+    """Parse a ``sla@<threshold>[:key=value,...]`` replan spec (see :mod:`repro.serving.spec`)."""
+    (clause,) = _GRAMMAR.parse(spec)
+    return clause.build(ReplanPolicy, _REPLAN_KEYS, threshold=clause.at)
 
 
 def make_replan_policy(spec: str | ReplanPolicy | None) -> ReplanPolicy | None:
-    """Resolve a replan knob: ``None``/``"none"`` off, instance or spec string."""
-    if spec is None or isinstance(spec, ReplanPolicy):
-        return spec
-    if spec.strip().lower() in ("", "none"):
+    """Resolve a replan knob: off (``None``/``""``/``"none"``), instance or spec string."""
+    if is_off(spec):
         return None
-    return parse_replan_spec(spec)
-
-
-def validate_replan_spec(spec: str | ReplanPolicy | None) -> None:
-    """Validate a replan knob eagerly, raising the one-line grammar error."""
-    make_replan_policy(spec)
+    return parse_replan_spec(spec) if isinstance(spec, str) else spec
 
 
 class DriftDetector:

@@ -25,7 +25,7 @@ Breaches climb a degradation ladder instead of letting the tail blow up:
 Recovery walks the ladder back down one level at a time, but only once
 tier 2 reports the live and baseline distributions reconciled.
 
-``--slo`` specs use the fault-script grammar:
+``--slo`` specs use the shared grammar of :mod:`repro.serving.spec`:
 ``p95@<beta>[:key=value,...]`` — the beta is a multiple of the tenant's
 SLA, e.g. ``p95@1.5:p99=2.5,shed=0.1,retries=2``.
 
@@ -44,13 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.serving.spec import Grammar, is_off
+
 __all__ = [
     "SloPolicy",
     "SloWatchdog",
     "ShiftVerdict",
     "parse_slo_spec",
     "make_slo_policy",
-    "validate_slo_spec",
     "mann_whitney_u",
     "ks_2samp",
     "detect_shift",
@@ -61,12 +62,37 @@ __all__ = [
     "WATCHDOG_SERIES_KEYS",
 ]
 
-_SLO_HINT = (
-    "expected 'p95@<beta>[:key=value,...]' with the beta a multiple of the "
-    "SLA and optional keys p99, availability, reject, patience, window, "
-    "baseline, alpha, shed, deadline, timeout, retries, backoff, jitter, "
-    "storm, recover, escalate, quality "
-    "(e.g. 'p95@1.5:p99=2.5,shed=0.1,retries=2')"
+#: ``--slo`` spec key -> :class:`SloPolicy` field.
+_SLO_KEYS = {
+    "p99": "p99_beta",
+    "availability": "availability_floor",
+    "reject": "reject_ceiling",
+    "patience": "patience",
+    "window": "window",
+    "baseline": "baseline",
+    "alpha": "alpha",
+    "shed": "shed_fraction",
+    "deadline": "deadline_beta",
+    "timeout": "timeout_beta",
+    "retries": "retries",
+    "backoff": "backoff_s",
+    "jitter": "jitter",
+    "storm": "storm",
+    "recover": "recover_patience",
+    "escalate": "escalate_patience",
+    "quality": "quality",
+}
+
+_GRAMMAR = Grammar(
+    what="slo",
+    kinds=("p95",),
+    kind_label="slo rule",
+    at_label="beta",
+    hint=(
+        "expected 'p95@<beta>[:key=value,...]' with the beta a multiple of the "
+        f"SLA and optional keys {', '.join(_SLO_KEYS)} "
+        "(e.g. 'p95@1.5:p99=2.5,shed=0.1,retries=2')"
+    ),
 )
 
 #: Degradation-ladder ceiling: 1 shed, 2 +deadlines/retries, 3 +fallback.
@@ -187,104 +213,17 @@ class SloPolicy:
             raise ValueError(f"quality must be in [0, 1], got {self.quality}")
 
 
-def _slo_number(chunk: str, text: str, kind: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"malformed slo spec {chunk!r}: bad {kind} {text!r}; {_SLO_HINT}"
-        ) from None
-
-
 def parse_slo_spec(spec: str) -> SloPolicy:
-    """Parse a ``p95@<beta>[:key=value,...]`` SLO spec."""
-    chunk = spec.strip()
-    if not chunk:
-        raise ValueError(f"malformed slo spec {spec!r}: empty spec; {_SLO_HINT}")
-    head, _, param_text = chunk.partition(":")
-    kind, at_sign, beta_text = head.partition("@")
-    kind = kind.strip()
-    if kind != "p95":
-        raise ValueError(
-            f"unknown slo rule {kind!r}; the tier-1 anchor is 'p95' ({_SLO_HINT})"
-        )
-    if not at_sign:
-        raise ValueError(
-            f"malformed slo spec {chunk!r}: missing '@<beta>'; {_SLO_HINT}"
-        )
-    p95_beta = _slo_number(chunk, beta_text.strip(), "beta")
-    values = {
-        "p99": 2.5,
-        "availability": 0.99,
-        "reject": 0.05,
-        "patience": 2.0,
-        "window": 4.0,
-        "baseline": 4.0,
-        "alpha": 0.01,
-        "shed": 0.1,
-        "deadline": 4.0,
-        "timeout": 2.0,
-        "retries": 2.0,
-        "backoff": 0.05,
-        "jitter": 0.5,
-        "storm": 0.25,
-        "recover": 2.0,
-        "escalate": 4.0,
-        "quality": 0.25,
-    }
-    if param_text.strip():
-        for pair in param_text.split(","):
-            key, eq, value = pair.partition("=")
-            key = key.strip()
-            if not eq or not key or not value.strip():
-                raise ValueError(
-                    f"malformed slo spec {chunk!r}: bad parameter {pair!r}; "
-                    f"{_SLO_HINT}"
-                )
-            if key not in values:
-                known = ", ".join(sorted(values))
-                raise ValueError(
-                    f"malformed slo spec {chunk!r}: unknown parameter {key!r} "
-                    f"(choose from {known}); {_SLO_HINT}"
-                )
-            values[key] = _slo_number(chunk, value.strip(), key)
-    try:
-        return SloPolicy(
-            p95_beta=p95_beta,
-            p99_beta=values["p99"],
-            availability_floor=values["availability"],
-            reject_ceiling=values["reject"],
-            patience=int(values["patience"]),
-            window=int(values["window"]),
-            baseline=int(values["baseline"]),
-            alpha=values["alpha"],
-            shed_fraction=values["shed"],
-            deadline_beta=values["deadline"],
-            timeout_beta=values["timeout"],
-            retries=int(values["retries"]),
-            backoff_s=values["backoff"],
-            jitter=values["jitter"],
-            storm=values["storm"],
-            recover_patience=int(values["recover"]),
-            escalate_patience=int(values["escalate"]),
-            quality=values["quality"],
-        )
-    except ValueError as error:
-        raise ValueError(f"malformed slo spec {chunk!r}: {error}") from None
+    """Parse a ``p95@<beta>[:key=value,...]`` SLO spec (see :mod:`repro.serving.spec`)."""
+    (clause,) = _GRAMMAR.parse(spec)
+    return clause.build(SloPolicy, _SLO_KEYS, p95_beta=clause.at)
 
 
 def make_slo_policy(spec: str | SloPolicy | None) -> SloPolicy | None:
-    """Resolve an SLO knob: ``None``/``"none"`` off, instance or spec string."""
-    if spec is None or isinstance(spec, SloPolicy):
-        return spec
-    if spec.strip().lower() in ("", "none"):
+    """Resolve an SLO knob: off (``None``/``""``/``"none"``), instance or spec string."""
+    if is_off(spec):
         return None
-    return parse_slo_spec(spec)
-
-
-def validate_slo_spec(spec: str | SloPolicy | None) -> None:
-    """Validate an SLO knob eagerly, raising the one-line grammar error."""
-    make_slo_policy(spec)
+    return parse_slo_spec(spec) if isinstance(spec, str) else spec
 
 
 # ----------------------------------------------------------------------

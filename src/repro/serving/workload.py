@@ -43,6 +43,7 @@ from repro.data.distributions import (
     hot_prefix_rows,
 )
 from repro.model.configs import DLRMConfig
+from repro.serving.spec import Grammar, is_off
 
 __all__ = [
     "QueryCostModel",
@@ -55,7 +56,6 @@ __all__ = [
     "DriftSpec",
     "parse_drift_spec",
     "make_drift_model",
-    "validate_drift_spec",
     "drift_endpoint_model",
     "sample_drifting_priced",
     "degraded_gather_multiplier",
@@ -369,22 +369,6 @@ class SkewedCostModel(QueryCostModel):
 # Access-skew drift: spec grammar and the drift-aware priced sampler
 # ---------------------------------------------------------------------------
 
-_DRIFT_HINT = (
-    "expected 'schedule@start[+duration][:key=value,...]' with a schedule from "
-    "step, linear, oscillate and a required to=<locality> "
-    "(e.g. 'linear@60+300:to=0.2' or 'step@300:to=0.5,from=0.9')"
-)
-
-
-def _drift_number(chunk: str, text: str, kind: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"malformed drift spec {chunk!r}: bad {kind} {text!r}; {_DRIFT_HINT}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class DriftSpec:
     """Parsed ``--drift`` spec: a schedule over two locality endpoints.
@@ -434,67 +418,40 @@ class DriftSpec:
         )
 
 
+#: ``--drift`` spec key -> :class:`DriftSpec` field.
+_DRIFT_KEYS = {"to": "to_locality", "from": "from_locality"}
+
+_GRAMMAR = Grammar(
+    what="drift",
+    kinds=DRIFT_SCHEDULES,
+    kind_label="drift schedule",
+    at_label="start time",
+    hint=(
+        "expected 'schedule@start[+duration][:key=value,...]' with a schedule "
+        f"from {', '.join(DRIFT_SCHEDULES)} and a required to=<locality> "
+        "(e.g. 'linear@60+300:to=0.2' or 'step@300:to=0.5,from=0.9')"
+    ),
+    duration=True,
+)
+
+
 def parse_drift_spec(spec: str) -> DriftSpec:
     """Parse a ``schedule@start[+duration][:key=value,...]`` drift spec.
 
-    The grammar mirrors the fault-script grammar: ``@`` anchors the start
-    time, ``+`` an optional duration, and ``:`` introduces comma-separated
-    parameters.  ``to=<locality>`` is required; ``from=<locality>`` overrides
-    the start endpoint (default: the workload's own distribution).
+    The grammar is :mod:`repro.serving.spec`'s.  ``to=<locality>`` is
+    required; ``from=<locality>`` overrides the start endpoint (default: the
+    workload's own distribution).
     """
-    chunk = spec.strip()
-    if not chunk:
-        raise ValueError(f"malformed drift spec {spec!r}: empty spec; {_DRIFT_HINT}")
-    head, _, param_text = chunk.partition(":")
-    schedule, at_sign, when = head.partition("@")
-    schedule = schedule.strip()
-    if not at_sign:
-        raise ValueError(
-            f"malformed drift spec {chunk!r}: missing '@<start>'; {_DRIFT_HINT}"
-        )
-    when, plus, duration_text = when.partition("+")
-    at_s = _drift_number(chunk, when.strip(), "start time")
-    duration_s = (
-        _drift_number(chunk, duration_text.strip(), "duration") if plus else 0.0
+    (clause,) = _GRAMMAR.parse(spec)
+    if clause.kind == "step" and clause.duration is not None:
+        raise clause.error("step takes no duration")
+    return clause.build(
+        DriftSpec,
+        _DRIFT_KEYS,
+        schedule=clause.kind,
+        at_s=clause.at,
+        duration_s=0.0 if clause.duration is None else clause.duration,
     )
-    params: dict[str, str] = {}
-    if param_text.strip():
-        for pair in param_text.split(","):
-            key, eq, value = pair.partition("=")
-            if not eq or not key.strip() or not value.strip():
-                raise ValueError(
-                    f"malformed drift spec {chunk!r}: bad parameter {pair!r}; {_DRIFT_HINT}"
-                )
-            params[key.strip()] = value.strip()
-    if "to" not in params:
-        raise ValueError(
-            f"malformed drift spec {chunk!r}: missing required to=<locality>; {_DRIFT_HINT}"
-        )
-    to_locality = _drift_number(chunk, params.pop("to"), "to= locality")
-    from_locality = (
-        _drift_number(chunk, params.pop("from"), "from= locality")
-        if "from" in params
-        else None
-    )
-    if params:
-        unknown = ", ".join(sorted(params))
-        raise ValueError(
-            f"malformed drift spec {chunk!r}: unknown parameter(s) {unknown}; {_DRIFT_HINT}"
-        )
-    if schedule == "step" and plus:
-        raise ValueError(
-            f"malformed drift spec {chunk!r}: step takes no duration; {_DRIFT_HINT}"
-        )
-    try:
-        return DriftSpec(
-            schedule=schedule,
-            at_s=at_s,
-            duration_s=duration_s,
-            to_locality=to_locality,
-            from_locality=from_locality,
-        )
-    except ValueError as error:
-        raise ValueError(f"malformed drift spec {chunk!r}: {error}") from None
 
 
 def make_drift_model(
@@ -503,26 +460,20 @@ def make_drift_model(
 ) -> DriftingDistribution | None:
     """Resolve a drift knob into a :class:`DriftingDistribution` (or ``None``).
 
-    Accepts ``None`` / ``"none"`` / ``""`` (drift off), an already-built
+    Accepts an off spec (``None``, ``""`` or ``"none"``), an already-built
     :class:`DriftingDistribution` (passed through), a :class:`DriftSpec`, or
     a spec string.  Building from a spec needs the workload's access
     ``distribution`` for the table size and default start endpoint.
     """
-    if spec is None or isinstance(spec, DriftingDistribution):
-        return spec
+    if is_off(spec):
+        return None
     if isinstance(spec, str):
-        if spec.strip().lower() in ("", "none"):
-            return None
         spec = parse_drift_spec(spec)
+    if isinstance(spec, DriftingDistribution):
+        return spec
     if distribution is None:
         raise ValueError("building a drift model from a spec needs a distribution")
     return spec.build(distribution)
-
-
-def validate_drift_spec(spec: str | DriftSpec | DriftingDistribution | None) -> None:
-    """Validate a drift knob eagerly (grammar only; no table size needed)."""
-    if isinstance(spec, str) and spec.strip().lower() not in ("", "none"):
-        parse_drift_spec(spec)
 
 
 def drift_endpoint_model(

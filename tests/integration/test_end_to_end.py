@@ -19,7 +19,7 @@ from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import DLRMConfig, EmbeddingConfig, MLPConfig
 from repro.model.dlrm import DLRM
 from repro.model.embedding import EmbeddingBag
-from repro.serving.simulator import ServingSimulator
+from repro.serving.engine import ServingEngine
 from repro.serving.traffic import TrafficPattern
 
 
@@ -130,7 +130,7 @@ class TestServingBothStrategies:
     def test_both_plans_serve_steady_traffic(self, elastic_plan, baseline_plan):
         pattern = TrafficPattern.constant(40.0, duration_s=180.0)
         for plan in (elastic_plan, baseline_plan):
-            result = ServingSimulator(plan, seed=2, autoscale=False).run(pattern)
+            result = ServingEngine(plan, seed=2, autoscale=False).run(pattern)
             assert np.mean(result.achieved_qps[3:]) == pytest.approx(40.0, rel=0.15)
             assert result.sla_violation_fraction() < 0.1
 
@@ -138,6 +138,6 @@ class TestServingBothStrategies:
         self, elastic_plan, baseline_plan
     ):
         pattern = TrafficPattern.from_steps([(0, 40), (120, 140)], duration_s=420)
-        elastic = ServingSimulator(elastic_plan, seed=4).run(pattern)
-        baseline = ServingSimulator(baseline_plan, seed=4).run(pattern)
+        elastic = ServingEngine(elastic_plan, seed=4).run(pattern)
+        baseline = ServingEngine(baseline_plan, seed=4).run(pattern)
         assert elastic.peak_memory_gb < baseline.peak_memory_gb

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event serving engine and its façade parity."""
+"""Tests for the discrete-event serving engine."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import EventKind, ServingEngine
-from repro.serving.simulator import ServingSimulator
 from repro.serving.traffic import TrafficPattern
 
 # summary() of the pre-engine (seed) simulator for the reference run below,
@@ -52,14 +51,6 @@ class TestDeterminism:
     def test_engine_reproduces_seed_simulator_summary(self, plan, pattern):
         result = ServingEngine(plan, autoscale=False, seed=0).run(pattern)
         assert repr(result.summary()) == repr(SEED_MICRO_SUMMARY)
-
-    def test_facade_and_engine_are_byte_identical(self, plan, pattern):
-        facade = ServingSimulator(plan, autoscale=False, seed=0).run(pattern)
-        engine = ServingEngine(plan, autoscale=False, seed=0).run(pattern)
-        assert repr(facade.summary()) == repr(engine.summary())
-        for name in ("sample_times", "target_qps", "achieved_qps", "memory_gb",
-                     "p95_latency_ms"):
-            assert getattr(facade, name).tobytes() == getattr(engine, name).tobytes()
 
     def test_repeated_runs_identical(self, plan, pattern):
         first = ServingEngine(plan, autoscale=False, seed=7).run(pattern)

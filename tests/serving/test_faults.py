@@ -20,10 +20,10 @@ from repro.serving.faults import (
     fault_scenario_names,
     make_fault_model,
     parse_fault_script,
-    validate_fault_spec,
 )
 from repro.serving.replica_server import ReplicaServer
 from repro.serving.routing import make_routing_policy
+from repro.serving.spec import SpecError
 from repro.serving.traffic import TrafficPattern
 from test_routing import _pick
 
@@ -83,6 +83,8 @@ class TestFaultModel:
             NodeDrain(at_s=0.0, duration_s=-1.0)
         with pytest.raises(ValueError):
             RandomCrashes(rate_per_min=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RandomCrashes(rate_per_min=float("inf"))
         with pytest.raises(ValueError):
             TransientDegradation(at_s=0.0, duration_s=0.0)
 
@@ -114,8 +116,8 @@ class TestFaultScript:
          "crash@10+5", "crashes@0+0:rate=2", "drain@10:grace=-1"],
     )
     def test_malformed_scripts_raise_one_line_errors(self, script):
-        with pytest.raises(ValueError) as excinfo:
-            validate_fault_spec(script)
+        with pytest.raises(SpecError) as excinfo:
+            parse_fault_script(script)
         assert "\n" not in str(excinfo.value)
 
 

@@ -10,7 +10,6 @@ from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import MultiTenantEngine, ServingEngine, TenantSpec
 from repro.serving.scenarios import build_scenario
-from repro.serving.simulator import ServingSimulator
 from repro.serving.traffic import TrafficPattern
 
 
@@ -49,17 +48,17 @@ def three_tenants(plan, duration_s=240.0):
 
 
 class TestSingleTenantParity:
-    def test_reproduces_serving_simulator_bit_for_bit(self, plan, pattern):
-        facade = ServingSimulator(plan, seed=3).run(pattern)
+    def test_reproduces_serving_engine_bit_for_bit(self, plan, pattern):
+        single = ServingEngine(plan, seed=3).run(pattern)
         multi = MultiTenantEngine([TenantSpec("only", plan, pattern, seed=3)]).run()
         result = multi.tenant("only")
-        assert repr(result.summary()) == repr(facade.summary())
+        assert repr(result.summary()) == repr(single.summary())
         for name in ("sample_times", "target_qps", "achieved_qps", "memory_gb",
                      "p95_latency_ms"):
-            assert getattr(result, name).tobytes() == getattr(facade, name).tobytes()
-        assert result.replica_counts.keys() == facade.replica_counts.keys()
+            assert getattr(result, name).tobytes() == getattr(single, name).tobytes()
+        assert result.replica_counts.keys() == single.replica_counts.keys()
         for key in result.replica_counts:
-            assert result.replica_counts[key].tobytes() == facade.replica_counts[key].tobytes()
+            assert result.replica_counts[key].tobytes() == single.replica_counts[key].tobytes()
 
     def test_parity_holds_for_every_routing_policy(self, plan, pattern):
         for routing in ("round-robin", "power-of-two", "least-outstanding"):

@@ -15,8 +15,8 @@ from repro.serving.replanner import (
     ReplanPolicy,
     make_replan_policy,
     parse_replan_spec,
-    validate_replan_spec,
 )
+from repro.serving.spec import SpecError
 
 
 class TestParseReplanSpec:
@@ -54,7 +54,7 @@ class TestParseReplanSpec:
         ],
     )
     def test_malformed_specs_raise_one_line_hints(self, spec, fragment):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(SpecError) as excinfo:
             parse_replan_spec(spec)
         message = str(excinfo.value)
         assert fragment in message
@@ -69,10 +69,10 @@ class TestParseReplanSpec:
         assert make_replan_policy("sla@2.0").threshold == 2.0
 
     def test_validate_accepts_off_and_rejects_garbage(self):
-        validate_replan_spec(None)
-        validate_replan_spec("none")
-        with pytest.raises(ValueError):
-            validate_replan_spec("sla@nope")
+        assert make_replan_policy(None) is None
+        assert make_replan_policy("none") is None
+        with pytest.raises(SpecError, match="bad threshold 'nope'"):
+            make_replan_policy("sla@nope")
 
 
 class TestDriftDetector:

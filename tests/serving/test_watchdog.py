@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.serving.replanner import DriftDetector, ReplanPolicy
+from repro.serving.spec import SpecError
 from repro.serving.watchdog import (
     MIN_TIER2_SAMPLES,
     SloPolicy,
@@ -22,7 +23,6 @@ from repro.serving.watchdog import (
     mann_whitney_u,
     parse_slo_spec,
     retry_allowed,
-    validate_slo_spec,
 )
 from repro.serving.workload import degraded_gather_multiplier
 
@@ -63,8 +63,8 @@ class TestSpecGrammar:
         ],
     )
     def test_malformed_specs_raise_one_line_hints(self, spec):
-        with pytest.raises(ValueError) as excinfo:
-            validate_slo_spec(spec)
+        with pytest.raises(SpecError) as excinfo:
+            make_slo_policy(spec)
         message = str(excinfo.value)
         assert "\n" not in message
         assert "p95@<beta>" in message
@@ -79,8 +79,8 @@ class TestSpecGrammar:
         ],
     )
     def test_out_of_range_values_raise_one_line_errors(self, spec):
-        with pytest.raises(ValueError) as excinfo:
-            validate_slo_spec(spec)
+        with pytest.raises(SpecError) as excinfo:
+            make_slo_policy(spec)
         message = str(excinfo.value)
         assert "\n" not in message
         assert "malformed slo spec" in message

@@ -5,14 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.distributions import UniformDistribution, ZipfDistribution
+from repro.data.distributions import (
+    DriftingDistribution,
+    UniformDistribution,
+    ZipfDistribution,
+)
 from repro.model.configs import microbenchmark
+from repro.serving.spec import SpecError
 from repro.serving.workload import (
+    DriftSpec,
     HomogeneousCostModel,
     QueryCostModel,
     SkewedCostModel,
     cost_model_names,
     make_cost_model,
+    make_drift_model,
+    parse_drift_spec,
     resolve_cost_model_name,
 )
 
@@ -191,3 +199,53 @@ class TestRegistry:
     def test_base_class_sample_not_implemented(self):
         with pytest.raises(NotImplementedError):
             QueryCostModel().sample(1, np.random.default_rng(0))
+
+
+class TestDriftSpecGrammar:
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            ("linear@60+300:to=0.2", DriftSpec("linear", 60.0, 300.0, 0.2)),
+            ("step@300:to=0.5,from=0.9", DriftSpec("step", 300.0, 0.0, 0.5, 0.9)),
+            ("oscillate@0+600:to=0.3", DriftSpec("oscillate", 0.0, 600.0, 0.3)),
+            (" Linear @ 60 + 300 : to = 0.2 ", DriftSpec("linear", 60.0, 300.0, 0.2)),
+        ],
+    )
+    def test_round_trip(self, spec, expected):
+        assert parse_drift_spec(spec) == expected
+
+    @pytest.mark.parametrize(
+        "spec,fragment",
+        [
+            ("", "empty spec"),
+            ("linear", "missing '@<start time>'"),
+            ("warp@10+60:to=0.1", "unknown drift schedule 'warp'"),
+            ("linear@abc+60:to=0.1", "bad start time 'abc'"),
+            ("linear@10+x:to=0.1", "bad duration 'x'"),
+            ("linear@10+60", "missing required parameter to="),
+            ("linear@10+60:to", "bad parameter 'to'"),
+            ("linear@10+60:to=0.1,turbo=1", "unknown parameter 'turbo'"),
+            ("step@10+60:to=0.1", "step takes no duration"),
+            ("linear@10:to=0.1", "needs a positive duration"),
+            ("linear@-1+60:to=0.1", "must be non-negative"),
+            ("linear@10+60:to=2.0", "locality must be in (0, 1]"),
+        ],
+    )
+    def test_malformed_rows_raise_one_line_errors(self, spec, fragment):
+        with pytest.raises(SpecError) as excinfo:
+            parse_drift_spec(spec)
+        message = str(excinfo.value)
+        assert message.startswith("malformed drift spec")
+        assert fragment in message
+        assert "\n" not in message
+
+    def test_make_drift_model_resolution(self):
+        for off in (None, "", "none"):
+            assert make_drift_model(off) is None
+        start = ZipfDistribution.from_locality(ROWS, 0.9)
+        drift = make_drift_model("step@30:to=0.5", start)
+        assert isinstance(drift, DriftingDistribution)
+        assert drift.start is start
+        assert make_drift_model(drift) is drift
+        with pytest.raises(ValueError, match="needs a distribution"):
+            make_drift_model("step@30:to=0.5")
