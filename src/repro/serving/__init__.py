@@ -8,12 +8,14 @@ discrete-event engine with pluggable policies:
 
 * :mod:`repro.serving.engine` — the event core: a heap of typed events
   (arrival, completion, autoscaler tick, reconcile, sample) driving the
-  cluster, plus vectorised series post-processing.  :class:`ServingEngine`
-  is the single-plan entry point; :class:`MultiTenantEngine` drives N
-  tenants (each a :class:`TenantSpec` with its own traffic, routing, SLA,
-  autoscaler and seed) competing for one shared node pool, returning a
-  :class:`MultiTenantResult` with per-tenant :class:`SimulationResult`
-  series plus cluster-wide memory/utilization/pending-placement series.
+  cluster, plus vectorised series post-processing.  :class:`MultiTenantEngine`
+  drives N tenants (each a :class:`TenantSpec` with its own traffic,
+  routing, SLA, autoscaler and seed) competing for one shared node pool,
+  returning a :class:`MultiTenantResult` with per-tenant
+  :class:`SimulationResult` series plus cluster-wide
+  memory/utilization/pending-placement series.  :class:`ServingEngine` is
+  the one-tenant case: its options are :class:`TenantSpec` fields and it
+  takes a traffic pattern per run.
 * :mod:`repro.serving.routing` — pluggable per-deployment routing policies
   (``least-work``, ``round-robin``, ``power-of-two``, ``ready-only``,
   ``least-outstanding``), built on the generic balancers in

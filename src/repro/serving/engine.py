@@ -1,9 +1,8 @@
-"""Discrete-event serving engine: the simulation core behind the façade.
+"""Discrete-event serving engine: one event loop for one plan or a fleet.
 
-The engine replaces the monolithic per-query serving loop with a classic
-discrete-event simulation: a binary heap of typed events drives the run, and
-everything policy-shaped (replica selection, traffic generation, autoscaling)
-is pluggable around the deterministic core.
+The engine is a classic discrete-event simulation: a binary heap of typed
+events drives the run, and everything policy-shaped (replica selection,
+traffic generation, autoscaling) is pluggable around the deterministic core.
 
 Event types, in tie-breaking order at equal timestamps:
 
@@ -38,17 +37,22 @@ dedicated ``[seed, 3]`` stream), so a faulty run is exactly as deterministic
 as a healthy one — and a run with no faults pushes no fault events at all,
 keeping it bit-exact with the fault-unaware engine.
 
-The same event loop drives one deployment plan (:class:`ServingEngine`) or a
-whole *multi-tenant cluster* (:class:`MultiTenantEngine`): N tenants, each
-with its own traffic pattern, routing policy, SLA target, autoscaler and
-random seed, competing for one shared capacity-constrained node pool.  Every
-tenant is a :class:`_TenantRuntime` holding its slice of the cluster's
-deployments plus its per-run accumulators; tenant events carry the tenant
-index, so events from different tenants interleave on one heap in timestamp
-order.  With a single tenant the loop degenerates to exactly the historical
-single-plan behaviour — same heap contents, same RNG draws — so a
-one-tenant :class:`MultiTenantEngine` reproduces :class:`ServingEngine`
-(and therefore the seed simulator) bit-for-bit for the same seed.
+Every simulation is a *multi-tenant cluster* (:class:`MultiTenantEngine`):
+N tenants, each a validated :class:`TenantSpec` with its own traffic
+pattern, routing policy, SLA target, autoscaler and random seed, competing
+for one shared capacity-constrained node pool.  Every tenant is a
+:class:`_TenantRuntime` holding its slice of the cluster's deployments plus
+its per-run accumulators; tenant events carry the tenant index, so events
+from different tenants interleave on one heap in timestamp order.
+:class:`ServingEngine` is the one-tenant fleet with the traffic pattern
+supplied per run, so the single-plan and fleet paths share one constructor,
+one start-up sequence and one event loop.
+
+Every run ends in one place, :func:`result_from_chunks`: a
+tenant's scalar fields come from its run manifest
+(:meth:`_TenantRuntime.manifest`) and its series from stacked series
+chunks — one chunk for an in-memory run, the spooled sequence for a streamed
+one — so the two execution modes cannot drift apart.
 
 Queries are *heterogeneous*: every run pre-samples one cost multiplier per
 query from the tenant's :class:`~repro.serving.workload.QueryCostModel`
@@ -75,11 +79,7 @@ submits and registers it.
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
 :meth:`~repro.serving.latency.LatencyTracker.completion_order`) plus
-``np.searchsorted`` window lookups, replacing the seed simulator's
-per-window boolean masks over the full completion array.
-
-With the default ``least-work`` routing policy the engine reproduces the
-seed simulator's results bit-for-bit for the same seed.
+``np.searchsorted`` window lookups.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Callable, Sequence
 
@@ -363,6 +363,69 @@ class SimulationResult:
         }
 
 
+#: The scalar fields of :class:`SimulationResult`, copied verbatim from a
+#: run manifest.
+_RESULT_SCALARS = tuple(
+    f.name for f in fields(SimulationResult) if f.type in ("str", "int", "float")
+)
+#: Per-deployment series: one row per deployment in every series chunk.
+_LANE_SERIES = (
+    "replica_counts",
+    "utilization",
+    "availability",
+    "requeues",
+    "batch_occupancy",
+)
+#: Every key :func:`result_from_chunks` reads from a manifest.
+_MANIFEST_KEYS = (
+    *_RESULT_SCALARS,
+    "sample_interval_s",
+    "deployments",
+    "cached_deployments",
+)
+
+
+def result_from_chunks(
+    meta: dict,
+    series_chunks: Sequence[dict[str, np.ndarray]],
+    tracker: LatencyTracker,
+) -> SimulationResult:
+    """Assemble one tenant's :class:`SimulationResult` from its run.
+
+    ``meta`` carries every scalar field by name plus the series layout
+    (:meth:`_TenantRuntime.manifest`); ``series_chunks`` are the run's
+    series chunks in time order (one for an in-memory run, the spooled
+    sequence for a streamed one) and ``tracker`` holds every query sample.
+    Both execution modes build their results here.
+    """
+
+    def stacked(key: str) -> np.ndarray:
+        return np.concatenate([chunk[key] for chunk in series_chunks], axis=-1)
+
+    def rows(key: str, names: Sequence[str]) -> dict[str, np.ndarray]:
+        return dict(zip(names, stacked(key))) if names else {}
+
+    sample_times = stacked("sample_times")
+    achieved_qps, p95_latency_ms = _metric_series(
+        tracker, sample_times, meta["sample_interval_s"]
+    )
+    deployments = meta["deployments"]
+    return SimulationResult(
+        **{name: meta[name] for name in _RESULT_SCALARS},
+        sample_times=sample_times,
+        target_qps=stacked("target_qps"),
+        achieved_qps=achieved_qps,
+        memory_gb=stacked("memory_gb"),
+        p95_latency_ms=p95_latency_ms,
+        tracker=tracker,
+        **{key: rows(key, deployments) for key in _LANE_SERIES},
+        cache_hit_rate=rows("cache_hit_rate", meta["cached_deployments"]),
+        watchdog_series=rows(
+            "watchdog", WATCHDOG_SERIES_KEYS if meta["slo"] != "none" else ()
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # Series post-processing (vectorised)
 # ----------------------------------------------------------------------
@@ -469,77 +532,44 @@ class _TenantRuntime:
 
     def __init__(
         self,
-        name: str,
-        plan: DeploymentPlan,
+        spec: TenantSpec,
         deployments: Sequence[Deployment],
-        policy: RoutingPolicy,
-        autoscale: bool,
-        autoscaler: HorizontalPodAutoscaler,
-        sla_s: float,
-        sample_interval_s: float,
-        seed: int,
-        cost_model: QueryCostModel | None = None,
-        max_batch: int = 1,
-        batch_window_s: float = 0.0,
-        faults: str | FaultModel | None = None,
         stream: StreamConfig | None = None,
-        cache_mb: float = 0.0,
-        drift: str | object | None = None,
-        replan: str | ReplanPolicy | None = None,
-        slo: str | SloPolicy | None = None,
     ) -> None:
-        if sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
-        if cache_mb < 0:
-            raise ValueError("cache_mb must be non-negative")
+        # ``spec`` is already validated; only checks that need the cost
+        # model or the plan happen here.
+        plan = spec.plan
         # Streamed mode: per-interval series and settled tracker samples are
         # flushed to this tenant's spool directory instead of accumulating
         # in RAM for the whole run (the values written are bit-identical).
         self.stream = stream
         self.stream_writer = SpoolWriter(stream.directory) if stream is not None else None
-        self.name = name
+        self.name = spec.name
         self.plan = plan
         self.deployments = list(deployments)
-        self.policy = policy
-        self.autoscale = autoscale
-        self.autoscaler = autoscaler
-        self.sla_s = float(sla_s)
-        self.sample_interval_s = float(sample_interval_s)
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.cost_model = (
-            cost_model if cost_model is not None else make_cost_model("homogeneous")
-        )
-        self.max_batch = int(max_batch)
-        self.batch_window_s = float(batch_window_s)
+        self.policy = policy = make_routing_policy(spec.routing)
+        self.autoscale = spec.autoscale
+        self.autoscaler = spec.autoscaler or HorizontalPodAutoscaler()
+        self.sla_s = float(spec.sla_s if spec.sla_s is not None else plan.cluster.sla_s)
+        self.sample_interval_s = float(spec.sample_interval_s)
+        self.seed = spec.seed
+        self.rng = np.random.default_rng(spec.seed)
+        self.cost_model = make_cost_model(spec.cost_model, plan.workload)
+        self.max_batch = int(spec.max_batch)
+        self.batch_window_s = float(spec.batch_window_s)
         # Scripts parse here, once; registry scenarios are duration-relative
         # and build per run in begin_run.
-        self.faults_spec = resolve_fault_spec(faults)
+        self.faults_spec = resolve_fault_spec(spec.faults)
         self.servers: dict[str, dict[str, ReplicaServer]] = {
             d.name: {} for d in self.deployments
-        }
-        self.service_times = {
-            d.name: 1.0 / d.spec.per_replica_qps for d in self.deployments
         }
         is_monolithic = plan.strategy != "elasticrec"
         perf_model = PerfModel(plan.cluster)
         self.rpc_overhead_s = 0.0 if is_monolithic else perf_model.rpc_overhead_s()
-        self.dense_roles = {
-            d.name: d.spec.role in (ROLE_DENSE, ROLE_MONOLITHIC) for d in self.deployments
-        }
-        # Pure dense shards do not gather embeddings, so per-query cost
-        # multipliers only apply to embedding and monolithic deployments.
-        self.cost_bearing = {
-            d.name: d.spec.role != ROLE_DENSE for d in self.deployments
-        }
         # Per-replica embedding cache: one shared spec per tenant, sized in
         # hot rows from the HBM budget; the mutable fill state lives on each
         # ReplicaServer so replacement containers restart cold.
-        self.cache_mb = float(cache_mb)
+        self.cache_mb = float(spec.cache_mb)
         self.cache_spec: CacheSpec | None = None
         if self.cache_mb > 0:
             if not getattr(self.cost_model, "supports_gather_splits", False):
@@ -565,12 +595,12 @@ class _TenantRuntime:
         # ``CacheSpec.hit_fractions`` performs, hoisted out of the loop).
         self.cache_geometry: tuple | None = None
         if self.cache_spec is not None:
-            spec = self.cache_spec
-            grid_hot = spec.grid_hot
-            grid_cold = spec.grid_cold
+            cache = self.cache_spec
+            grid_hot = cache.grid_hot
+            grid_cold = cache.grid_cold
             self.cache_geometry = (
-                spec.step,
-                float(spec.capacity_eff),
+                cache.step,
+                float(cache.capacity_eff),
                 grid_hot,
                 grid_cold,
                 [b - a for a, b in zip(grid_hot, grid_hot[1:])],
@@ -578,18 +608,15 @@ class _TenantRuntime:
                 len(grid_hot) - 1,
                 grid_hot[-1],
                 grid_cold[-1],
-                spec.hit_cost_fraction,
-                1.0 - spec.hit_cost_fraction,
+                cache.hit_cost_fraction,
+                1.0 - cache.hit_cost_fraction,
             )
-        self.cache_enabled = {
-            d.name: self.caches_on and self.cost_bearing[d.name]
-            for d in self.deployments
-        }
         # Access-skew drift and online re-planning (ROADMAP item 1).  Drift
         # re-samples each query's gather set against a time-indexed mixture
         # of two distribution endpoints; the replan policy watches the live
-        # p95 series and swaps in a successor plan mid-run.  Both resolve
-        # here, once, so a malformed spec fails at construction time.
+        # p95 series and swaps in a successor plan mid-run.  Both build here,
+        # once (TenantSpec has already checked their grammar).
+        drift, replan, slo = spec.drift, spec.replan, spec.slo
         self.drift_name = "none"
         self.drift_model = None
         self.end_cost_model = None
@@ -616,9 +643,8 @@ class _TenantRuntime:
                     "online re-planning needs an elasticrec plan with a "
                     "sharding layout to re-partition (strategy 'elasticrec')"
                 )
-        # SLO watchdog control plane (ROADMAP item 5).  Resolved once, here,
-        # so a malformed --slo spec fails at construction time; the per-run
-        # state lives in begin_run.
+        # SLO watchdog control plane (ROADMAP item 5); the per-run state
+        # lives in begin_run.
         self.slo_policy = make_slo_policy(slo)
         self.slo_name = "none"
         if self.slo_policy is not None:
@@ -641,10 +667,13 @@ class _TenantRuntime:
             _DeploymentLane(
                 name=d.name,
                 pool=self.pools[d.name],
-                service_s=self.service_times[d.name],
-                cost_bearing=self.cost_bearing[d.name],
-                dense=self.dense_roles[d.name],
-                cached=self.cache_enabled[d.name],
+                service_s=1.0 / d.spec.per_replica_qps,
+                # Pure dense shards do not gather embeddings, so per-query
+                # cost multipliers and caches only apply to embedding and
+                # monolithic deployments.
+                cost_bearing=d.spec.role != ROLE_DENSE,
+                dense=d.spec.role in (ROLE_DENSE, ROLE_MONOLITHIC),
+                cached=self.caches_on and d.spec.role != ROLE_DENSE,
             )
             for d in self.deployments
         ]
@@ -670,9 +699,8 @@ class _TenantRuntime:
 
     def sync_servers(self, now: float) -> None:
         """Mirror the tenant's active containers into replica queue servers."""
-        for deployment in self.deployments:
+        for deployment, lane in zip(self.deployments, self._lanes):
             servers = self.servers[deployment.name]
-            cached = self.cache_enabled[deployment.name]
             active_names = set()
             changed = False
             for container in deployment.replicas:
@@ -690,7 +718,7 @@ class _TenantRuntime:
                         max_batch=self.max_batch,
                         batch_window_s=self.batch_window_s,
                         batch_model=self.batch_models[deployment.name],
-                        cache=ReplicaCache(self.cache_spec) if cached else None,
+                        cache=ReplicaCache(self.cache_spec) if lane.cached else None,
                     )
                     changed = True
             for name in list(servers):
@@ -859,21 +887,13 @@ class _TenantRuntime:
         self.interval_rejected = 0
         self.interval_timeouts = 0
         self.interval_degraded = 0
-        self.watchdog_series: dict[str, list[float]] = (
-            {key: [] for key in WATCHDOG_SERIES_KEYS} if self.watchdog_on else {}
-        )
+        self._start_series_chunk()
         self.tracker = LatencyTracker()
         self.boundaries = np.arange(
             self.sample_interval_s,
             pattern.duration_s + self.sample_interval_s,
             self.sample_interval_s,
         )
-        self.sample_times: list[float] = []
-        self.memory_series: list[float] = []
-        self.replica_series: dict[str, list[int]] = {d.name: [] for d in self.deployments}
-        self.utilization_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
-        }
         for lane in self._lanes:
             lane.count = 0
             lane.latencies = []
@@ -881,12 +901,6 @@ class _TenantRuntime:
             lane.gather_sum = 0.0
         for pool in self.pools.values():
             pool.invalidate()
-        self.cache_hit_series: dict[str, list[float]] = {
-            lane.name: [] for lane in self._lanes if lane.cached
-        }
-        self.batch_occupancy_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
-        }
         self._occupancy_marks: dict[str, tuple[int, int]] = {
             d.name: self._served_totals(d.name) for d in self.deployments
         }
@@ -933,12 +947,6 @@ class _TenantRuntime:
         self.requeued_count = 0
         self.interval_failures: dict[str, int] = {d.name: 0 for d in self.deployments}
         self.interval_requeues: dict[str, int] = {d.name: 0 for d in self.deployments}
-        self.availability_series: dict[str, list[float]] = {
-            d.name: [] for d in self.deployments
-        }
-        self.requeue_series: dict[str, list[int]] = {
-            d.name: [] for d in self.deployments
-        }
         #: Sample points accumulated since the last streamed series flush.
         self._pending_series_samples = 0
 
@@ -1855,9 +1863,7 @@ class _TenantRuntime:
             spec = by_name.get(deployment.name)
             if spec is None:
                 continue
-            service = 1.0 / spec.per_replica_qps
-            self.service_times[deployment.name] = service
-            lane.service_s = service
+            lane.service_s = 1.0 / spec.per_replica_qps
             deployment.desired_replicas = spec.replicas
             if self.autoscale:
                 # Hold the HPA off while the new capacity materialises, the
@@ -1997,11 +2003,15 @@ class _TenantRuntime:
     def _write_query_chunk(self, times: np.ndarray, lats: np.ndarray) -> None:
         self.stream_writer.append("queries", completion_times=times, latencies_s=lats)
 
-    def _flush_series_chunk(self) -> None:
-        """Write the per-interval series accumulated since the last flush."""
-        if not self.sample_times:
-            self._pending_series_samples = 0
-            return
+    def _series_chunk(self) -> dict[str, np.ndarray]:
+        """Stack the series sampled since the last chunk, and start afresh.
+
+        Per-deployment series become one row per lane, in lane order; cache
+        hit rates follow the manifest's ``cached_deployments`` and watchdog
+        series :data:`WATCHDOG_SERIES_KEYS`, each key present only when that
+        feature is on.  An in-memory run stacks its whole run into one chunk;
+        a streamed run spools one every ``flush_series_every`` samples.
+        """
         times = np.asarray(self.sample_times)
         lanes = [lane.name for lane in self._lanes]
         chunk = dict(
@@ -2020,33 +2030,82 @@ class _TenantRuntime:
                 [self.batch_occupancy_series[name] for name in lanes]
             ),
         )
-        if self.caches_on:
-            # Rows follow the meta's ``cached_deployments`` order; the key is
-            # absent entirely on cache-less runs so their chunks are
-            # byte-identical with the pre-cache format.
-            chunk["cache_hit_rate"] = np.asarray(
-                [self.cache_hit_series[name] for name in self.cache_hit_series]
-            )
-        if self.watchdog_on:
-            # Rows follow WATCHDOG_SERIES_KEYS order; absent on watchdog-off
-            # runs so their chunks stay byte-identical with the old format.
+        if self.cache_hit_series:
+            chunk["cache_hit_rate"] = np.asarray(list(self.cache_hit_series.values()))
+        if self.watchdog_series:
             chunk["watchdog"] = np.asarray(
                 [self.watchdog_series[key] for key in WATCHDOG_SERIES_KEYS]
             )
-        self.stream_writer.append("series", **chunk)
-        self.sample_times = []
-        self.memory_series = []
-        for name in lanes:
-            self.replica_series[name] = []
-            self.utilization_series[name] = []
-            self.availability_series[name] = []
-            self.requeue_series[name] = []
-            self.batch_occupancy_series[name] = []
-        for name in self.cache_hit_series:
-            self.cache_hit_series[name] = []
-        for key in self.watchdog_series:
-            self.watchdog_series[key] = []
+        self._start_series_chunk()
+        return chunk
+
+    def _start_series_chunk(self) -> None:
+        """Empty every per-interval series accumulator."""
+        lanes = [lane.name for lane in self._lanes]
+        self.sample_times: list[float] = []
+        self.memory_series: list[float] = []
+        self.replica_series: dict[str, list[int]] = {name: [] for name in lanes}
+        self.utilization_series: dict[str, list[float]] = {name: [] for name in lanes}
+        self.availability_series: dict[str, list[float]] = {name: [] for name in lanes}
+        self.requeue_series: dict[str, list[int]] = {name: [] for name in lanes}
+        self.batch_occupancy_series: dict[str, list[float]] = {name: [] for name in lanes}
+        self.cache_hit_series: dict[str, list[float]] = {
+            lane.name: [] for lane in self._lanes if lane.cached
+        }
+        self.watchdog_series: dict[str, list[float]] = (
+            {key: [] for key in WATCHDOG_SERIES_KEYS} if self.watchdog_on else {}
+        )
+
+    def _flush_series_chunk(self) -> None:
+        """Write the per-interval series accumulated since the last flush."""
+        self.stream_writer.append("series", **self._series_chunk())
         self._pending_series_samples = 0
+
+    def manifest(self) -> dict:
+        """The run's scalar result fields by name, plus its series layout.
+
+        A streamed run commits this as its tenant manifest; both paths build
+        their result from it through :func:`result_from_chunks`.
+        """
+        watchdog = self.watchdog
+        return {
+            "tenant": self.name,
+            "plan_name": self.plan.name,
+            "strategy": self.plan.strategy,
+            "sla_s": self.sla_s,
+            "routing": self.policy.name,
+            "cost_model": self.cost_model.name,
+            "max_batch": self.max_batch,
+            "faults": self.faults_name,
+            "cache_mb": self.cache_mb,
+            "rejected_queries": len(self.rejected_indices),
+            "dropped_queries": len(self.dropped_indices),
+            "requeued_queries": self.requeued_count,
+            "faults_injected": self.faults_injected,
+            "drift": self.drift_name,
+            "replan": self.replan_name,
+            "replans_applied": self.replans_applied,
+            "slo": self.slo_name,
+            "timeout_queries": len(self.timeout_indices),
+            "degraded_queries": len(self.degraded_indices),
+            "shed_queries": self.shed_count,
+            "retried_queries": self.retried_count,
+            "slo_tier1_breaches": watchdog.tier1_breaches if watchdog else 0,
+            "slo_tier2_flags": watchdog.tier2_flags if watchdog else 0,
+            "slo_escalations": watchdog.escalations if watchdog else 0,
+            "slo_recoveries": watchdog.recoveries if watchdog else 0,
+            "sample_interval_s": self.sample_interval_s,
+            "deployments": [lane.name for lane in self._lanes],
+            "cached_deployments": list(self.cache_hit_series),
+            "num_samples": self.tracker.num_samples,
+        }
+
+    def _restore_cache_fills(self) -> None:
+        """Hand the pools' fill mirrors back to the ReplicaCache objects, so
+        tests and re-sharding hooks can inspect caches between runs."""
+        if self.caches_on:
+            for pool in self.pools.values():
+                pool.flush_fills()
 
     def finish_run_streamed(self) -> dict:
         """Flush everything left, commit the tenant manifest, return a summary.
@@ -2056,115 +2115,24 @@ class _TenantRuntime:
         deliberately tiny (it crosses a process boundary).
         """
         self._flush_series_chunk()
-        if self.caches_on:
-            # Post-run cache state lives on the ReplicaCache objects again
-            # (tests and re-sharding hooks inspect them between runs).
-            for pool in self.pools.values():
-                pool.flush_fills()
+        self._restore_cache_fills()
         self.tracker.spill(self.tracker.num_samples, self._write_query_chunk)
-        meta = {
-            "schema": 1,
-            "status": "complete",
-            "tenant": self.name,
-            "plan_name": self.plan.name,
-            "strategy": self.plan.strategy,
-            "sla_s": self.sla_s,
-            "sample_interval_s": self.sample_interval_s,
-            "routing": self.policy.name,
-            "cost_model": self.cost_model.name,
-            "max_batch": self.max_batch,
-            "faults": self.faults_name,
-            "cache_mb": self.cache_mb,
-            "drift": self.drift_name,
-            "replan": self.replan_name,
-            "replans_applied": self.replans_applied,
-            "slo": self.slo_name,
-            "timeout_queries": len(self.timeout_indices),
-            "degraded_queries": len(self.degraded_indices),
-            "shed_queries": self.shed_count,
-            "retried_queries": self.retried_count,
-            "slo_tier1_breaches": self.watchdog.tier1_breaches if self.watchdog else 0,
-            "slo_tier2_flags": self.watchdog.tier2_flags if self.watchdog else 0,
-            "slo_escalations": self.watchdog.escalations if self.watchdog else 0,
-            "slo_recoveries": self.watchdog.recoveries if self.watchdog else 0,
-            "cached_deployments": list(self.cache_hit_series),
-            "deployments": [lane.name for lane in self._lanes],
-            "num_samples": self.tracker.num_samples,
-            "rejected_queries": len(self.rejected_indices),
-            "dropped_queries": len(self.dropped_indices),
-            "requeued_queries": self.requeued_count,
-            "faults_injected": self.faults_injected,
-        }
-        self.stream_writer.write_meta(meta)
-        return {
-            "tenant": self.name,
-            "queries": self.tracker.num_samples,
-            "rejected_queries": len(self.rejected_indices),
-            "dropped_queries": len(self.dropped_indices),
-            "requeued_queries": self.requeued_count,
-            "faults_injected": self.faults_injected,
-        }
+        meta = self.manifest()
+        self.stream_writer.write_meta({"schema": 1, "status": "complete", **meta})
+        summary = {"tenant": self.name, "queries": meta["num_samples"]}
+        for key in (
+            "rejected_queries",
+            "dropped_queries",
+            "requeued_queries",
+            "faults_injected",
+        ):
+            summary[key] = meta[key]
+        return summary
 
     def finish_run(self) -> SimulationResult:
-        if self.caches_on:
-            # Post-run cache state lives on the ReplicaCache objects again
-            # (tests and re-sharding hooks inspect them between runs).
-            for pool in self.pools.values():
-                pool.flush_fills()
-        sample_times = np.asarray(self.sample_times)
-        achieved_qps, p95_latency_ms = _metric_series(
-            self.tracker, sample_times, self.sample_interval_s
-        )
-        return SimulationResult(
-            plan_name=self.plan.name,
-            strategy=self.plan.strategy,
-            sla_s=self.sla_s,
-            sample_times=sample_times,
-            target_qps=self.pattern.rate_at(sample_times),
-            achieved_qps=achieved_qps,
-            memory_gb=np.asarray(self.memory_series),
-            p95_latency_ms=p95_latency_ms,
-            replica_counts={k: np.asarray(v) for k, v in self.replica_series.items()},
-            tracker=self.tracker,
-            routing=self.policy.name,
-            tenant=self.name,
-            utilization={k: np.asarray(v) for k, v in self.utilization_series.items()},
-            cost_model=self.cost_model.name,
-            max_batch=self.max_batch,
-            batch_occupancy={
-                k: np.asarray(v) for k, v in self.batch_occupancy_series.items()
-            },
-            faults=self.faults_name,
-            availability={
-                k: np.asarray(v) for k, v in self.availability_series.items()
-            },
-            requeues={
-                k: np.asarray(v, dtype=np.int64) for k, v in self.requeue_series.items()
-            },
-            cache_hit_rate={
-                k: np.asarray(v) for k, v in self.cache_hit_series.items()
-            },
-            cache_mb=self.cache_mb,
-            rejected_queries=len(self.rejected_indices),
-            dropped_queries=len(self.dropped_indices),
-            requeued_queries=self.requeued_count,
-            faults_injected=self.faults_injected,
-            drift=self.drift_name,
-            replan=self.replan_name,
-            replans_applied=self.replans_applied,
-            slo=self.slo_name,
-            timeout_queries=len(self.timeout_indices),
-            degraded_queries=len(self.degraded_indices),
-            shed_queries=self.shed_count,
-            retried_queries=self.retried_count,
-            slo_tier1_breaches=self.watchdog.tier1_breaches if self.watchdog else 0,
-            slo_tier2_flags=self.watchdog.tier2_flags if self.watchdog else 0,
-            slo_escalations=self.watchdog.escalations if self.watchdog else 0,
-            slo_recoveries=self.watchdog.recoveries if self.watchdog else 0,
-            watchdog_series={
-                key: np.asarray(value)
-                for key, value in self.watchdog_series.items()
-            },
+        self._restore_cache_fills()
+        return result_from_chunks(
+            self.manifest(), [self._series_chunk()], self.tracker
         )
 
 
@@ -2462,92 +2430,6 @@ def _drive(
     ]
 
 
-class ServingEngine:
-    """Discrete-event simulation of one deployment plan under query traffic.
-
-    The engine owns the simulated cluster, the autoscaler and the routing
-    policy; :meth:`run` drives one traffic pattern through the event loop and
-    returns a :class:`SimulationResult`.  State (replica counts, queues,
-    autoscaler history) persists across runs, mirroring the behaviour of the
-    historical simulator.
-    """
-
-    def __init__(
-        self,
-        plan: DeploymentPlan,
-        routing: str | RoutingPolicy = "least-work",
-        autoscale: bool = True,
-        autoscaler: HorizontalPodAutoscaler | None = None,
-        initial_replicas: int | None = None,
-        warm_start: bool = True,
-        max_replicas: int = 256,
-        sample_interval_s: float = 15.0,
-        seed: int = 0,
-        cost_model: str | QueryCostModel = "homogeneous",
-        max_batch: int = 1,
-        batch_window_s: float = 0.0,
-        faults: str | FaultModel | None = None,
-        cache_mb: float = 0.0,
-        drift: str | object | None = None,
-        replan: str | ReplanPolicy | None = None,
-        slo: str | SloPolicy | None = None,
-    ) -> None:
-        if sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
-        self._cluster = Cluster.from_plan(
-            plan, initial_replicas=initial_replicas, max_replicas=max_replicas
-        )
-        self._runtime = _TenantRuntime(
-            name=plan.name,
-            plan=plan,
-            deployments=self._cluster.deployments,
-            policy=make_routing_policy(routing),
-            autoscale=autoscale,
-            autoscaler=autoscaler or HorizontalPodAutoscaler(),
-            sla_s=plan.cluster.sla_s,
-            sample_interval_s=sample_interval_s,
-            seed=seed,
-            cost_model=make_cost_model(cost_model, plan.workload),
-            max_batch=max_batch,
-            batch_window_s=batch_window_s,
-            faults=faults,
-            cache_mb=cache_mb,
-            drift=drift,
-            replan=replan,
-            slo=slo,
-        )
-        self._cluster.reconcile(0.0)
-        if warm_start:
-            _force_ready(self._cluster, 0.0)
-        self._runtime.sync_servers(0.0)
-
-    @property
-    def cluster(self) -> Cluster:
-        """The simulated cluster."""
-        return self._cluster
-
-    @property
-    def routing_policy(self) -> RoutingPolicy:
-        """The active replica-selection policy."""
-        return self._runtime.policy
-
-    def invalidate_caches(self) -> None:
-        """Re-sharding hook: drop every replica's embedding-cache contents."""
-        self._runtime.invalidate_caches()
-
-    def run(
-        self,
-        pattern: TrafficPattern,
-        on_event: Callable[[float, int], None] | None = None,
-    ) -> SimulationResult:
-        """Simulate the plan under the given traffic pattern.
-
-        ``on_event``, if given, observes every popped heap event as
-        ``on_event(now, kind)`` (used by invariant tests).
-        """
-        return _drive(self._cluster, [self._runtime], [pattern], on_event=on_event)[0]
-
-
 # ----------------------------------------------------------------------
 # Multi-tenant cluster simulation
 # ----------------------------------------------------------------------
@@ -2559,12 +2441,16 @@ class TenantSpec:
     its own routing policy, SLA target, autoscaler and random seed.  All
     tenants share the engine's node pool, so their replicas compete for
     placement; ``max_replicas`` is the tenant's replica budget (the cap each
-    of its deployments may scale to).
+    of its deployments may scale to).  Every tenant option is validated here
+    and nowhere else: :class:`MultiTenantEngine` and :class:`ServingEngine`
+    both build their tenants from a spec.
     """
 
     name: str
     plan: DeploymentPlan
-    pattern: TrafficPattern
+    #: The tenant's traffic.  ``None`` only inside :class:`ServingEngine`,
+    #: which takes the pattern per :meth:`~ServingEngine.run`.
+    pattern: TrafficPattern | None = None
     routing: str | RoutingPolicy = "least-work"
     seed: int = 0
     autoscale: bool = True
@@ -2612,6 +2498,14 @@ class TenantSpec:
             parse_drift_spec(self.drift)
         make_replan_policy(self.replan)
         make_slo_policy(self.slo)
+
+
+def _tenant_patterns(tenants: Sequence[TenantSpec]) -> list[TrafficPattern]:
+    """Every tenant's traffic pattern; a tenant without one is an error."""
+    for tenant in tenants:
+        if tenant.pattern is None:
+            raise ValueError(f"tenant {tenant.name!r} has no traffic pattern")
+    return [tenant.pattern for tenant in tenants]
 
 
 @dataclass
@@ -2749,8 +2643,8 @@ class MultiTenantEngine:
     bin-packing scheduler — replicas that do not fit queue as pending
     placements (visible in :class:`ClusterSeries`).
 
-    With a single tenant the engine reproduces :class:`ServingEngine` (and
-    the seed simulator) bit-for-bit for the same seed.
+    :class:`ServingEngine` is this engine with one tenant, so a one-tenant
+    fleet and a single-plan run are the same simulation by construction.
     """
 
     def __init__(
@@ -2784,36 +2678,16 @@ class MultiTenantEngine:
                 initial_replicas=tenant.initial_replicas,
                 max_replicas=tenant.max_replicas,
             )
-            self._runtimes.append(
-                _TenantRuntime(
-                    name=tenant.name,
-                    plan=tenant.plan,
-                    deployments=deployments,
-                    policy=make_routing_policy(tenant.routing),
-                    autoscale=tenant.autoscale,
-                    autoscaler=tenant.autoscaler or HorizontalPodAutoscaler(),
-                    sla_s=tenant.sla_s if tenant.sla_s is not None else tenant.plan.cluster.sla_s,
-                    sample_interval_s=tenant.sample_interval_s,
-                    seed=tenant.seed,
-                    cost_model=make_cost_model(tenant.cost_model, tenant.plan.workload),
-                    max_batch=tenant.max_batch,
-                    batch_window_s=tenant.batch_window_s,
-                    faults=tenant.faults,
-                    cache_mb=tenant.cache_mb,
-                    drift=tenant.drift,
-                    replan=tenant.replan,
-                    slo=tenant.slo,
-                    stream=(
-                        StreamConfig(
-                            directory=stream.directory / f"tenant-{index:03d}",
-                            spill_threshold=stream.spill_threshold,
-                            flush_series_every=stream.flush_series_every,
-                        )
-                        if stream is not None
-                        else None
-                    ),
+            tenant_stream = (
+                StreamConfig(
+                    directory=stream.directory / f"tenant-{index:03d}",
+                    spill_threshold=stream.spill_threshold,
+                    flush_series_every=stream.flush_series_every,
                 )
+                if stream is not None
+                else None
             )
+            self._runtimes.append(_TenantRuntime(tenant, deployments, tenant_stream))
         self._cluster.reconcile(0.0)
         if warm_start:
             _force_ready(self._cluster, 0.0)
@@ -2845,7 +2719,7 @@ class MultiTenantEngine:
         results = _drive(
             self._cluster,
             self._runtimes,
-            [tenant.pattern for tenant in self._specs],
+            _tenant_patterns(self._specs),
             probe=probe,
             on_event=on_event,
         )
@@ -2882,3 +2756,42 @@ class MultiTenantEngine:
             capacity_gb=capacity_gb,
             summaries=results,
         )
+
+
+class ServingEngine(MultiTenantEngine):
+    """One deployment plan under query traffic: a one-tenant fleet.
+
+    ``options`` are :class:`TenantSpec` fields (``routing``, ``seed``,
+    ``cost_model``, ``faults``, ...), validated there; the tenant is named
+    after the plan, and its traffic pattern comes with each :meth:`run`.
+    State (replica counts, queues, autoscaler history, arrival RNG) persists
+    across runs.
+    """
+
+    def __init__(
+        self, plan: DeploymentPlan, *, warm_start: bool = True, **options
+    ) -> None:
+        super().__init__(
+            [TenantSpec(name=plan.name, plan=plan, **options)], warm_start=warm_start
+        )
+
+    @property
+    def routing_policy(self) -> RoutingPolicy:
+        """The active replica-selection policy."""
+        return self._runtimes[0].policy
+
+    def invalidate_caches(self) -> None:
+        """Re-sharding hook: drop every replica's embedding-cache contents."""
+        self._runtimes[0].invalidate_caches()
+
+    def run(
+        self,
+        pattern: TrafficPattern,
+        on_event: Callable[[float, int], None] | None = None,
+    ) -> SimulationResult:
+        """Simulate the plan under the given traffic pattern.
+
+        ``on_event``, if given, observes every popped heap event as
+        ``on_event(now, kind)`` (used by invariant tests).
+        """
+        return _drive(self._cluster, self._runtimes, [pattern], on_event=on_event)[0]

@@ -410,6 +410,12 @@ FAULT_SCENARIOS: dict[str, Callable[[float], FaultModel]] = {
 }
 
 
+#: Most crashes a stochastic process may expect over its window: a huge
+#: finite rate would otherwise draw an unbounded timeline (``crash-storm``
+#: expects 8).
+MAX_EXPECTED_CRASHES = 100_000
+
+
 def fault_scenario_names() -> list[str]:
     """Registered fault-scenario names, in registration order."""
     return list(FAULT_SCENARIOS)
@@ -448,9 +454,23 @@ def make_fault_model(
 
     ``spec`` may be off, a :class:`FaultModel`, a registered scenario name,
     or a fault script (recognised by the ``@`` in its first event).  Empty
-    models resolve to ``None`` so the engine's no-fault path is taken.
+    models resolve to ``None`` so the engine's no-fault path is taken.  A
+    crash process expecting more than :data:`MAX_EXPECTED_CRASHES` crashes
+    over its window (clipped to the run) raises a one-line
+    :class:`~repro.serving.spec.SpecError`.
     """
     spec = resolve_fault_spec(spec)
     if isinstance(spec, str):
         spec = FAULT_SCENARIOS[spec](duration_s)
-    return None if spec is None or spec.is_empty else spec
+    if spec is None or spec.is_empty:
+        return None
+    for process in spec.processes:
+        end = duration_s if process.end_s is None else min(process.end_s, duration_s)
+        expected = process.rate_per_min * max(0.0, end - process.start_s) / 60.0
+        if expected > MAX_EXPECTED_CRASHES:
+            raise _GRAMMAR.error(
+                f"crashes@{process.start_s:g}:rate={process.rate_per_min:g}",
+                f"expects {expected:.3g} crashes over the run, more than the "
+                f"{MAX_EXPECTED_CRASHES} a timeline can hold",
+            )
+    return spec

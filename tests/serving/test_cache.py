@@ -280,7 +280,7 @@ class TestEngineWithCaches:
     def test_invalidate_caches_drops_every_replica_fill(self, plan, pattern):
         engine = ServingEngine(plan, seed=0, cost_model="skewed", cache_mb=64.0)
         engine.run(pattern)
-        runtime = engine._runtime
+        runtime = engine._runtimes[0]
         fills = [
             server.cache.fill_rows
             for servers in runtime.servers.values()

@@ -53,7 +53,7 @@ class Harness:
             plan, seed=3, autoscale=False, cost_model="skewed", slo="p95@1.5:storm=1.0",
             **options,
         )
-        self.runtime = runtime = engine._runtime
+        self.runtime = runtime = engine._runtimes[0]
         for servers in runtime.servers.values():
             for server in servers.values():
                 if warm and server.cache is not None:

@@ -68,6 +68,17 @@ class TestFaultModel:
             assert model.name == name
             assert (name == "none") == model.is_empty
 
+    def test_huge_finite_crash_rate_is_rejected(self):
+        # Each gap would be ~6e-299 s: the timeline could never reach the
+        # run end.  The window is clipped to the run, so a late or short
+        # process with the same rate may still be fine.
+        with pytest.raises(SpecError, match="crashes over the run"):
+            make_fault_model("crashes@0:rate=1e300", 600.0)
+        with pytest.raises(SpecError, match="crashes over the run"):
+            make_fault_model(FaultModel(processes=[RandomCrashes(rate_per_min=1e7)]), 600.0)
+        assert make_fault_model("crashes@700:rate=1e300", 600.0) is not None
+        assert make_fault_model("crashes@0+60:rate=1e5", 600.0) is not None
+
     def test_unknown_scenario_lists_choices(self):
         with pytest.raises(ValueError, match="crash-storm"):
             make_fault_model("tsunami", 600.0)

@@ -10,6 +10,7 @@ from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import MultiTenantEngine, ServingEngine, TenantSpec
 from repro.serving.scenarios import build_scenario
+from repro.serving.sharding import run_sharded
 from repro.serving.traffic import TrafficPattern
 
 
@@ -205,15 +206,29 @@ class TestValidation:
             MultiTenantEngine(tenants)
 
     def test_tenant_spec_validation(self, plan, pattern):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a name"):
             TenantSpec("", plan, pattern)
-        with pytest.raises(ValueError):
-            TenantSpec("t", plan, pattern, sla_s=0.0)
-        with pytest.raises(ValueError):
-            TenantSpec("t", plan, pattern, sample_interval_s=0.0)
-        with pytest.raises(ValueError):
-            TenantSpec("t", plan, pattern, max_replicas=0)
-        with pytest.raises(ValueError):
-            TenantSpec("t", plan, pattern, max_batch=0)
-        with pytest.raises(ValueError):
-            TenantSpec("t", plan, pattern, batch_window_s=-1.0)
+        # ServingEngine options are TenantSpec fields, so both engines
+        # reject the same input with the same message.
+        rows = [
+            (dict(sla_s=0.0), "sla_s must be positive"),
+            (dict(sample_interval_s=0.0), "sample_interval_s must be positive"),
+            (dict(max_replicas=0), "max_replicas must be positive"),
+            (dict(max_batch=0), "max_batch must be at least 1"),
+            (dict(batch_window_s=-1.0), "batch_window_s must be non-negative"),
+            (dict(cache_mb=-1.0), "cache_mb must be non-negative"),
+            (dict(faults="tsunami"), "unknown fault scenario"),
+            (dict(slo="p95@nan"), "malformed slo spec"),
+        ]
+        for options, message in rows:
+            with pytest.raises(ValueError, match=message):
+                TenantSpec("t", plan, pattern, **options)
+            with pytest.raises(ValueError, match=message):
+                ServingEngine(plan, **options)
+
+    def test_tenant_without_pattern_is_rejected_at_run(self, plan):
+        tenants = [TenantSpec("idle", plan)]
+        with pytest.raises(ValueError, match="tenant 'idle' has no traffic pattern"):
+            MultiTenantEngine(tenants).run()
+        with pytest.raises(ValueError, match="tenant 'idle' has no traffic pattern"):
+            run_sharded(tenants)

@@ -15,31 +15,18 @@ at worker counts {1, 2, 7}, including uneven tenant/node splits.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import MultiTenantEngine, TenantSpec
+from repro.serving.engine import MultiTenantEngine, SimulationResult, TenantSpec
+from repro.serving.latency import LatencyTracker
 from repro.serving.scenarios import build_scenario
 from repro.serving.sharding import plan_shards, run_sharded
-
-SERIES_FIELDS = (
-    "sample_times",
-    "target_qps",
-    "achieved_qps",
-    "memory_gb",
-    "p95_latency_ms",
-)
-LANE_FIELDS = (
-    "replica_counts",
-    "utilization",
-    "availability",
-    "requeues",
-    "cache_hit_rate",
-    "watchdog_series",
-)
 
 
 @pytest.fixture(scope="module")
@@ -83,35 +70,31 @@ def make_tenants(
     ]
 
 
+def assert_same(expected, actual, where: tuple) -> None:
+    """Equal values of the same type; arrays also of the same dtype."""
+    if isinstance(expected, LatencyTracker):
+        assert_same(expected.completion_times, actual.completion_times, (*where, "times"))
+        assert_same(expected.latencies_s, actual.latencies_s, (*where, "latencies"))
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key, value in expected.items():
+            assert_same(value, actual[key], (*where, key))
+    elif isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray) and actual.dtype == expected.dtype, where
+        assert np.array_equal(actual, expected), where
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
 def assert_tenants_identical(serial, sharded) -> None:
+    """Every :class:`SimulationResult` field agrees, labels and dtypes too."""
     assert list(serial.tenants) == list(sharded.tenants)
     for name, expected in serial.tenants.items():
         actual = sharded.tenants[name]
         assert actual.digest() == expected.digest(), name
-        for field in SERIES_FIELDS:
-            assert np.array_equal(getattr(actual, field), getattr(expected, field)), (
-                name,
-                field,
-            )
-        for field in LANE_FIELDS:
-            expected_map = getattr(expected, field)
-            actual_map = getattr(actual, field)
-            assert sorted(actual_map) == sorted(expected_map), (name, field)
-            for lane in expected_map:
-                assert np.array_equal(actual_map[lane], expected_map[lane]), (
-                    name,
-                    field,
-                    lane,
-                )
-        assert np.array_equal(
-            actual.tracker.completion_times, expected.tracker.completion_times
-        ), name
-        assert np.array_equal(
-            actual.tracker.latencies_s, expected.tracker.latencies_s
-        ), name
-        # The merged reliability aggregates (including the watchdog's timeout
-        # and degraded counters) must equal the serial run's, key for key.
-        assert actual.reliability_summary() == expected.reliability_summary(), name
+        for field in dataclasses.fields(SimulationResult):
+            where = (name, field.name)
+            assert_same(getattr(expected, field.name), getattr(actual, field.name), where)
 
 
 class TestShardPlanning:
@@ -256,6 +239,30 @@ class TestShardedEquivalenceFast:
         assert_tenants_identical(serial, sharded)
         assert_tenants_identical(serial, streamed)
         assert streamed.tenants["t2"].slo == slo
+
+    def test_every_label_and_counter_round_trips_the_spool(self, plan, cluster, tmp_path):
+        # One tenant with faults, a watchdog and batching next to one with
+        # a cache, drift and replanning: every result field, labels and
+        # watchdog counters included, must survive the streamed merge.
+        pattern = build_scenario("flash-crowd", 8.0, 24.0, 60.0)
+        tenants = [
+            TenantSpec(
+                "guarded", plan, pattern, seed=1, max_replicas=6, max_batch=2,
+                faults="degrade@10+20:factor=3;crash@30:policy=drop",
+                slo="p95@0.5:patience=1,shed=0.2,deadline=20,timeout=6,retries=2",
+            ),
+            TenantSpec(
+                "drifting", plan, pattern, seed=2, max_replicas=6, cost_model="skewed",
+                cache_mb=16.0, drift="linear@10+30:to=0.1", replan="sla@0.5:patience=1",
+            ),
+        ]
+        serial = MultiTenantEngine(tenants, cluster_spec=cluster).run()
+        assert serial.tenants["guarded"].slo_tier1_breaches > 0
+        assert serial.tenants["drifting"].replans_applied > 0
+        streamed = run_sharded(
+            tenants, cluster, stream_dir=tmp_path / "spool", flush_series_every=3
+        )
+        assert_tenants_identical(serial, streamed)
 
     def test_merged_cluster_series_sums_shard_pools(self, plan, cluster, serial):
         tenants = make_tenants(plan, count=3, duration_s=60.0)

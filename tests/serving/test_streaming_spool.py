@@ -231,3 +231,14 @@ class TestCrashRecovery:
         # sample count no longer matches the manifest.
         with pytest.raises(SpoolError, match="manifest records"):
             merge_stream(stream_dir)
+
+    def test_manifest_missing_a_result_field_is_named(self, tenants, tmp_path):
+        # Every scalar result field must come from the manifest; a missing
+        # one is a corrupt spool, never a silent default.
+        stream_dir = self._streamed(tenants, tmp_path)
+        meta_path = stream_dir / "shard-000" / "tenant-000" / "meta.json"
+        meta = read_meta(meta_path.parent)
+        del meta["slo_recoveries"]
+        SpoolWriter(meta_path.parent).write_meta(meta)
+        with pytest.raises(SpoolError, match="slo_recoveries"):
+            merge_stream(stream_dir)
