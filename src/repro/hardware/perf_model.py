@@ -50,10 +50,11 @@ def cache_adjusted_multiplier(
 
     The serving engine's dispatch loop inlines this exact algebra (with
     ``1 - hit_cost_fraction`` precomputed per tenant, the same single
-    subtraction) rather than calling it per query; the cached digests in
-    ``tests/serving/test_digest_table.py`` and the structural profile in
-    ``benchmarks/bench_profile.py`` lock the two together.  Change one and
-    you must change the other.
+    subtraction) rather than calling it per query.  The differential test
+    ``TestInlinePricingMatchesReference`` in ``tests/serving/test_cache.py``
+    locks the two together: it checks every multiplier a cached run charges
+    against this function over a ``ReplicaCache`` reference, float for
+    float.  Change one and you must change the other.
     """
     if not 0.0 <= cache_hit_rate <= 1.0:
         raise ValueError("cache_hit_rate must be in [0, 1]")

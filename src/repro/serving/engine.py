@@ -115,7 +115,7 @@ from repro.serving.replanner import (
     ReplanPolicy,
     make_replan_policy,
 )
-from repro.serving.replica_server import CacheSpec, ReplicaCache, ReplicaServer
+from repro.serving.replica_server import CacheSpec, ReplicaServer
 from repro.serving.routing import ReplicaPool, RoutingPolicy, make_routing_policy
 from repro.serving.spec import is_off
 from repro.serving.streaming import ShardManifest, SpoolWriter, StreamConfig
@@ -525,9 +525,8 @@ class _DeploymentLane:
 class _TenantRuntime:
     """One tenant's slice of the simulated cluster plus its run accumulators.
 
-    Persistent state (replica servers, arrival RNG, autoscaler history)
-    survives across runs, mirroring the historical simulator; per-run
-    accumulators are reset by :meth:`begin_run`.
+    The run's accumulators are set up by :meth:`begin_run`; an engine (and
+    so each runtime) runs once.
     """
 
     def __init__(
@@ -567,8 +566,8 @@ class _TenantRuntime:
         perf_model = PerfModel(plan.cluster)
         self.rpc_overhead_s = 0.0 if is_monolithic else perf_model.rpc_overhead_s()
         # Per-replica embedding cache: one shared spec per tenant, sized in
-        # hot rows from the HBM budget; the mutable fill state lives on each
-        # ReplicaServer so replacement containers restart cold.
+        # hot rows from the HBM budget; each cached lane's pool holds its
+        # replicas' fills, so replacement containers restart cold.
         self.cache_mb = float(spec.cache_mb)
         self.cache_spec: CacheSpec | None = None
         if self.cache_mb > 0:
@@ -611,11 +610,11 @@ class _TenantRuntime:
                 cache.hit_cost_fraction,
                 1.0 - cache.hit_cost_fraction,
             )
-        # Access-skew drift and online re-planning (ROADMAP item 1).  Drift
-        # re-samples each query's gather set against a time-indexed mixture
-        # of two distribution endpoints; the replan policy watches the live
-        # p95 series and swaps in a successor plan mid-run.  Both build here,
-        # once (TenantSpec has already checked their grammar).
+        # Access-skew drift and online re-planning.  Drift re-samples each
+        # query's gather set against a time-indexed mixture of two
+        # distribution endpoints; the replan policy watches the live p95
+        # series and swaps in a successor plan mid-run.  Both build here, once
+        # (TenantSpec has already checked their grammar).
         drift, replan, slo = spec.drift, spec.replan, spec.slo
         self.drift_name = "none"
         self.drift_model = None
@@ -643,8 +642,7 @@ class _TenantRuntime:
                     "online re-planning needs an elasticrec plan with a "
                     "sharding layout to re-partition (strategy 'elasticrec')"
                 )
-        # SLO watchdog control plane (ROADMAP item 5); the per-run state
-        # lives in begin_run.
+        # SLO watchdog control plane; the per-run state lives in begin_run.
         self.slo_policy = make_slo_policy(slo)
         self.slo_name = "none"
         if self.slo_policy is not None:
@@ -660,20 +658,24 @@ class _TenantRuntime:
         # Routing state: one replica pool per deployment, mirroring
         # its servers dict; membership and failed/draining changes invalidate
         # the pool, accepted queries update its queue-drain array in place.
+        # Pure dense shards do not gather embeddings, so per-query cost
+        # multipliers and caches only apply to embedding and monolithic
+        # deployments.
         self.pools: dict[str, ReplicaPool] = {
-            d.name: ReplicaPool(self.servers[d.name]) for d in self.deployments
+            d.name: ReplicaPool(
+                self.servers[d.name],
+                self.cache_spec if d.spec.role != ROLE_DENSE else None,
+            )
+            for d in self.deployments
         }
         self._lanes = [
             _DeploymentLane(
                 name=d.name,
                 pool=self.pools[d.name],
                 service_s=1.0 / d.spec.per_replica_qps,
-                # Pure dense shards do not gather embeddings, so per-query
-                # cost multipliers and caches only apply to embedding and
-                # monolithic deployments.
                 cost_bearing=d.spec.role != ROLE_DENSE,
                 dense=d.spec.role in (ROLE_DENSE, ROLE_MONOLITHIC),
-                cached=self.caches_on and d.spec.role != ROLE_DENSE,
+                cached=self.pools[d.name].has_caches,
             )
             for d in self.deployments
         ]
@@ -699,7 +701,7 @@ class _TenantRuntime:
 
     def sync_servers(self, now: float) -> None:
         """Mirror the tenant's active containers into replica queue servers."""
-        for deployment, lane in zip(self.deployments, self._lanes):
+        for deployment in self.deployments:
             servers = self.servers[deployment.name]
             active_names = set()
             changed = False
@@ -709,16 +711,15 @@ class _TenantRuntime:
                 active_names.add(container.name)
                 if container.name not in servers:
                     ready_at = container.ready_at if container.ready_at is not None else now
-                    # Every new container gets a fresh, *empty* cache: a
-                    # crash replacement or drain-evicted replica's successor
-                    # restarts cold and warms up from the queries it serves.
+                    # The pool starts a new container's cache fill at zero:
+                    # a crash or drain replacement restarts cold and warms
+                    # up from the queries it serves.
                     servers[container.name] = ReplicaServer(
                         container.name,
                         ready_at=ready_at,
                         max_batch=self.max_batch,
                         batch_window_s=self.batch_window_s,
                         batch_model=self.batch_models[deployment.name],
-                        cache=ReplicaCache(self.cache_spec) if lane.cached else None,
                     )
                     changed = True
             for name in list(servers):
@@ -734,18 +735,11 @@ class _TenantRuntime:
     def invalidate_caches(self) -> None:
         """Drop every replica's cached rows (they all restart cold).
 
-        The re-sharding hook: when a future online re-planner (ROADMAP item
-        1) moves table shards between deployments, the rows a replica cached
-        no longer live where its queries will look for them, so the whole
-        tier invalidates and the hit-rate series dips until the caches
-        re-warm from served traffic.
+        The re-sharding hook: when the online re-planner cuts over to a new
+        plan, the rows a replica cached no longer live where its queries
+        will look for them, so the whole tier invalidates and the hit-rate
+        series dips until the caches re-warm from served traffic.
         """
-        for servers in self.servers.values():
-            for server in servers.values():
-                if server.cache is not None:
-                    server.cache.invalidate()
-        # Keep the pools' mirrored fill arrays consistent with the caches —
-        # one O(1) array clear per deployment.
         for pool in self.pools.values():
             pool.reset_fills()
 
@@ -1762,7 +1756,7 @@ class _TenantRuntime:
                 self._remove_factor(self.degradations, name, action[2])
 
     # ------------------------------------------------------------------
-    # Online re-planning (ROADMAP item 1)
+    # Online re-planning
     # ------------------------------------------------------------------
     def observe_drift(self, now: float) -> None:
         """Feed the detector this interval's end-to-end p95 (if replanning).
@@ -2100,13 +2094,6 @@ class _TenantRuntime:
             "num_samples": self.tracker.num_samples,
         }
 
-    def _restore_cache_fills(self) -> None:
-        """Hand the pools' fill mirrors back to the ReplicaCache objects, so
-        tests and re-sharding hooks can inspect caches between runs."""
-        if self.caches_on:
-            for pool in self.pools.values():
-                pool.flush_fills()
-
     def finish_run_streamed(self) -> dict:
         """Flush everything left, commit the tenant manifest, return a summary.
 
@@ -2115,7 +2102,6 @@ class _TenantRuntime:
         deliberately tiny (it crosses a process boundary).
         """
         self._flush_series_chunk()
-        self._restore_cache_fills()
         self.tracker.spill(self.tracker.num_samples, self._write_query_chunk)
         meta = self.manifest()
         self.stream_writer.write_meta({"schema": 1, "status": "complete", **meta})
@@ -2130,7 +2116,6 @@ class _TenantRuntime:
         return summary
 
     def finish_run(self) -> SimulationResult:
-        self._restore_cache_fills()
         return result_from_chunks(
             self.manifest(), [self._series_chunk()], self.tracker
         )
@@ -2671,6 +2656,7 @@ class MultiTenantEngine:
         if namespace is None:
             namespace = len(self._specs) > 1
         self._stream = stream
+        self._ran = False
         for index, tenant in enumerate(self._specs):
             deployments = self._cluster.add_plan(
                 tenant.plan,
@@ -2704,6 +2690,13 @@ class MultiTenantEngine:
         """Tenant names, in registration order."""
         return [t.name for t in self._specs]
 
+    def _claim_run(self) -> None:
+        # Queues, RNG streams, autoscaler history and metric series carry on
+        # from where a run left them, so a rerun would not be a fresh one.
+        if self._ran:
+            raise RuntimeError("an engine runs once; build a new one")
+        self._ran = True
+
     def run(
         self, on_event: Callable[[float, int], None] | None = None
     ) -> "MultiTenantResult | ShardManifest":
@@ -2715,6 +2708,7 @@ class MultiTenantEngine:
         :func:`repro.serving.sharding.merge_stream` turns back into a
         :class:`MultiTenantResult`.
         """
+        self._claim_run()
         probe = _ClusterProbe(self._cluster)
         results = _drive(
             self._cluster,
@@ -2763,9 +2757,7 @@ class ServingEngine(MultiTenantEngine):
 
     ``options`` are :class:`TenantSpec` fields (``routing``, ``seed``,
     ``cost_model``, ``faults``, ...), validated there; the tenant is named
-    after the plan, and its traffic pattern comes with each :meth:`run`.
-    State (replica counts, queues, autoscaler history, arrival RNG) persists
-    across runs.
+    after the plan, and its traffic pattern comes with :meth:`run`.
     """
 
     def __init__(
@@ -2780,10 +2772,6 @@ class ServingEngine(MultiTenantEngine):
         """The active replica-selection policy."""
         return self._runtimes[0].policy
 
-    def invalidate_caches(self) -> None:
-        """Re-sharding hook: drop every replica's embedding-cache contents."""
-        self._runtimes[0].invalidate_caches()
-
     def run(
         self,
         pattern: TrafficPattern,
@@ -2794,4 +2782,5 @@ class ServingEngine(MultiTenantEngine):
         ``on_event``, if given, observes every popped heap event as
         ``on_event(now, kind)`` (used by invariant tests).
         """
+        self._claim_run()
         return _drive(self._cluster, self._runtimes, [pattern], on_event=on_event)[0]

@@ -3,7 +3,7 @@
 ElasticRec's planner runs once before the clock starts, but access skew
 drifts: the hot prefix a plan was partitioned around stops matching the
 traffic, the stale shard boundaries unbalance gather costs, and tail latency
-climbs (ROADMAP item 1).  This module closes the plan→serve→observe→re-plan
+climbs.  This module closes the plan→serve→observe→re-plan
 loop with a deliberately cheap *threshold tier* — the rule-based first stage
 of a drift detector: it watches the live per-lane latency series the engine
 already samples and fires only after the p95 has breached an SLA-relative

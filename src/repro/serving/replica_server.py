@@ -35,8 +35,9 @@ __all__ = ["CacheSpec", "ReplicaCache", "ReplicaServer"]
 class CacheSpec:
     """Sizing and geometry of one deployment's per-replica embedding cache.
 
-    One spec is shared by every replica of a deployment; the mutable per
-    replica state is :class:`ReplicaCache`.  The model is the conservative
+    One spec is shared by every replica of a deployment; the per-replica
+    fills live in :class:`~repro.serving.routing.ReplicaPool`, tested
+    against the :class:`ReplicaCache` reference.  The model is the conservative
     hot-prefix one the paper adopts from the caching literature (after Kwon
     et al., as in ``core/gpu_cache.py``): a cache holding ``p`` rows is
     approximated as holding the ``p`` *hottest* rows, so the probability
@@ -165,9 +166,11 @@ class CacheSpec:
 
 
 class ReplicaCache:
-    """Mutable per-replica embedding-cache state: how many rows are resident.
+    """Reference model of one replica's embedding cache (its resident rows).
 
-    A fresh cache starts empty, so a crash-replacement or drain-evicted
+    The engine keeps fills in ``ReplicaPool.fill_rows`` and prices inline;
+    ``tests/serving/test_cache.py`` checks it against this class query for
+    query.  A fresh cache starts empty, so a crash-replacement or drain-evicted
     replica's replacement container restarts cold and earns its hit rate
     back one served query at a time.  Warm-up is *optimistic* in the
     insert-on-miss sense: every missed gather is assumed to admit a new row
@@ -287,7 +290,6 @@ class ReplicaServer:
         "_batch_base",
         "_run_starts",
         "_run_ends",
-        "cache",
     )
 
     def __init__(
@@ -297,7 +299,6 @@ class ReplicaServer:
         max_batch: int = 1,
         batch_window_s: float = 0.0,
         batch_model: BatchLatencyModel | None = None,
-        cache: ReplicaCache | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -323,10 +324,6 @@ class ReplicaServer:
             self._unit_scale = 0.0
         else:
             self._unit_scale = 1.0 - batch_model.overhead_fraction
-        #: Per-replica embedding cache, or ``None`` on cache-less runs.  The
-        #: engine reads and updates it; a replacement container gets a fresh
-        #: (cold) instance, never the dead replica's warm one.
-        self.cache = cache
         self._completed = 0
         self._batches = 0
         self._busy_time = 0.0

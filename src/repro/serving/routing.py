@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
-from repro.serving.replica_server import ReplicaServer
+from repro.serving.replica_server import CacheSpec, ReplicaServer
 
 __all__ = [
     "ReplicaPool",
@@ -130,7 +130,9 @@ class ReplicaPool:
         "cache_warm",
     )
 
-    def __init__(self, source: dict[str, ReplicaServer]) -> None:
+    def __init__(
+        self, source: dict[str, ReplicaServer], cache_spec: CacheSpec | None = None
+    ) -> None:
         self._source = source
         self.servers: list[ReplicaServer] = []
         self.busy = np.empty(0, dtype=np.float64)
@@ -141,20 +143,20 @@ class ReplicaPool:
         self.has_blocked = False
         self.ready_threshold = 0.0
         self.single_batch = True
-        self.has_caches = False
-        # Array-backed cache state (``None`` on cache-less pools): one fill
-        # value per replica, plus the shared spec's capacity and its cached
-        # reciprocal.  The scalar ``ReplicaCache`` objects stay the reference
-        # implementation — ``_rebuild`` writes the fills back to them before
-        # re-mirroring, so membership changes round-trip fills exactly.
+        # Embedding-cache state of a cached lane, the only copy of it: one
+        # resident-row count per replica (``fill_rows`` stays ``None`` on
+        # cache-less pools), plus the tenant's shared spec's capacity and its
+        # cached reciprocal.  ``has_caches`` also routes the recovery-aware
+        # cold penalty off actual fill instead of the time-window fast path.
+        self.has_caches = cache_spec is not None
         self.fill_rows: list[float] | None = None
-        self.cache_capacity = 0.0
-        self.cache_inv_capacity = 0.0
-        # True only while *every* mirrored fill is pinned at the capacity.
-        # Fills are monotonic between invalidations (admission only adds
-        # rows), so once set the flag stays valid until ``reset_fills`` or a
-        # membership change; the engine's cached hot path uses it to skip
-        # the per-query fill read entirely in the steady state.
+        self.cache_capacity = float(cache_spec.capacity_eff) if cache_spec else 0.0
+        self.cache_inv_capacity = cache_spec.inv_capacity_eff if cache_spec else 0.0
+        # True only while *every* fill is pinned at the capacity.  Fills are
+        # monotonic between invalidations (admission only adds rows), so once
+        # set the flag stays valid until ``reset_fills`` or a membership
+        # change; the engine's cached hot path uses it to skip the per-query
+        # fill read entirely in the steady state.
         self.cache_warm = False
         self._dirty = True
 
@@ -169,11 +171,6 @@ class ReplicaPool:
         return self
 
     def _rebuild(self) -> None:
-        # Write the fill array back to the (old) servers' caches first, so a
-        # membership change never loses fills served since the last rebuild:
-        # survivors reload their exact values below, departed replicas keep
-        # theirs for post-run inspection, and fresh replicas mirror in cold.
-        self.flush_fills()
         servers = list(self._source.values())
         self.servers = servers
         size = len(servers)
@@ -182,7 +179,6 @@ class ReplicaPool:
         ready = np.empty(size, dtype=np.float64)
         blocked = np.empty(size, dtype=bool)
         single_batch = True
-        has_caches = False
         model = None
         for index, server in enumerate(servers):
             busy[index] = server.busy_until
@@ -190,8 +186,6 @@ class ReplicaPool:
             blocked[index] = server.failed or server.draining
             if server.max_batch != 1:
                 single_batch = False
-            if server.cache is not None:
-                has_caches = True
             if index == 0:
                 model = server.batch_model
             elif server.batch_model is not model:
@@ -199,6 +193,7 @@ class ReplicaPool:
         self.busy = busy
         self.ready = ready
         self.blocked = blocked
+        previous = self.index_of
         self.index_of = {server.name: index for index, server in enumerate(servers)}
         self.has_blocked = bool(blocked.any())
         if size and not self.has_blocked:
@@ -209,75 +204,29 @@ class ReplicaPool:
         # configuration (every replica max_batch == 1, one shared model): the
         # unit-batch service time is then one shared scalar.
         self.single_batch = single_batch
-        # Cached lanes drive the recovery-aware cold penalty off actual cache
-        # fill; the flag routes those pools around the time-window fast path.
-        self.has_caches = has_caches
-        if has_caches:
-            # A plain Python list, not a numpy array: the engine's cached hot
-            # path reads and writes one scalar fill per query, and float list
-            # indexing is several times cheaper than numpy scalar boxing.
-            # The recovery-aware policy (which wants the whole vector at
-            # once) converts with ``np.asarray`` at its call site.
-            fills = [0.0] * size
-            spec = None
-            for index, server in enumerate(servers):
-                cache = server.cache
-                if cache is not None:
-                    fills[index] = cache.fill_rows
-                    if spec is None:
-                        spec = cache.spec
+        if self.has_caches:
+            # Fills follow replicas by name: a survivor keeps its fill, and a
+            # new replica (crash or drain replacement, scale-out) starts cold.
+            # Container names are never reused, so a departed replica's fill
+            # is simply dropped.  A plain Python list, not a numpy array: the
+            # engine's cached hot path reads and writes one scalar fill per
+            # query, and float list indexing is several times cheaper than
+            # numpy scalar boxing (the recovery-aware policy converts with
+            # ``np.asarray`` at its call site).
+            old = self.fill_rows
+            fills = [
+                old[previous[server.name]] if server.name in previous else 0.0
+                for server in servers
+            ]
             self.fill_rows = fills
-            self.cache_capacity = float(spec.capacity_eff)
-            self.cache_inv_capacity = spec.inv_capacity_eff
             self.cache_warm = bool(size and min(fills) >= self.cache_capacity)
-        else:
-            self.fill_rows = None
-            self.cache_warm = False
         self._dirty = False
 
-    def flush_fills(self) -> None:
-        """Write the fill array back into the mirrored replicas' caches.
-
-        No-op on cache-less pools.
-        """
-        fills = self.fill_rows
-        if fills is None:
-            return
-        for index, server in enumerate(self.servers):
-            cache = server.cache
-            if cache is not None:
-                cache.fill_rows = fills[index]
-
     def reset_fills(self) -> None:
-        """Drop every mirrored fill to zero (cache invalidation)."""
+        """Drop every fill to zero (cache invalidation)."""
         if self.fill_rows is not None:
             self.fill_rows = [0.0] * self.size
             self.cache_warm = False
-
-    def cache_serve(self, index: int, hot_gathers: float, cold_gathers: float) -> float:
-        """Serve one query's gathers through the indexed replica's cache.
-
-        Syncs the array entry through the :class:`ReplicaCache` admission
-        reference (read-modify-write): the engine prices inline against
-        ``fill_rows``, and this method is the reference that inline rule is
-        checked against.
-        """
-        cache = self.servers[index].cache
-        if cache is None:
-            return 0.0
-        fills = self.fill_rows
-        if fills is not None:
-            cache.fill_rows = fills[index]
-        rate = cache.serve(hot_gathers, cold_gathers)
-        if fills is not None:
-            fills[index] = cache.fill_rows
-            if (
-                not self.cache_warm
-                and cache.fill_rows >= self.cache_capacity
-                and min(fills) >= self.cache_capacity
-            ):
-                self.cache_warm = True
-        return rate
 
     def all_ready(self, now: float) -> bool:
         """Fast-path test: every replica routable and past its ready time."""
@@ -608,11 +557,11 @@ class RecoveryAwarePolicy(RoutingPolicy):
     (and all replicas when no cost hint is supplied) rank exactly as under
     least-work; ties resolve to the replica listed first.
 
-    When the engine's embedding-cache tier is on, replicas carry actual
-    cache state and the fixed wall-clock window is replaced by the real
-    thing: the cold fraction is ``1 - fill_fraction`` of the replica's
-    cache, so the penalty fades exactly as fast as the cache warms (and
-    reappears in full if the cache is invalidated by a re-shard).
+    When the engine's embedding-cache tier is on, the pool carries each
+    replica's actual cache fill and the fixed wall-clock window is replaced
+    by the real thing: the cold fraction is ``1 - fill_fraction`` of the
+    replica's cache, so the penalty fades exactly as fast as the cache warms
+    (and reappears in full if the cache is invalidated by a re-shard).
     Cache-less pools rank bit-identically to the historical time-window
     policy.
     """

@@ -1,6 +1,6 @@
 """Self-healing SLO control plane: tiered watchdog + graceful degradation.
 
-ROADMAP item 5, shaped by SNIPPETS.md's Choi-vs-L2 analysis: a *tiered
+Shaped by SNIPPETS.md's Choi-vs-L2 analysis: a *tiered
 hybrid* regression detector over the engine's live latency/availability
 series.  Tier 1 is the explainable rule layer — p95/p99 against SLA betas,
 an availability floor and a rejection-rate ceiling, each checked every

@@ -23,9 +23,9 @@ from repro.data.distributions import ZipfDistribution
 from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import ServingEngine, _TenantRuntime
 from repro.serving.replica_server import CacheSpec, ReplicaCache, ReplicaServer
-from repro.serving.routing import ReplicaPool
+from repro.serving.scenarios import build_scenario
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import SkewedCostModel
 
@@ -281,18 +281,12 @@ class TestEngineWithCaches:
         engine = ServingEngine(plan, seed=0, cost_model="skewed", cache_mb=64.0)
         engine.run(pattern)
         runtime = engine._runtimes[0]
-        fills = [
-            server.cache.fill_rows
-            for servers in runtime.servers.values()
-            for server in servers.values()
-            if server.cache is not None
-        ]
+        cached = [lane.pool for lane in runtime._lanes if lane.cached]
+        fills = [fill for pool in cached for fill in pool.refresh().fill_rows]
         assert fills and max(fills) > 0.0
-        engine.invalidate_caches()
-        for servers in runtime.servers.values():
-            for server in servers.values():
-                if server.cache is not None:
-                    assert server.cache.fill_rows == 0.0
+        runtime.invalidate_caches()
+        for pool in cached:
+            assert pool.refresh().fill_rows == [0.0] * pool.size
 
     def test_crash_replacement_restarts_cold_and_warms_back(self, plan):
         # Crash a replica of one embedding deployment mid-run: the lane's
@@ -323,92 +317,92 @@ class TestEngineWithCaches:
 
 
 # ----------------------------------------------------------------------
-# Cache-fill equivalence (Hypothesis): pool arrays == scalar ReplicaCache
+# Differential check: the engine's inline pricing vs the ReplicaCache rule
 # ----------------------------------------------------------------------
-hypothesis = pytest.importorskip("hypothesis")
+@pytest.fixture
+def priced(monkeypatch):
+    """Every submit ``_dispatch`` makes to a cached lane's replica, in call
+    order, as ``(query index, server, multiplier)``."""
+    calls = []
+    current = []
+    dispatch = _TenantRuntime._dispatch
+    submit = ReplicaServer.submit
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+    def recording_dispatch(runtime, lanes, now, query_index, *args):
+        current.append((runtime, query_index))
+        try:
+            return dispatch(runtime, lanes, now, query_index, *args)
+        finally:
+            current.pop()
 
-_SETTINGS = dict(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+    def recording_submit(server, arrival, service_time, multiplier=1.0):
+        if current:
+            runtime, query = current[-1]
+            if any(
+                server.name in runtime.servers[lane.name]
+                for lane in runtime._lanes
+                if lane.cached
+            ):
+                calls.append((query, server, multiplier))
+        return submit(server, arrival, service_time, multiplier)
 
-
-# Interleaved cache operations: (kind selector, replica selector fraction,
-# hot gathers, cold gathers).  kind 0 invalidates every cache, kind 1
-# crash-replaces one replica (cold restart through a pool rebuild), the
-# rest serve one query's gathers through the selected replica.
-_CACHE_OPS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=19),
-        st.floats(min_value=0.0, max_value=0.999),
-        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=120,
-)
+    monkeypatch.setattr(_TenantRuntime, "_dispatch", recording_dispatch)
+    monkeypatch.setattr(ReplicaServer, "submit", recording_submit)
+    return calls
 
 
-class TestPoolFillEquivalence:
-    @given(ops=_CACHE_OPS, capacity=st.sampled_from([40, 600, 10_000]))
-    @settings(**_SETTINGS)
-    def test_array_backed_fills_match_scalar_caches(self, ops, capacity):
-        """Drive pool-owned fill arrays and scalar caches through the same ops.
+class TestInlinePricingMatchesReference:
+    """Replay a cached run's submits through one ``ReplicaCache`` per replica.
 
-        The pool mirrors each replica's ``ReplicaCache`` fill into
-        ``fill_rows``; serves route through :meth:`ReplicaPool.cache_serve`
-        (the admission reference), crash replacements rebuild the
-        pool membership, and ``reset_fills`` models ``invalidate_caches``.
-        Every returned hit rate, every mirrored fill, the pool's warm flag,
-        and the final flushed-back cache fills must match the standalone
-        scalar reference bit-for-bit.
-        """
-        spec = _spec(capacity)
-        names = [f"r{i}" for i in range(3)]
-        source = {
-            name: ReplicaServer(name, cache=ReplicaCache(spec)) for name in names
-        }
-        pool = ReplicaPool(source)
-        pool.refresh()
-        reference = {name: ReplicaCache(spec) for name in names}
-        spawned = len(names)
+    The engine never holds ``ReplicaCache`` objects: it prices inline
+    against ``ReplicaPool.fill_rows``.  Every multiplier it charges a cached
+    replica must equal ``cache_adjusted_multiplier`` over a reference cache
+    that has served exactly that replica's queries (starting cold), and
+    every final pool fill must equal its reference fill, float for float.
+    """
 
-        for kind, fraction, hot, cold in ops:
-            if kind == 0:
-                pool.reset_fills()
-                for cache in reference.values():
-                    cache.invalidate()
-            elif kind == 1:
-                victim = names[int(fraction * len(names))]
-                del source[victim]
-                del reference[victim]
-                replacement = f"r{spawned}"
-                spawned += 1
-                source[replacement] = ReplicaServer(
-                    replacement, cache=ReplicaCache(spec)
-                )
-                reference[replacement] = ReplicaCache(spec)
-                names = list(source)
-                pool.invalidate()
-                pool.refresh()
-            else:
-                name = names[int(fraction * len(names))]
-                index = pool.index_of[name]
-                rate = pool.cache_serve(index, hot, cold)
-                expected = reference[name].serve(hot, cold)
-                assert rate == expected
-                assert pool.fill_rows[index] == reference[name].fill_rows
-            # The warm flag may lag (it is only recomputed on clamp events
-            # and rebuilds) but must never claim warmth that is not there.
-            if pool.cache_warm:
-                assert min(pool.fill_rows) >= pool.cache_capacity
-
-        pool.flush_fills()
-        for name, server in source.items():
-            assert server.cache.fill_rows == reference[name].fill_rows
-            assert server.cache.fill_fraction == reference[name].fill_fraction
+    @pytest.mark.parametrize(
+        "cache_mb, routing, faults, seed",
+        [
+            (64.0, "least-work", None, 0),
+            # Fills pin at capacity: both warm fast paths (the whole pool and
+            # a single replica) take over.
+            (0.5, "least-work", None, 1),
+            # Cold replacements, crash requeues and pool rebuilds.
+            (4.0, "round-robin", "crash-storm", 2),
+            (16.0, "recovery-aware", "crash-storm", 3),
+        ],
+    )
+    def test_every_cached_submit_matches_the_reference(
+        self, plan, priced, cache_mb, routing, faults, seed
+    ):
+        pattern = build_scenario("diurnal", 10, 40, 300, seed=seed)
+        engine = ServingEngine(
+            plan,
+            seed=seed,
+            routing=routing,
+            cost_model="skewed",
+            cache_mb=cache_mb,
+            faults=faults,
+        )
+        result = engine.run(pattern)
+        runtime = engine._runtimes[0]
+        spec = runtime.cache_spec
+        references: dict[str, ReplicaCache] = {}
+        for query, server, multiplier in priced:
+            reference = references.setdefault(server.name, ReplicaCache(spec))
+            hot, cold = runtime.query_hot[query], runtime.query_cold[query]
+            hit_rate = reference.serve(hot, cold)
+            expected = cache_adjusted_multiplier(
+                runtime.query_multipliers[query], hit_rate, spec.hit_cost_fraction
+            )
+            assert multiplier == expected, (server.name, query)
+        assert len(priced) > 10_000
+        for lane in runtime._lanes:
+            if lane.cached:
+                pool = lane.pool.refresh()
+                for index, server in enumerate(pool.servers):
+                    reference = references.get(server.name, ReplicaCache(spec))
+                    assert pool.fill_rows[index] == reference.fill_rows, server.name
+        if faults is not None:
+            assert result.faults_injected > 0

@@ -19,7 +19,7 @@ from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import EventKind, ServingEngine
-from repro.serving.replica_server import ReplicaServer
+from repro.serving.replica_server import ReplicaCache, ReplicaServer
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import degraded_gather_multiplier
 
@@ -54,10 +54,10 @@ class Harness:
             **options,
         )
         self.runtime = runtime = engine._runtimes[0]
-        for servers in runtime.servers.values():
-            for server in servers.values():
-                if warm and server.cache is not None:
-                    server.cache.warm()
+        for lane in runtime._lanes:
+            if warm and lane.cached:
+                pool = lane.pool.refresh()
+                pool.fill_rows[:] = [pool.cache_capacity] * pool.size
         runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
         runtime.track_inflight = True
         self.charged = charged
@@ -145,7 +145,9 @@ def test_requeued_retry_is_repriced_on_the_survivor_cache(plan, charged):
     harness.crash(now, dense=True, policy="drop")
     harness.crash(harness.replay_retry(), dense=False, policy="requeue")
     survivor, charge = harness.charged[-1]
-    cache = harness.runtime.servers[harness.lane_of(survivor).name][survivor].cache
+    pool = harness.lane_of(survivor).pool.refresh()
+    cache = ReplicaCache(harness.runtime.cache_spec)
+    cache.fill_rows = pool.fill_rows[pool.index_of[survivor]]
     hit_rate = cache.hit_rate(*harness.split)
     assert hit_rate > 0.0
     assert charge == cache_adjusted_multiplier(

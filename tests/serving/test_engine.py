@@ -8,7 +8,12 @@ import pytest
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import EventKind, ServingEngine
+from repro.serving.engine import (
+    EventKind,
+    MultiTenantEngine,
+    ServingEngine,
+    TenantSpec,
+)
 from repro.serving.traffic import TrafficPattern
 
 # summary() of the pre-engine (seed) simulator for the reference run below,
@@ -56,6 +61,21 @@ class TestDeterminism:
         first = ServingEngine(plan, autoscale=False, seed=7).run(pattern)
         second = ServingEngine(plan, autoscale=False, seed=7).run(pattern)
         assert repr(first.summary()) == repr(second.summary())
+
+    @pytest.mark.parametrize("autoscale", [True, False])
+    def test_an_engine_runs_once(self, plan, pattern, autoscale):
+        # Queues, RNG streams and metric series carry on from the first run,
+        # so a second run is refused with a one-line error.
+        engine = ServingEngine(plan, autoscale=autoscale, seed=0)
+        engine.run(pattern)
+        with pytest.raises(RuntimeError, match="an engine runs once; build a new one"):
+            engine.run(pattern)
+        fleet = MultiTenantEngine(
+            [TenantSpec("only", plan, pattern, autoscale=autoscale, seed=0)]
+        )
+        fleet.run()
+        with pytest.raises(RuntimeError, match="an engine runs once; build a new one"):
+            fleet.run()
 
     def test_power_of_two_deterministic_per_seed(self, plan, pattern):
         first = ServingEngine(plan, routing="power-of-two", autoscale=False, seed=5).run(pattern)
