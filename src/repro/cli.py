@@ -46,6 +46,7 @@ Usage (also available as ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro._version import __version__
@@ -97,8 +98,8 @@ def _check_cache(cache_mb: float, cost_model: str) -> None:
     in a traceback; the cache needs per-query gather splits, which only the
     skewed cost model provides.
     """
-    if cache_mb < 0:
-        raise SystemExit("--cache-mb must be non-negative")
+    if not 0 <= cache_mb < math.inf:
+        raise SystemExit("--cache-mb must be non-negative and finite")
     if cache_mb > 0 and cost_model == "homogeneous":
         raise SystemExit(
             "--cache-mb needs per-query gather splits; use --cost-model skewed"
@@ -140,6 +141,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for float options that must be finite and positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite positive number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -160,10 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
         )
-        sub.add_argument("--target-qps", type=float, default=100.0, help="throughput target")
-        sub.add_argument("--num-nodes", type=int, default=None, help="override fleet size")
         sub.add_argument(
-            "--num-shards", type=int, default=None, help="force a shard count per table"
+            "--target-qps", type=_positive_float, default=100.0, help="throughput target"
+        )
+        sub.add_argument(
+            "--num-nodes", type=_positive_int, default=None, help="override fleet size"
+        )
+        sub.add_argument(
+            "--num-shards", type=_positive_int, default=None, help="force a shard count per table"
         )
 
     simulate = subparsers.add_parser(
@@ -173,9 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
     )
-    simulate.add_argument("--num-nodes", type=int, default=None, help="override fleet size")
     simulate.add_argument(
-        "--num-shards", type=int, default=None, help="force a shard count per table"
+        "--num-nodes", type=_positive_int, default=None, help="override fleet size"
+    )
+    simulate.add_argument(
+        "--num-shards", type=_positive_int, default=None, help="force a shard count per table"
     )
     simulate.add_argument(
         "--scenario",
@@ -251,10 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: none)"
         ),
     )
-    simulate.add_argument("--base-qps", type=float, default=18.0, help="baseline query rate")
-    simulate.add_argument("--peak-qps", type=float, default=90.0, help="peak query rate")
     simulate.add_argument(
-        "--duration-s", type=float, default=900.0, help="simulated duration in seconds"
+        "--base-qps", type=_positive_float, default=18.0, help="baseline query rate"
+    )
+    simulate.add_argument(
+        "--peak-qps", type=_positive_float, default=90.0, help="peak query rate"
+    )
+    simulate.add_argument(
+        "--duration-s",
+        type=_positive_float,
+        default=900.0,
+        help="simulated duration in seconds",
     )
     simulate.add_argument("--seed", type=int, default=0, help="random seed")
     simulate.add_argument(
@@ -304,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
     )
-    sweep.add_argument("--num-nodes", type=int, default=8, help="shared node pool size")
     sweep.add_argument(
-        "--num-tables", type=int, default=4, help="scale the workload's table count"
+        "--num-nodes", type=_positive_int, default=8, help="shared node pool size"
+    )
+    sweep.add_argument(
+        "--num-tables", type=_positive_int, default=4, help="scale the workload's table count"
     )
     sweep.add_argument(
         "--tenants", type=int, default=1, help="co-located tenants per grid cell"
@@ -380,10 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument("--workers", type=int, default=1, help="worker processes")
-    sweep.add_argument("--base-qps", type=float, default=18.0, help="baseline query rate")
-    sweep.add_argument("--peak-qps", type=float, default=90.0, help="peak query rate")
     sweep.add_argument(
-        "--duration-s", type=float, default=600.0, help="simulated duration per cell"
+        "--base-qps", type=_positive_float, default=18.0, help="baseline query rate"
+    )
+    sweep.add_argument(
+        "--peak-qps", type=_positive_float, default=90.0, help="peak query rate"
+    )
+    sweep.add_argument(
+        "--duration-s", type=_positive_float, default=600.0, help="simulated duration per cell"
     )
     sweep.add_argument("--seed", type=int, default=0, help="base random seed")
 

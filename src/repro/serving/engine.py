@@ -9,10 +9,11 @@ Event types, in tie-breaking order at equal timestamps:
 * ``COMPLETION`` — a query finished on one replica (scheduled only when the
   routing policy tracks in-flight queries, e.g. ``least-outstanding``);
 * ``ARRIVAL`` — the next pending query arrival.  Arrivals are pre-generated
-  as one sorted vector per tenant per run and consumed in *chunked drains*:
-  one heap event covers every arrival up to the next control event, so a
-  100k-query run costs thousands — not hundreds of thousands — of heap
-  operations;
+  as one sorted vector per tenant per run and consumed in *drains*: one heap
+  event serves every arrival up to the first one that must wait for another
+  heap event (a control tick, a fault, another tenant's arrival, or a
+  completion or timeout the drain itself scheduled), so a 100k-query run
+  costs thousands — not hundreds of thousands — of heap operations;
 * ``AUTOSCALE`` — the coalesced control tick: every control phase that lands
   on one boundary timestamp — per-tenant interval-metric flushes and HPA
   evaluations, the shared cluster ``RECONCILE``, per-tenant ``SAMPLE``
@@ -750,13 +751,6 @@ class _TenantRuntime:
         """Reset the per-run accumulators and draw this run's arrivals."""
         self.pattern = pattern
         self.arrivals = pattern.arrivals(self.rng)
-        # The chunked arrival drain walks Python floats; one bulk conversion
-        # replaces a per-element numpy-scalar unboxing in the hot loop.  A
-        # streamed run skips the whole-run list (it costs ~4x the float64
-        # array's footprint) and converts one drain chunk at a time instead.
-        self.arrival_list: list[float] | None = (
-            None if self.stream is not None else self.arrivals.tolist()
-        )
         self.policy.reset(np.random.default_rng([self.seed, 1]))
         # Pre-sample every query's cost multiplier, vectorised, from a
         # dedicated seed stream (the homogeneous model never draws, so it
@@ -991,9 +985,7 @@ class _TenantRuntime:
         self.query_cold = cold if self.stream is not None else cold.tolist()
 
     def arrival_at(self, index: int) -> float:
-        """The ``index``-th arrival time as a Python float (any mode)."""
-        if self.arrival_list is not None:
-            return self.arrival_list[index]
+        """The ``index``-th arrival time as a Python float."""
         return float(self.arrivals[index])
 
     def _served_totals(self, deployment_name: str) -> tuple[int, int]:
@@ -1009,13 +1001,15 @@ class _TenantRuntime:
         arrival: float,
         query_index: int,
         tenant_index: int,
-        heap: list | None = None,
-        seq: itertools.count | None = None,
+        heap: list,
+        seq: itertools.count,
     ) -> None:
         """Route one query through every deployment the tenant needs.
 
         Every arrival records exactly one tracker sample, in arrival order,
         so a query's tracker index is its arrival index ``query_index``.
+        Its COMPLETION (completion-tracking policies) and TIMEOUT (armed
+        deadlines) events go onto the run's ``heap``, stamped from ``seq``.
         """
         watchdog_on = self.watchdog_on
         if watchdog_on:
@@ -1062,8 +1056,8 @@ class _TenantRuntime:
         query_index: int,
         mode: int,
         tenant_index: int,
-        heap: list | None,
-        seq: itertools.count | None,
+        heap: list,
+        seq: itertools.count,
     ) -> tuple[float, bool]:
         """Send one attempt of a query to each lane: route, price, submit, register.
 
@@ -2192,6 +2186,12 @@ def _drive(
     :meth:`_TenantRuntime.finish_run_streamed` for streamed ones (their full
     result lives in the spool).
 
+    A tenant's one ARRIVAL event starts a drain that serves its arrivals in
+    order until one must wait for the heap top, exactly the order one ARRIVAL
+    event per arrival would pop in.  Equal arrival times across tenants go to
+    the draining tenant: tenants share no state between control ticks, so
+    that order changes no result.
+
     ``probe``, if given, is called as ``probe(now)`` after each tenant sample
     point (at equal timestamps every reconcile precedes every sample, so the
     probe always observes a settled cluster).  ``on_event``, if given, is
@@ -2243,56 +2243,30 @@ def _drive(
                 on_event(now, kind)
             tenant_index, index = payload
             runtime = runtimes[tenant_index]
-            if runtime.track_completions or runtime.deadline_armed:
-                # One event per arrival so completion (or timeout) events
-                # interleave with arrivals in timestamp order.  Armed
-                # deadlines force this mode even for policies that do not
-                # track completions: serve_query must be able to schedule
-                # TIMEOUT events, and the predicate re-evaluates at every
-                # pop, so the ladder arming/disarming mid-run switches the
-                # drain mode at the next arrival.
-                runtime.serve_query(
-                    runtime.arrival_at(index), index, tenant_index, heap, seq
+            arrivals = runtime.arrivals
+            serve = runtime.serve_query
+            # An arrival at t goes before the heap top (h, kind) iff t < h, or
+            # t == h and kind is not COMPLETION.  serve_query may push
+            # COMPLETION and TIMEOUT events, so the top is re-read after every
+            # query; ``top = None`` forces that re-read after the popped
+            # arrival, which is always served.  The tenant's last control tick
+            # is queued after every served arrival, so the heap is never empty.
+            top = None
+            stop = index + 1
+            while index < stop:
+                for arrival in arrivals[index:stop].tolist():
+                    serve(arrival, index, tenant_index, heap, seq)
+                    index += 1
+                    if heap[0] is not top:
+                        break
+                top = heap[0]
+                side = "left" if top[1] == EventKind.COMPLETION else "right"
+                stop = max(int(np.searchsorted(arrivals, top[0], side=side)), index)
+            if index < runtime.num_served:
+                heapq.heappush(
+                    heap,
+                    (float(arrivals[index]), EventKind.ARRIVAL, next(seq), (tenant_index, index)),
                 )
-                if index + 1 < runtime.num_served:
-                    heapq.heappush(
-                        heap,
-                        (
-                            runtime.arrival_at(index + 1),
-                            EventKind.ARRIVAL,
-                            next(seq),
-                            (tenant_index, index + 1),
-                        ),
-                    )
-            else:
-                # Chunked drain: serve every arrival up to (and including)
-                # the next control event of *any* tenant; nothing can
-                # preempt them in between.
-                horizon = heap[0][0] if heap else float("inf")
-                stop = int(np.searchsorted(runtime.arrivals, horizon, side="right"))
-                stop = min(max(stop, index + 1), runtime.num_served)
-                serve = runtime.serve_query
-                arrival_list = runtime.arrival_list
-                if arrival_list is not None:
-                    for i in range(index, stop):
-                        serve(arrival_list[i], i, tenant_index)
-                    next_arrival = arrival_list[stop] if stop < runtime.num_served else None
-                else:
-                    # Streamed run: no whole-run Python list — convert one
-                    # drain chunk at a time (same float64 values, bounded
-                    # footprint at any horizon).
-                    for i, arrival in enumerate(
-                        runtime.arrivals[index:stop].tolist(), start=index
-                    ):
-                        serve(arrival, i, tenant_index)
-                    next_arrival = (
-                        runtime.arrival_at(stop) if stop < runtime.num_served else None
-                    )
-                if next_arrival is not None:
-                    heapq.heappush(
-                        heap,
-                        (next_arrival, EventKind.ARRIVAL, next(seq), (tenant_index, stop)),
-                    )
         elif kind == EventKind.COMPLETION:
             if on_event is not None:
                 on_event(now, kind)
@@ -2474,8 +2448,8 @@ class TenantSpec:
             raise ValueError("max_batch must be at least 1")
         if self.batch_window_s < 0:
             raise ValueError("batch_window_s must be non-negative")
-        if self.cache_mb < 0:
-            raise ValueError("cache_mb must be non-negative")
+        if not 0 <= self.cache_mb < float("inf"):
+            raise ValueError("cache_mb must be non-negative and finite")
         # Resolve the control specs here, so a malformed one fails with its
         # one-line SpecError in the parent process, before any worker starts.
         resolve_fault_spec(self.faults)

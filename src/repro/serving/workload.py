@@ -93,36 +93,25 @@ class QueryCostModel:
 
     @property
     def supports_gather_splits(self) -> bool:
-        """Whether :meth:`sample_with_gathers` exposes hot/cold gather counts."""
+        """Whether :meth:`sample_priced` exposes hot/cold gather counts."""
         return False
 
     def sample(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``num_queries`` cost multipliers (float64, mean ~1.0)."""
         raise NotImplementedError
 
-    def sample_with_gathers(
-        self, num_queries: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`sample`, plus per-query distinct hot/cold gather counts.
-
-        Only models with ``supports_gather_splits`` implement this; the
-        serving engine's embedding-cache tier needs the split to drive
-        per-replica hit rates.
-        """
-        raise NotImplementedError(
-            f"cost model {self.name!r} does not expose per-query gather splits"
-        )
-
     def sample_priced(
         self, num_queries: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`sample_with_gathers`, plus per-query gather totals.
+        """Like :meth:`sample`, plus per-query hot/cold gather counts and totals.
 
-        The totals are summed once per *profile* and broadcast through the
-        assignment, so pre-pricing a run costs O(num_profiles) adds instead
-        of O(num_queries) — and each total is the identical ``hot + cold``
-        IEEE-754 sum the engine would compute per query.  Consumes the RNG
-        exactly like :meth:`sample` / :meth:`sample_with_gathers`.
+        Only models with ``supports_gather_splits`` implement this; the
+        serving engine's embedding-cache tier needs the split to drive
+        per-replica hit rates.  The totals are summed once per *profile* and
+        broadcast through the assignment, so pre-pricing a run costs
+        O(num_profiles) adds instead of O(num_queries) — and each total is
+        the identical ``hot + cold`` IEEE-754 sum the engine would compute
+        per query.  Consumes the RNG exactly like :meth:`sample`.
         """
         raise NotImplementedError(
             f"cost model {self.name!r} does not expose per-query gather splits"
@@ -300,7 +289,7 @@ class SkewedCostModel(QueryCostModel):
         """Shared sampling core: (costs, assignment, hot, cold) per profile.
 
         Consumes the RNG identically for every caller, so multipliers from
-        :meth:`sample` and :meth:`sample_with_gathers` are bit-identical for
+        :meth:`sample` and :meth:`sample_priced` are bit-identical for
         the same seed.  ``assignment`` is ``None`` on the degenerate
         every-gather-free path, which returns before drawing it (matching the
         historical stream).
@@ -325,20 +314,6 @@ class SkewedCostModel(QueryCostModel):
         if assignment is None:
             return np.ones(num_queries, dtype=np.float64)
         return multipliers[assignment]
-
-    def sample_with_gathers(
-        self, num_queries: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if num_queries < 0:
-            raise ValueError("num_queries must be non-negative")
-        empty = np.empty(0, dtype=np.float64)
-        if num_queries == 0:
-            return empty, empty, empty
-        multipliers, assignment, hot, cold = self._sample_profiles(num_queries, rng)
-        if assignment is None:
-            zeros = np.zeros(num_queries, dtype=np.float64)
-            return np.ones(num_queries, dtype=np.float64), zeros, zeros
-        return multipliers[assignment], hot[assignment], cold[assignment]
 
     def sample_priced(
         self, num_queries: int, rng: np.random.Generator

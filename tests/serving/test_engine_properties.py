@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.planner import ElasticRecPlanner  # noqa: E402
 from repro.hardware.specs import cpu_only_cluster  # noqa: E402
-from repro.model.configs import microbenchmark  # noqa: E402
+from repro.model.configs import microbenchmark, rm1  # noqa: E402
 from repro.serving.engine import EventKind, ServingEngine  # noqa: E402
 from repro.serving.faults import fault_scenario_names  # noqa: E402
 from repro.serving.routing import routing_policy_names  # noqa: E402
@@ -95,6 +95,32 @@ class TestMonotonicity:
         assert (result.tracker.latencies_s >= 0.0).all()
         sample_times = result.sample_times
         assert all(b > a for a, b in zip(sample_times, sample_times[1:]))
+
+
+class TestArrivalDrain:
+    """An arrival drain ends only where another heap event must pop first."""
+
+    @pytest.mark.parametrize("routing", ["recovery-aware", "least-outstanding"])
+    def test_no_two_arrival_pops_are_adjacent(self, routing):
+        # Brownout plus the SLO ladder: armed deadlines schedule TIMEOUTs
+        # mid-drain, and least-outstanding schedules a COMPLETION per submit.
+        engine = ServingEngine(
+            ElasticRecPlanner(cpu_only_cluster()).plan(rm1(), 18.0),
+            routing=routing,
+            cost_model="skewed",
+            faults="degrade@60+120:factor=2.0",
+            slo="p95@1.5:p99=2.5,shed=0.1,retries=2",
+        )
+        kinds: list[int] = []
+        result = engine.run(
+            build_scenario("constant", 18, 90, 240, seed=0),
+            on_event=lambda now, kind: kinds.append(kind),
+        )
+        assert result.watchdog_series["level"].max() >= 2, "deadlines never armed"
+        adjacent = sum(
+            a == b == EventKind.ARRIVAL for a, b in zip(kinds, kinds[1:])
+        )
+        assert adjacent == 0
 
 
 _CACHE_CONFIGS = st.tuples(

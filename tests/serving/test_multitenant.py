@@ -217,6 +217,8 @@ class TestValidation:
             (dict(max_batch=0), "max_batch must be at least 1"),
             (dict(batch_window_s=-1.0), "batch_window_s must be non-negative"),
             (dict(cache_mb=-1.0), "cache_mb must be non-negative"),
+            (dict(cache_mb=float("nan")), "cache_mb must be non-negative and finite"),
+            (dict(cache_mb=float("inf")), "cache_mb must be non-negative and finite"),
             (dict(faults="tsunami"), "unknown fault scenario"),
             (dict(slo="p95@nan"), "malformed slo spec"),
         ]

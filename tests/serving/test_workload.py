@@ -101,24 +101,25 @@ class TestSkewed:
         fresh = np.random.default_rng(42)
         assert model.sample(5000, rng).tobytes() == model.sample(5000, fresh).tobytes()
 
-    def test_empty_sample_with_gathers_never_touches_the_rng(self):
+    def test_empty_sample_priced_never_touches_the_rng(self):
         model = _skewed(0.9)
         rng = np.random.default_rng(42)
-        multipliers, hot, cold = model.sample_with_gathers(0, rng)
-        assert multipliers.shape == hot.shape == cold.shape == (0,)
+        multipliers, hot, cold, total = model.sample_priced(0, rng)
+        assert multipliers.shape == hot.shape == cold.shape == total.shape == (0,)
         assert rng.random() == np.random.default_rng(42).random()
 
-    def test_sample_with_gathers_matches_sample_stream(self):
+    def test_sample_priced_matches_sample_stream(self):
         # The split-aware variant must consume the RNG identically, so a
         # cached run prices the same multipliers as an uncached one.
         model = _skewed(0.9)
         plain = model.sample(5000, np.random.default_rng(7))
-        multipliers, hot, cold = model.sample_with_gathers(
+        multipliers, hot, cold, total = model.sample_priced(
             5000, np.random.default_rng(7)
         )
         assert plain.tobytes() == multipliers.tobytes()
         assert np.all(hot >= 0) and np.all(cold >= 0)
         assert np.all(hot + cold > 0)
+        assert total.tobytes() == (hot + cold).tobytes()
 
     def test_gather_splits_sum_to_profile_gathers(self):
         model = _skewed(0.5)
@@ -132,7 +133,7 @@ class TestSkewed:
         assert _skewed(0.5).supports_gather_splits
         assert not HomogeneousCostModel().supports_gather_splits
         with pytest.raises(NotImplementedError, match="homogeneous"):
-            HomogeneousCostModel().sample_with_gathers(8, np.random.default_rng(0))
+            HomogeneousCostModel().sample_priced(8, np.random.default_rng(0))
 
     def test_invalid_parameters_rejected(self):
         dist = UniformDistribution(ROWS)

@@ -192,6 +192,36 @@ class TestCommands:
             assert excinfo.value.code == 2
             assert "--max-batch: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "RM1", "--num-nodes", "0"],
+            ["simulate", "RM1", "--num-shards", "0"],
+            ["simulate", "RM1", "--base-qps", "nan"],
+            ["simulate", "RM1", "--peak-qps", "-5"],
+            ["simulate", "RM1", "--duration-s", "inf"],
+            ["simulate", "RM1", "--cost-model", "skewed", "--cache-mb", "inf"],
+            ["simulate", "RM1", "--cost-model", "skewed", "--cache-mb", "nan"],
+            ["plan", "RM1", "--target-qps", "nan"],
+            ["plan", "RM1", "--target-qps", "0"],
+            ["plan", "RM1", "--num-nodes", "0"],
+            ["manifests", "RM1", "--num-shards", "0"],
+            ["sweep", "RM1", "--num-nodes", "0"],
+            ["sweep", "RM1", "--duration-s", "nan"],
+            ["sweep", "RM1", "--num-tables", "0"],
+        ],
+    )
+    def test_malformed_numeric_flag_rejected(self, argv, capsys):
+        # Rejected before any work, with a one-line error naming the flag.
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (0, None)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = err + str(excinfo.value.code)
+        assert f"{flag}: must be" in message or f"{flag} must be" in message
+
     def test_sweep_command_output(self, capsys):
         assert main(
             ["sweep", "RM1", "--num-tables", "2", "--num-nodes", "4",
