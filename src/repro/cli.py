@@ -63,6 +63,7 @@ from repro.serving.faults import fault_scenario_names
 from repro.serving.routing import resolve_routing_names, routing_policy_names
 from repro.serving.scenarios import build_scenario, resolve_scenario_names, scenario_names
 from repro.serving.spec import SpecError, is_off
+from repro.serving.streaming import SpoolError
 from repro.serving.workload import cost_model_names
 
 __all__ = ["main", "build_parser"]
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "stream per-interval series and latency samples to an on-disk "
-            "spool at PATH instead of holding whole-run arrays in memory"
+            "spool at PATH instead of holding whole-run arrays in memory "
+            "(PATH must be new or empty)"
         ),
     )
     simulate.add_argument(
@@ -610,7 +612,7 @@ def _simulate_sharded(
             result = run_sharded(
                 tenants, cluster_spec=cluster, workers=workers, stream_dir=stream_dir
             )
-        except ValueError as error:
+        except (ValueError, SpoolError, OSError) as error:
             raise SystemExit(str(error)) from None
         stats = result.sharding_stats
         for name, tenant_result in result.tenants.items():

@@ -119,7 +119,12 @@ from repro.serving.replanner import (
 from repro.serving.replica_server import CacheSpec, ReplicaServer
 from repro.serving.routing import ReplicaPool, RoutingPolicy, make_routing_policy
 from repro.serving.spec import is_off
-from repro.serving.streaming import ShardManifest, SpoolWriter, StreamConfig
+from repro.serving.streaming import (
+    ShardManifest,
+    SpoolWriter,
+    StreamConfig,
+    claim_spool,
+)
 from repro.serving.traffic import TrafficPattern
 from repro.serving.watchdog import (
     WATCHDOG_SERIES_KEYS,
@@ -572,7 +577,7 @@ class _TenantRuntime:
         self.cache_mb = float(spec.cache_mb)
         self.cache_spec: CacheSpec | None = None
         if self.cache_mb > 0:
-            if not getattr(self.cost_model, "supports_gather_splits", False):
+            if not self.cost_model.supports_gather_splits:
                 raise ValueError(
                     "the embedding cache needs per-query gather splits; "
                     "use the skewed cost model (--cost-model skewed)"
@@ -624,7 +629,7 @@ class _TenantRuntime:
             self.drift_name = drift if isinstance(drift, str) else "custom"
             if isinstance(drift, str):
                 drift = parse_drift_spec(drift)
-            if not getattr(self.cost_model, "supports_gather_splits", False):
+            if not self.cost_model.supports_gather_splits:
                 raise ValueError(
                     "access-skew drift needs per-query gather sampling; "
                     "use the skewed cost model (--cost-model skewed)"
@@ -748,22 +753,24 @@ class _TenantRuntime:
     # Per-run lifecycle
     # ------------------------------------------------------------------
     def begin_run(self, pattern: TrafficPattern) -> None:
-        """Reset the per-run accumulators and draw this run's arrivals."""
+        """Reset the per-run accumulators; draw this run's arrivals and cost columns.
+
+        The cost columns are float64 arrays in every run mode: the
+        multiplier and, for a model with gather splits, the hot/cold/total
+        gathers.  Pricing that depends on a replica's cache happens per
+        attempt in :meth:`_dispatch`.
+        """
         self.pattern = pattern
         self.arrivals = pattern.arrivals(self.rng)
         self.policy.reset(np.random.default_rng([self.seed, 1]))
-        # Pre-sample every query's cost multiplier, vectorised, from a
-        # dedicated seed stream (the homogeneous model never draws, so it
-        # cannot perturb any other stream of the run).  Streamed runs keep
-        # the float64 array (indexing yields the same values bit-for-bit).
-        self.query_hot: "list[float] | np.ndarray | None" = None
-        self.query_cold: "list[float] | np.ndarray | None" = None
-        self.query_total: "list[float] | np.ndarray | None" = None
-        self.query_warm_hits: "list[float] | np.ndarray | None" = None
-        self.query_warm_scale: "list[float] | np.ndarray | None" = None
-        if self.cost_model.is_homogeneous:
-            self.query_multipliers: "list[float] | np.ndarray | None" = None
-        else:
+        # Pre-sample every query's cost columns, vectorised, from a dedicated
+        # seed stream (the homogeneous model never draws, so it cannot
+        # perturb any other stream of the run).  The cache tier and watchdog
+        # quality fallback price from the gather splits; ``sample_priced``
+        # consumes the RNG exactly as ``sample`` does, so its multipliers
+        # are bit-for-bit the ones ``sample`` would draw.
+        columns = (None, None, None, None)
+        if not self.cost_model.is_homogeneous:
             cost_rng = np.random.default_rng([self.seed, 2])
             if self.drift_on:
                 # Drift-aware sampling.  The [seed, 2] cost stream is consumed
@@ -773,54 +780,20 @@ class _TenantRuntime:
                 # [seed, 4] drift stream — so a zero-weight drift reproduces
                 # the drift-free run bit-for-bit, and drift-off runs never
                 # touch [seed, 4] at all.
-                drift_rng = np.random.default_rng([self.seed, 4])
-                weights = self.drift_model.weight_at(self.arrivals)
-                (
-                    multipliers,
-                    hot,
-                    cold,
-                    total,
-                    start_mean,
-                    end_mean,
-                ) = sample_drifting_priced(
+                *columns, start_mean, end_mean = sample_drifting_priced(
                     self.cost_model,
                     self.end_cost_model,
-                    weights,
+                    self.drift_model.weight_at(self.arrivals),
                     cost_rng,
-                    drift_rng,
+                    np.random.default_rng([self.seed, 4]),
                 )
                 self._drift_means = (start_mean, end_mean)
-                if self.caches_on:
-                    self._store_cache_pricing(hot, cold, total)
-                elif self.slo_policy is not None:
-                    self._store_gather_splits(hot, cold)
-            elif self.caches_on:
-                # The split-returning variant consumes the RNG identically to
-                # plain sample(), so the multipliers (and every downstream
-                # draw) match the cache-less run bit-for-bit.  The pre-priced
-                # totals are the exact per-query ``hot + cold`` sums, summed
-                # once per profile instead of twice per lane per query.
-                multipliers, hot, cold, total = self.cost_model.sample_priced(
-                    self.arrivals.size, cost_rng
-                )
-                self._store_cache_pricing(hot, cold, total)
-            elif self.slo_policy is not None and getattr(
-                self.cost_model, "supports_gather_splits", False
-            ):
-                # Watchdog quality fallback prices cache-hot-only gathers, so
-                # a cache-less watchdog run keeps the splits.  sample_priced
-                # consumes the RNG identically to plain sample(), and
-                # query_total stays None, so the cache hot path stays off and
-                # the multipliers match the unguarded run bit-for-bit.
-                multipliers, hot, cold, _ = self.cost_model.sample_priced(
-                    self.arrivals.size, cost_rng
-                )
-                self._store_gather_splits(hot, cold)
+            elif self.cost_model.supports_gather_splits:
+                columns = self.cost_model.sample_priced(self.arrivals.size, cost_rng)
             else:
                 multipliers = self.cost_model.sample(self.arrivals.size, cost_rng)
-            self.query_multipliers = (
-                multipliers if self.stream is not None else multipliers.tolist()
-            )
+                columns = (multipliers, None, None, None)
+        self.query_multipliers, self.query_hot, self.query_cold, self.query_total = columns
         # Re-plan state: the detector is re-armed per run; fires are relayed
         # through the event loop as REPLAN heap events so migrations keep the
         # typed-event timeline (and its monotonicity invariant).
@@ -938,52 +911,6 @@ class _TenantRuntime:
         #: Sample points accumulated since the last streamed series flush.
         self._pending_series_samples = 0
 
-    def _store_cache_pricing(
-        self, hot: np.ndarray, cold: np.ndarray, total: np.ndarray
-    ) -> None:
-        """Store gather splits and the precomputed warm-cache pricing.
-
-        Steady-state pricing is fill-independent: once a replica's cache is
-        pinned at capacity the hit fractions are the grid ends, so each
-        query's warm hit mass and adjusted-cost scale are precomputed here,
-        vectorised.  Every elementwise op below is the same IEEE-754 op the
-        per-query scalar branch performs, in the same order, so the warm fast
-        path in ``serve_query`` is bit-exact with the lerp branch it skips.
-        """
-        self.query_hot = hot if self.stream is not None else hot.tolist()
-        self.query_cold = cold if self.stream is not None else cold.tolist()
-        self.query_total = total if self.stream is not None else total.tolist()
-        spec = self.cache_spec
-        hot_end = spec.grid_hot[-1]
-        cold_end = spec.grid_cold[-1]
-        warm_hits = hot * hot_end + cold * cold_end
-        rate = np.divide(
-            warm_hits, total, out=np.zeros(total.shape), where=total > 0.0
-        )
-        warm_add = rate * total
-        warm_scale = np.where(
-            rate == 1.0,
-            spec.hit_cost_fraction,
-            1.0 - rate * (1.0 - spec.hit_cost_fraction),
-        )
-        self.query_warm_hits = (
-            warm_add if self.stream is not None else warm_add.tolist()
-        )
-        self.query_warm_scale = (
-            warm_scale if self.stream is not None else warm_scale.tolist()
-        )
-
-    def _store_gather_splits(self, hot: np.ndarray, cold: np.ndarray) -> None:
-        """Keep per-query hot/cold gather counts for fallback pricing only.
-
-        Unlike :meth:`_store_cache_pricing` this leaves ``query_total`` as
-        ``None``, so the cache hot path in ``serve_query`` stays disabled —
-        the splits exist purely so watchdog quality fallback can price a
-        cache-hot-only gather exactly.
-        """
-        self.query_hot = hot if self.stream is not None else hot.tolist()
-        self.query_cold = cold if self.stream is not None else cold.tolist()
-
     def arrival_at(self, index: int) -> float:
         """The ``index``-th arrival time as a Python float."""
         return float(self.arrivals[index])
@@ -1075,33 +1002,32 @@ class _TenantRuntime:
         penalty there so the HPA sees the overload it most needs to react
         to.
 
-        The query's cost multiplier and gather split are looked up by
-        ``query_index`` and the fallback flag is read at ``now``, so every
-        kind of attempt prices the query identically.
+        The query's cost multiplier and gather split are read once from
+        the float64 cost columns by ``query_index`` (``item`` yields Python
+        floats), its warm-cache pricing is computed from them once, and the
+        fallback flag is read at ``now``, so every kind of attempt prices
+        the query identically.
 
         Returns the latest completion over the lanes and whether any lane
         had no routable replica.
         """
         record = mode != _REQUEUE
         fallback = self.fallback_armed
-        multiplier = (
-            1.0 if self.query_multipliers is None else self.query_multipliers[query_index]
-        )
+        multipliers = self.query_multipliers
+        multiplier = 1.0 if multipliers is None else multipliers.item(query_index)
         select_index = self.policy.select_index
         on_submit = self.policy_on_submit
         faults_on = self.faults_on
         inflight = self.inflight if self.track_inflight else None
         completions = heap if self.track_completions else None
-        if self.query_total is not None:
-            # One query's gather split is shared by every cached lane; read
-            # the pre-priced values once, not once per lane.  Likewise the
-            # tenant's single shared cache geometry: one tuple unpack here
-            # replaces per-lane attribute reads inside the loop.
-            hot = self.query_hot[query_index]
-            cold = self.query_cold[query_index]
-            total = self.query_total[query_index]
-            warm_hits = self.query_warm_hits[query_index]
-            warm_scale = self.query_warm_scale[query_index]
+        if self.caches_on:
+            # One query's gather split is shared by every cached lane: read
+            # it once, not once per lane.  Likewise the tenant's single
+            # shared cache geometry: one tuple unpack here replaces per-lane
+            # attribute reads inside the loop.
+            hot = self.query_hot.item(query_index)
+            cold = self.query_cold.item(query_index)
+            total = self.query_total.item(query_index)
             (
                 cache_step,
                 cache_capacity,
@@ -1115,6 +1041,20 @@ class _TenantRuntime:
                 cache_hit_cost,
                 cache_miss_scale,
             ) = self.cache_geometry
+            # Warm pricing is fill-independent: a replica pinned at capacity
+            # hits the grid-end fractions, so the query's warm hit mass and
+            # cost scale are computed once here, with the same IEEE ops the
+            # lerp branch below performs at the grid end.  A zero-gather
+            # query keeps 0.0 / 1.0, both exact no-ops.
+            warm_hits = 0.0
+            warm_scale = 1.0
+            if total > 0.0:
+                warm_rate = (hot * hot_end + cold * cold_end) / total
+                warm_hits = warm_rate * total
+                if warm_rate == 1.0:
+                    warm_scale = cache_hit_cost
+                else:
+                    warm_scale = 1.0 - warm_rate * cache_miss_scale
         worst = -np.inf
         rejected = False
         for lane in lanes:
@@ -1150,8 +1090,8 @@ class _TenantRuntime:
                 if self.query_hot is not None:
                     submit_cost = degraded_gather_multiplier(
                         cost,
-                        self.query_hot[query_index],
-                        self.query_cold[query_index],
+                        self.query_hot.item(query_index),
+                        self.query_cold.item(query_index),
                         self._hot_cost_fraction,
                     )
                 else:
@@ -1169,11 +1109,8 @@ class _TenantRuntime:
                 hit_add = 0.0
                 if pool.cache_warm:
                     # Every replica in the pool is pinned at capacity, so
-                    # the fill array cannot change and pricing was
-                    # precomputed in ``begin_run``: the whole branch is one
-                    # accumulate and one multiply.  (A zero-gather query
-                    # precomputed to warm_hits 0.0 / warm_scale 1.0, both
-                    # exact no-ops.)
+                    # the fill array cannot change and the query's warm
+                    # pricing applies: one accumulate and one multiply.
                     hit_add = warm_hits
                     submit_cost = cost * warm_scale
                 elif total > 0.0:
@@ -1182,7 +1119,7 @@ class _TenantRuntime:
                     if fill >= cache_capacity:
                         # This replica is warm (fill pinned at exactly the
                         # capacity — admission clamps there) even though the
-                        # pool as a whole is not: same precomputed grid-end
+                        # pool as a whole is not: same grid-end warm
                         # pricing, no write-back.
                         hit_add = warm_hits
                         submit_cost = cost * warm_scale
@@ -1207,8 +1144,7 @@ class _TenantRuntime:
                         if fill >= cache_capacity:
                             # The admission just pinned this replica at
                             # capacity; if it was the pool's last cold one,
-                            # the whole pool enters the precomputed steady
-                            # state.
+                            # the whole pool enters the warm steady state.
                             fills[index] = cache_capacity
                             if min(fills) >= cache_capacity:
                                 pool.cache_warm = True
@@ -1857,21 +1793,14 @@ class _TenantRuntime:
                 # Hold the HPA off while the new capacity materialises, the
                 # same grace a crash replacement gets.
                 self.autoscaler.notice_capacity_loss(deployment.name, now)
-        if self.drift_on and self.query_multipliers is not None:
+        if self.drift_on:
             start_mean, end_mean = self._drift_means
             weight = float(self.drift_model.weight_at(now))
             mixture_mean = (1.0 - weight) * start_mean + weight * end_mean
             if mixture_mean > 0.0:
                 scale = start_mean / mixture_mean
                 begin = int(np.searchsorted(self.arrivals, now, side="right"))
-                multipliers = self.query_multipliers
-                if isinstance(multipliers, list):
-                    for index in range(begin, len(multipliers)):
-                        multipliers[index] *= scale
-                else:
-                    # Streamed runs keep the float64 array; the slice multiply
-                    # is the same IEEE op as the per-element loop above.
-                    multipliers[begin:] *= scale
+                self.query_multipliers[begin:] *= scale
         self.invalidate_caches()
         self.replans_applied += 1
 
@@ -2629,6 +2558,8 @@ class MultiTenantEngine:
         # and bit-exactness requires the serial run's deployment names.
         if namespace is None:
             namespace = len(self._specs) > 1
+        if stream is not None:
+            claim_spool(stream.directory)
         self._stream = stream
         self._ran = False
         for index, tenant in enumerate(self._specs):

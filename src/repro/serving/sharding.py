@@ -68,6 +68,7 @@ from repro.serving.streaming import (
     SpoolError,
     SpoolWriter,
     StreamConfig,
+    claim_spool,
     iter_chunks,
     read_meta,
 )
@@ -265,7 +266,9 @@ def run_sharded(
     bytes).  With more workers, each shard simulates its tenants on its
     node-pool slice in its own process; with ``stream_dir``, workers spool
     series and latency samples to disk (memory-bounded at any horizon) and
-    the merge rebuilds the exact in-memory result.  The returned result
+    the merge rebuilds the exact in-memory result.  ``stream_dir`` must be
+    absent or empty; a non-empty one raises :class:`SpoolError` before any
+    worker starts.  The returned result
     carries a ``sharding_stats`` dict: worker count, shard membership,
     per-worker peak RSS (MB), wall time, and the host's CPU count (so a
     recorded speedup can be judged against the cores that were available).
@@ -276,7 +279,7 @@ def run_sharded(
     )
     plan = plan_shards(tenants, workers, spec)
     namespace = len(tenants) > 1
-    stream_root = Path(stream_dir) if stream_dir is not None else None
+    stream_root = claim_spool(stream_dir) if stream_dir is not None else None
     shard_names = [f"shard-{index:03d}" for index in range(plan.num_shards)]
     shard_args = []
     for shard_index, indices in enumerate(plan.tenant_indices):

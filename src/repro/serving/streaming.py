@@ -53,6 +53,7 @@ __all__ = [
     "StreamConfig",
     "SpoolWriter",
     "ShardManifest",
+    "claim_spool",
     "iter_chunks",
     "chunk_paths",
     "read_meta",
@@ -143,6 +144,23 @@ class SpoolWriter:
         temp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         os.replace(temp, path)
         return path
+
+
+def claim_spool(directory: str | Path) -> Path:
+    """Create a run's spool directory, refusing one that already holds files.
+
+    Chunks are numbered from zero and read back by name, so chunks left by
+    an earlier run would silently merge into this one.  An absent or empty
+    directory is accepted; creating it here surfaces an unusable path as an
+    ``OSError`` before any worker starts.
+    """
+    directory = Path(directory)
+    if directory.is_dir() and any(directory.iterdir()):
+        raise SpoolError(
+            f"{directory}: spool directory is not empty; pass a new or empty one"
+        )
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 def chunk_paths(directory: str | Path, stream: str) -> list[Path]:

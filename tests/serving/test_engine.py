@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
-from repro.model.configs import microbenchmark
+from repro.model.configs import microbenchmark, rm1
 from repro.serving.engine import (
     EventKind,
     MultiTenantEngine,
@@ -168,6 +170,31 @@ class TestQueryCosts:
     def test_unknown_cost_model_rejected(self, plan):
         with pytest.raises(ValueError, match="cost model"):
             ServingEngine(plan, cost_model="zipfian")
+
+
+class TestPerQueryMemory:
+    """``begin_run`` keeps each query's costs as float64 columns only: no
+    whole-run Python lists and no pre-priced warm-cache columns."""
+
+    @pytest.fixture(scope="class")
+    def rm1_plan(self):
+        cluster = cpu_only_cluster(num_nodes=32)
+        return ElasticRecPlanner(cluster).plan(rm1().scaled_tables(4), 220.0)
+
+    @pytest.mark.parametrize(
+        "options", [{"cache_mb": 64.0}, {"slo": "p95@1.5"}], ids=["cached", "slo"]
+    )
+    def test_retained_bytes_per_arrival(self, rm1_plan, options):
+        runtime = ServingEngine(rm1_plan, cost_model="skewed", **options)._runtimes[0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runtime.begin_run(TrafficPattern.constant(100.0, duration_s=500.0))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Arrivals plus four float64 cost columns are 40 bytes per query.
+        assert retained / runtime.arrivals.size <= 64
 
 
 class TestBatching:

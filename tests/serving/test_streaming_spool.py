@@ -242,3 +242,42 @@ class TestCrashRecovery:
         SpoolWriter(meta_path.parent).write_meta(meta)
         with pytest.raises(SpoolError, match="slo_recoveries"):
             merge_stream(stream_dir)
+
+
+class TestSpoolReuse:
+    """A spool directory holds one run: a non-empty one is refused up front."""
+
+    @staticmethod
+    def _fleet(duration_s):
+        cluster = cpu_only_cluster(num_nodes=8)
+        plan = ElasticRecPlanner(cluster).plan(microbenchmark(num_tables=2), target_qps=30.0)
+        pattern = build_scenario("constant", 8.0, 8.0, duration_s)
+        return [TenantSpec(name="t0", plan=plan, pattern=pattern, seed=0)], cluster
+
+    def test_reused_spool_directory_is_refused(self, tmp_path):
+        # Without the refusal the second run merged the first run's stale
+        # series chunks into its own result.
+        stream_dir = tmp_path / "spool"
+        run_sharded(*self._fleet(1200.0), stream_dir=stream_dir, flush_series_every=4)
+        with pytest.raises(SpoolError, match="not empty"):
+            run_sharded(*self._fleet(300.0), stream_dir=stream_dir, flush_series_every=4)
+        fresh = run_sharded(
+            *self._fleet(300.0), stream_dir=tmp_path / "fresh", flush_series_every=4
+        )
+        serial = run_sharded(*self._fleet(300.0))
+        assert fresh.tenant("t0").digest() == serial.tenant("t0").digest()
+        assert fresh.tenant("t0").sample_times.size == 20
+
+    def test_empty_directory_is_accepted(self, tmp_path):
+        run_sharded(*self._fleet(60.0), stream_dir=tmp_path)
+        assert read_meta(tmp_path)["status"] == "complete"
+
+    def test_engine_refuses_a_non_empty_stream_directory(self, tmp_path):
+        stale = tmp_path / "series-000000.npz"
+        stale.write_bytes(b"stale")
+        tenants, cluster = self._fleet(60.0)
+        with pytest.raises(SpoolError, match="not empty"):
+            MultiTenantEngine(
+                tenants, cluster_spec=cluster, stream=StreamConfig(directory=tmp_path)
+            )
+        assert list(tmp_path.iterdir()) == [stale]

@@ -222,6 +222,23 @@ class TestCommands:
         message = err + str(excinfo.value.code)
         assert f"{flag}: must be" in message or f"{flag} must be" in message
 
+    @pytest.mark.parametrize("case", ["under-a-file", "not-empty"])
+    def test_unusable_stream_dir_rejected(self, case, tmp_path, capsys):
+        # A spool path that cannot be created, or one holding an earlier
+        # run's files, exits with a one-line error naming the path.
+        (tmp_path / "file").write_text("")
+        (tmp_path / "spool").mkdir()
+        (tmp_path / "spool" / "meta.json").write_text("{}")
+        spool = tmp_path / ("file/spool" if case == "under-a-file" else "spool")
+        argv = ["simulate", "RM1", "--scenario", "constant", "--duration-s", "30",
+                "--stream-dir", str(spool)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (0, None)
+        assert "Traceback" not in capsys.readouterr().err
+        message = str(excinfo.value.code)
+        assert str(spool) in message and "\n" not in message
+
     def test_sweep_command_output(self, capsys):
         assert main(
             ["sweep", "RM1", "--num-tables", "2", "--num-nodes", "4",
