@@ -7,14 +7,17 @@ benchmark artifacts show *where* the time went, not just how much there was.
 Beyond reporting, the profile is used as a structural regression test of the
 hot path itself:
 
-* every routing decision goes through ``select_index`` over the replica
-  pool's arrays (one call per query per deployment), and no routing policy
-  keeps a per-server ``select`` loop beside it — the assertions fail before
-  any wall-clock regression shows up in CI timing noise;
-* ``serve_query`` must be called exactly once per served query, guarding the
-  chunked arrival drain against double-serving or skipping;
-* the *cached* run must stay on the same shape: pricing happens inline
-  against the pool's array-backed fills, so neither the per-replica
+* every served query is recorded exactly once, in arrival order (tracker
+  sample ``i`` is arrival ``i``), guarding the chunked arrival drain and its
+  lane-by-lane kernel against double-serving or skipping;
+* the kernel carried the run: ``serve_query`` (one call per drain's popped
+  arrival) sees at most 15% of the queries, where the per-query path would
+  see all of them — the assertions fail before any wall-clock regression
+  shows up in CI timing noise;
+* no routing policy keeps a per-server ``select`` loop beside the pool-array
+  ``select_index``;
+* the *cached* run must stay on the same shape: pricing happens against the
+  pool's array-backed fills, so neither the per-replica
   ``ReplicaCache.serve`` reference nor the ``cache_adjusted_multiplier``
   helper may appear in the profile at all.
 """
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+
+import numpy as np
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
@@ -60,13 +65,31 @@ def _assert_select_index_only() -> None:
         assert "select" not in vars(cls), f"{cls.__name__} defines a scalar select"
 
 
+def _assert_served_once_by_the_kernel(engine, result, table) -> None:
+    """Each served arrival recorded once, in order, mostly lane by lane."""
+    runtime = engine._runtimes[0]
+    queries = result.tracker.num_samples
+    assert queries == runtime.num_served, "a query was skipped or served twice"
+    arrivals = runtime.arrivals[:queries]
+    # Both serving paths record ``arrival + latency`` as the completion.
+    assert np.array_equal(
+        arrivals + result.tracker.latencies_s, result.tracker.completion_times
+    ), "tracker samples are not in arrival order"
+    serve_calls = table["engine.py:serve_query"][0]
+    assert serve_calls <= 0.15 * queries, (
+        "the lane-by-lane drain kernel must carry the run "
+        f"(serve_query saw {serve_calls} of {queries} queries)"
+    )
+
+
 def test_bench_profile_hot_path(benchmark):
-    """Profile a mid-size run; assert the pool-array hot path carried it."""
+    """Profile a mid-size run; assert the drain kernel carried it."""
     pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
     profiler = cProfile.Profile()
 
+    engine = ServingEngine(_reduced_plan(), seed=0)
+
     def run():
-        engine = ServingEngine(_reduced_plan(), seed=0)
         profiler.enable()
         result = engine.run(pattern)
         profiler.disable()
@@ -79,15 +102,7 @@ def test_bench_profile_hot_path(benchmark):
     stats = pstats.Stats(profiler)
     table = _stats_by_name(stats)
     deployments = len(result.replica_counts)
-
-    serve_calls = table["engine.py:serve_query"][0]
-    assert serve_calls == queries, "serve_query must run exactly once per query"
-
-    select_calls = table.get("routing.py:select_index", (0, 0.0))[0]
-    assert select_calls == queries * deployments, (
-        "select_index must carry every routing decision "
-        f"(saw {select_calls}, expected {queries * deployments})"
-    )
+    _assert_served_once_by_the_kernel(engine, result, table)
     _assert_select_index_only()
 
     top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
@@ -98,20 +113,19 @@ def test_bench_profile_hot_path(benchmark):
 
 
 def test_bench_profile_cached_hot_path(benchmark):
-    """Profile a cached run; assert pricing stayed inline and array-backed.
+    """Profile a cached run; assert pricing stayed array-backed.
 
     The per-replica embedding caches must not drag the engine off its
     shape: fills live only in ``ReplicaPool.fill_rows`` and pricing is
-    inlined in the dispatch loop, so neither the spec's ``hit_fractions``
+    ``ReplicaPool.cached_price``, so neither the spec's ``hit_fractions``
     nor the ``cache_adjusted_multiplier`` helper may show in the profile.
     """
     pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
     profiler = cProfile.Profile()
 
+    engine = ServingEngine(_reduced_plan(), seed=0, cost_model="skewed", cache_mb=64.0)
+
     def run():
-        engine = ServingEngine(
-            _reduced_plan(), seed=0, cost_model="skewed", cache_mb=64.0
-        )
         profiler.enable()
         result = engine.run(pattern)
         profiler.disable()
@@ -125,15 +139,7 @@ def test_bench_profile_cached_hot_path(benchmark):
     stats = pstats.Stats(profiler)
     table = _stats_by_name(stats)
     deployments = len(result.replica_counts)
-
-    serve_calls = table["engine.py:serve_query"][0]
-    assert serve_calls == queries, "serve_query must run exactly once per query"
-
-    select_calls = table.get("routing.py:select_index", (0, 0.0))[0]
-    assert select_calls == queries * deployments, (
-        "select_index must carry every routing decision "
-        f"(saw {select_calls}, expected {queries * deployments})"
-    )
+    _assert_served_once_by_the_kernel(engine, result, table)
     _assert_select_index_only()
     for leaked in (
         "replica_server.py:serve",

@@ -48,8 +48,8 @@ def cache_adjusted_multiplier(
     ``multiplier * hit_cost_fraction`` (a fully warm cache serving every
     gather).
 
-    The serving engine's dispatch loop inlines this exact algebra (with
-    ``1 - hit_cost_fraction`` precomputed per tenant, the same single
+    ``ReplicaPool.cached_price`` inlines this exact algebra (with
+    ``1 - hit_cost_fraction`` precomputed per pool, the same single
     subtraction) rather than calling it per query.  The differential test
     ``TestInlinePricingMatchesReference`` in ``tests/serving/test_cache.py``
     locks the two together: it checks every multiplier a cached run charges

@@ -75,7 +75,11 @@ buffers, and per-deployment interval accounting lives in slotted lane
 structs rather than dict lookups.  Every attempt of a query on a lane —
 first attempts, client retries and crash re-queues alike — goes through
 one dispatch loop (:meth:`_TenantRuntime._dispatch`) that routes, prices,
-submits and registers it.
+submits and registers it, except inside a drain whose queries cannot push
+an event (plain least-work on ready single-query replicas, nothing armed):
+there the rest of the drain is served one lane at a time by the k-server
+FIFO recursion (:meth:`_TenantRuntime.serve_chunk`), bit-exact with the
+per-query loop.
 
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
@@ -116,8 +120,13 @@ from repro.serving.replanner import (
     ReplanPolicy,
     make_replan_policy,
 )
-from repro.serving.replica_server import CacheSpec, ReplicaServer
-from repro.serving.routing import ReplicaPool, RoutingPolicy, make_routing_policy
+from repro.serving.replica_server import CacheSpec, ReplicaServer, serve_least_work
+from repro.serving.routing import (
+    LeastWorkPolicy,
+    ReplicaPool,
+    RoutingPolicy,
+    make_routing_policy,
+)
 from repro.serving.spec import is_off
 from repro.serving.streaming import (
     ShardManifest,
@@ -476,7 +485,7 @@ def _force_ready(cluster: Cluster, now: float) -> None:
 
 
 class _DeploymentLane:
-    """Hot per-deployment state walked once per query by ``serve_query``.
+    """Hot per-deployment state walked by ``serve_query`` and ``serve_chunk``.
 
     A lane bundles everything the routing loop needs — the deployment name,
     its replica pool, the mean service time, the role flags and the
@@ -511,11 +520,8 @@ class _DeploymentLane:
         self.service_s = service_s
         self.cost_bearing = cost_bearing
         self.dense = dense
-        #: Whether this lane's replicas carry embedding caches.  The cache
-        #: geometry itself is not lane state: every cached lane shares the
-        #: tenant's one ``CacheSpec``, so the engine keeps it flattened in
-        #: ``_TenantRuntime.cache_geometry`` and unpacks it into locals once
-        #: per query rather than re-reading per-lane slots.
+        #: Whether this lane's replicas carry embedding caches (their fills
+        #: and pricing live in the lane's pool).
         self.cached = cached
         #: Queries offered to the deployment this sample interval.
         self.count = 0
@@ -593,29 +599,6 @@ class _TenantRuntime:
                     hit_cost_fraction=self.cost_model.hot_cost_fraction,
                 )
         self.caches_on = self.cache_spec is not None
-        # The tenant's one shared cache geometry, flattened into a tuple the
-        # hot path unpacks into locals once per query (the adjacent-point
-        # grid differences are precomputed so the in-loop lerp is one
-        # multiply-add per grid — the same IEEE subtraction
-        # ``CacheSpec.hit_fractions`` performs, hoisted out of the loop).
-        self.cache_geometry: tuple | None = None
-        if self.cache_spec is not None:
-            cache = self.cache_spec
-            grid_hot = cache.grid_hot
-            grid_cold = cache.grid_cold
-            self.cache_geometry = (
-                cache.step,
-                float(cache.capacity_eff),
-                grid_hot,
-                grid_cold,
-                [b - a for a, b in zip(grid_hot, grid_hot[1:])],
-                [b - a for a, b in zip(grid_cold, grid_cold[1:])],
-                len(grid_hot) - 1,
-                grid_hot[-1],
-                grid_cold[-1],
-                cache.hit_cost_fraction,
-                1.0 - cache.hit_cost_fraction,
-            )
         # Access-skew drift and online re-planning.  Drift re-samples each
         # query's gather set against a time-indexed mixture of two
         # distribution endpoints; the replan policy watches the live p95
@@ -695,6 +678,13 @@ class _TenantRuntime:
             policy.on_submit
             if type(policy).on_submit is not RoutingPolicy.on_submit
             else None
+        )
+        # Plain least-work routing (no submit hook, no completion events) is
+        # what :meth:`serve_chunk` reproduces lane by lane.
+        self.least_work = (
+            type(policy) is LeastWorkPolicy
+            and self.policy_on_submit is None
+            and not policy.needs_completion_events
         )
 
     # ------------------------------------------------------------------
@@ -937,6 +927,9 @@ class _TenantRuntime:
         so a query's tracker index is its arrival index ``query_index``.
         Its COMPLETION (completion-tracking policies) and TIMEOUT (armed
         deadlines) events go onto the run's ``heap``, stamped from ``seq``.
+        The drain serves each popped arrival here and, when it can,
+        hands the rest of the drain to :meth:`serve_chunk`, which records
+        the same samples lane by lane.
         """
         watchdog_on = self.watchdog_on
         if watchdog_on:
@@ -975,6 +968,117 @@ class _TenantRuntime:
                 self._schedule(
                     attempt_deadline, EventKind.TIMEOUT, tenant_index, query_index, heap, seq
                 )
+
+    def chunk_eligible(self) -> bool:
+        """Whether the rest of a drain may go through :meth:`serve_chunk`.
+
+        Observed state, not a knob: plain least-work routing, nothing the
+        watchdog arms (shedding, deadlines, fallback), no fault tracking,
+        and every lane's pool non-empty, unblocked and serving single-query
+        batches.  Under these conditions a query touches no state shared
+        across lanes and pushes no heap event, so lanes can be served one
+        at a time.
+        """
+        if (
+            not self.least_work
+            or self.faults_on
+            or self.track_inflight
+            or self.shed_armed
+            or self.deadline_armed
+            or self.fallback_armed
+        ):
+            return False
+        for lane in self._lanes:
+            pool = lane.pool.refresh()
+            if not pool.size or pool.has_blocked or not pool.single_batch:
+                return False
+        return True
+
+    def serve_chunk(
+        self,
+        begin: int,
+        stop: int,
+        tenant_index: int,
+        heap: list,
+        seq: itertools.count,
+    ) -> None:
+        """Serve arrivals ``[begin, stop)`` of an eligible drain, lane by lane.
+
+        On each lane, arrivals before its last replica is ready go through
+        :meth:`_dispatch` one query at a time (least-work then masks out
+        starting replicas); the rest are served in one call to
+        :func:`~repro.serving.replica_server.serve_least_work`, the k-server
+        FIFO recursion that least-work routing and ``submit`` compute query
+        by query, with cached lanes pricing through
+        :meth:`~repro.serving.routing.ReplicaPool.cached_price` in query
+        order.  End-to-end latency is then the latest lane completion plus
+        the RPC overhead, recorded with one tracker ``extend``: bit-exact
+        with serving each arrival through :meth:`serve_query`, because an
+        eligible query touches no state shared across lanes.
+        """
+        count = stop - begin
+        if self.watchdog_on:
+            self.interval_arrivals += count
+        times = self.arrivals[begin:stop]
+        arrivals = times.tolist()
+        multipliers = None
+        if self.query_multipliers is not None:
+            chunk = self.query_multipliers[begin:stop]
+            if (chunk <= 0).any():
+                raise ValueError("multiplier must be positive")
+            multipliers = chunk.tolist()
+        if self.caches_on:
+            hot = self.query_hot[begin:stop].tolist()
+            cold = self.query_cold[begin:stop].tolist()
+            total = self.query_total[begin:stop].tolist()
+        dispatch = self._dispatch
+        worst = None
+        for lane in self._lanes:
+            pool = lane.pool
+            head = int(np.searchsorted(times, pool.ready_threshold))
+            completions = [
+                dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
+                for query, arrival in enumerate(arrivals[:head], begin)
+            ]
+            if head < count:
+                costs = None
+                if lane.cost_bearing and multipliers is not None:
+                    costs = multipliers[head:]
+                price = None
+                if lane.cached:
+                    hits: list[float] = []
+                    price = _cache_pricer(
+                        pool, costs, hot[head:], cold[head:], total[head:], hits
+                    )
+                tail = serve_least_work(
+                    pool.servers, arrivals[head:], lane.service_s, costs, price
+                )
+                pool.busy[:] = [server.busy_until for server in pool.servers]
+                if lane.cached:
+                    # In query order, as _dispatch accumulates them.
+                    gather_sum = lane.gather_sum
+                    for gathers in total[head:]:
+                        gather_sum += gathers
+                    lane.gather_sum = gather_sum
+                    hit_sum = lane.hit_sum
+                    for hit in hits:
+                        hit_sum += hit
+                    lane.hit_sum = hit_sum
+                lane.count += count - head
+                if not lane.dense:
+                    lane.latencies.extend((np.array(tail) - times[head:]).tolist())
+                completions += tail
+            completions = np.array(completions)
+            if worst is None:
+                worst = completions
+            else:
+                np.maximum(worst, completions, out=worst)
+        latencies = worst + self.rpc_overhead_s - times
+        if self._dense_lanes:
+            end_to_end = latencies.tolist()
+            for lane in self._dense_lanes:
+                lane.latencies.extend(end_to_end)
+        self.tracker.extend(times + latencies, latencies)
 
     def _dispatch(
         self,
@@ -1022,39 +1126,10 @@ class _TenantRuntime:
         completions = heap if self.track_completions else None
         if self.caches_on:
             # One query's gather split is shared by every cached lane: read
-            # it once, not once per lane.  Likewise the tenant's single
-            # shared cache geometry: one tuple unpack here replaces per-lane
-            # attribute reads inside the loop.
+            # it once, not once per lane.
             hot = self.query_hot.item(query_index)
             cold = self.query_cold.item(query_index)
             total = self.query_total.item(query_index)
-            (
-                cache_step,
-                cache_capacity,
-                grid_hot,
-                grid_cold,
-                grid_dhot,
-                grid_dcold,
-                grid_last,
-                hot_end,
-                cold_end,
-                cache_hit_cost,
-                cache_miss_scale,
-            ) = self.cache_geometry
-            # Warm pricing is fill-independent: a replica pinned at capacity
-            # hits the grid-end fractions, so the query's warm hit mass and
-            # cost scale are computed once here, with the same IEEE ops the
-            # lerp branch below performs at the grid end.  A zero-gather
-            # query keeps 0.0 / 1.0, both exact no-ops.
-            warm_hits = 0.0
-            warm_scale = 1.0
-            if total > 0.0:
-                warm_rate = (hot * hot_end + cold * cold_end) / total
-                warm_hits = warm_rate * total
-                if warm_rate == 1.0:
-                    warm_scale = cache_hit_cost
-                else:
-                    warm_scale = 1.0 - warm_rate * cache_miss_scale
         worst = -np.inf
         rejected = False
         for lane in lanes:
@@ -1099,69 +1174,11 @@ class _TenantRuntime:
             elif lane.cached:
                 # Embedding-cache tier: the selected replica's cache serves a
                 # fill-dependent fraction of this query's gathers at the hit
-                # cost and admits the misses (warming itself up).  A cold
-                # cache (hit rate 0) leaves the cost multiplier untouched.
-                # Pricing reads the pool's fill list with the tenant's shared
-                # grid (unpacked into locals above) — one lerp, one divide,
-                # one FMA and one fill write per query, bit-exact with the
-                # ``ReplicaCache.serve`` + ``cache_adjusted_multiplier``
-                # composition.
-                hit_add = 0.0
-                if pool.cache_warm:
-                    # Every replica in the pool is pinned at capacity, so
-                    # the fill array cannot change and the query's warm
-                    # pricing applies: one accumulate and one multiply.
-                    hit_add = warm_hits
-                    submit_cost = cost * warm_scale
-                elif total > 0.0:
-                    fills = pool.fill_rows
-                    fill = fills[index]
-                    if fill >= cache_capacity:
-                        # This replica is warm (fill pinned at exactly the
-                        # capacity — admission clamps there) even though the
-                        # pool as a whole is not: same grid-end warm
-                        # pricing, no write-back.
-                        hit_add = warm_hits
-                        submit_cost = cost * warm_scale
-                    else:
-                        if fill <= 0.0:
-                            # Cold cache: hits nothing, admits everything.
-                            hit_rate = 0.0
-                            fill = fill + total
-                        else:
-                            position = fill / cache_step
-                            grid_index = int(position)
-                            if grid_index >= grid_last:
-                                f_hot = hot_end
-                                f_cold = cold_end
-                            else:
-                                frac = position - grid_index
-                                f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
-                                f_cold = grid_cold[grid_index] + frac * grid_dcold[grid_index]
-                            hits = hot * f_hot + cold * f_cold
-                            hit_rate = hits / total
-                            fill = fill + (total - hits)
-                        if fill >= cache_capacity:
-                            # The admission just pinned this replica at
-                            # capacity; if it was the pool's last cold one,
-                            # the whole pool enters the warm steady state.
-                            fills[index] = cache_capacity
-                            if min(fills) >= cache_capacity:
-                                pool.cache_warm = True
-                        else:
-                            fills[index] = fill
-                        if hit_rate > 0.0:
-                            hit_add = hit_rate * total
-                            if hit_rate == 1.0:
-                                # IEEE-exact warm-cache contract: the
-                                # adjusted cost is exactly
-                                # hit_cost_fraction * cost.
-                                submit_cost = cost * cache_hit_cost
-                            else:
-                                submit_cost = cost * (1.0 - hit_rate * cache_miss_scale)
+                # cost and admits the misses (warming itself up).
+                submit_cost, hits = pool.cached_price(index, cost, hot, cold, total)
                 if record:
                     lane.gather_sum += total
-                    lane.hit_sum += hit_add
+                    lane.hit_sum += hits
             completion = server.submit(now, service, submit_cost)
             pool.busy[index] = completion
             if on_submit is not None:
@@ -2101,6 +2118,34 @@ def _apply_fault(
         raise TypeError(f"unknown fault event {event!r}")
 
 
+def _cache_pricer(
+    pool: ReplicaPool,
+    multipliers: list[float],
+    hot: list[float],
+    cold: list[float],
+    total: list[float],
+    hits: list[float],
+) -> Callable[[int, int], float]:
+    """``price(index, query)`` for :func:`serve_least_work` on a cached lane.
+
+    Prices the ``query``-th arrival of a chunk on replica ``index`` through
+    the pool's :meth:`~ReplicaPool.cached_price` and appends its expected
+    hits to ``hits``, in query order.
+    """
+    cached_price = pool.cached_price
+
+    def price(index: int, query: int) -> float:
+        multiplier, hit = cached_price(
+            index, multipliers[query], hot[query], cold[query], total[query]
+        )
+        if multiplier <= 0:
+            raise ValueError("multiplier must be positive")
+        hits.append(hit)
+        return multiplier
+
+    return price
+
+
 def _drive(
     cluster: Cluster,
     runtimes: Sequence[_TenantRuntime],
@@ -2119,7 +2164,12 @@ def _drive(
     order until one must wait for the heap top, exactly the order one ARRIVAL
     event per arrival would pop in.  Equal arrival times across tenants go to
     the draining tenant: tenants share no state between control ticks, so
-    that order changes no result.
+    that order changes no result.  The popped arrival always goes through
+    :meth:`_TenantRuntime.serve_query`; when the tenant's observed state
+    makes the rest of the drain unable to push an event
+    (:meth:`_TenantRuntime.chunk_eligible`), that remainder is served lane
+    by lane in one :meth:`_TenantRuntime.serve_chunk` call, otherwise query
+    by query.
 
     ``probe``, if given, is called as ``probe(now)`` after each tenant sample
     point (at equal timestamps every reconcile precedes every sample, so the
@@ -2191,6 +2241,11 @@ def _drive(
                 top = heap[0]
                 side = "left" if top[1] == EventKind.COMPLETION else "right"
                 stop = max(int(np.searchsorted(arrivals, top[0], side=side)), index)
+                if index < stop and runtime.chunk_eligible():
+                    # No query of the remainder can push an event, so the
+                    # top stays put: serve it lane by lane in one go.
+                    runtime.serve_chunk(index, stop, tenant_index, heap, seq)
+                    index = stop
             if index < runtime.num_served:
                 heapq.heappush(
                     heap,

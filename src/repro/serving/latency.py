@@ -3,8 +3,9 @@
 :class:`LatencyTracker` is on the serving engine's per-query hot path, so it
 stores samples in pre-allocated numpy buffers with amortized doubling growth
 instead of Python lists: a ``record`` is two array stores and an integer
-bump, and the aggregate views (``completion_times``, ``latencies_s``) are
-buffer slices rather than list-to-array conversions.
+bump (an ``extend`` is two slice stores), and the aggregate views
+(``completion_times``, ``latencies_s``) are buffer slices rather than
+list-to-array conversions.
 
 Two sort caches keep the post-run aggregations cheap:
 
@@ -14,9 +15,10 @@ Two sort caches keep the post-run aggregations cheap:
 * a sorted copy of the latencies backing :meth:`count_exceeding`, so SLA
   violation counts are one binary search instead of a full boolean scan.
 
-Both caches are versioned: any :meth:`record` or :meth:`update` (fault
-handling rewrites samples in place when a replica dies mid-flight)
-invalidates them, so a stale sort can never leak into a result.
+Both caches are versioned: any :meth:`record`, :meth:`extend` or
+:meth:`update` (fault handling rewrites samples in place when a replica
+dies mid-flight) invalidates them, so a stale sort can never leak into a
+result.
 
 For memory-bounded streamed runs the tracker can *spill*: :meth:`spill`
 hands a settled prefix of the buffers to a sink (the on-disk spool) and
@@ -132,6 +134,19 @@ class LatencyTracker:
         self._times[size] = completion_time
         self._lats[size] = latency_s
         self._size = size + 1
+        self._version += 1
+
+    def extend(self, completion_times: np.ndarray, latencies_s: np.ndarray) -> None:
+        """Record a run of completed queries in order (n :meth:`record` calls)."""
+        count = int(latencies_s.size)
+        if (latencies_s < 0).any():
+            raise ValueError("latency_s must be non-negative")
+        size = self._size
+        while size + count > self._times.size:
+            self._grow()
+        self._times[size : size + count] = completion_times
+        self._lats[size : size + count] = latencies_s
+        self._size = size + count
         self._version += 1
 
     def _buffer_index(self, index: int) -> int:

@@ -18,18 +18,22 @@ The class sits on the serving engine's per-query hot path, so it is slotted,
 configuration (and skips the latency model entirely for an average-cost
 query, where the factor is exactly 1.0), and the merged busy runs are kept as
 parallel start/end lists so windowed utilization lookups bisect into them
-instead of scanning the whole history.
+instead of scanning the whole history.  :func:`serve_least_work` serves a
+whole run of queries on one lane of ready single-query replicas at once,
+bit-exact with least-work routing plus ``submit`` per query.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from heapq import heapify, heapreplace
 from itertools import islice
+from typing import Callable, Sequence
 
 from repro.data.distributions import AccessDistribution
 from repro.hardware.perf_model import BatchLatencyModel
 
-__all__ = ["CacheSpec", "ReplicaCache", "ReplicaServer"]
+__all__ = ["CacheSpec", "ReplicaCache", "ReplicaServer", "serve_least_work"]
 
 
 class CacheSpec:
@@ -133,8 +137,8 @@ class CacheSpec:
     def grid_hot(self) -> list:
         """Hot-gather hit fractions on the fill grid (treat as read-only).
 
-        Exposed so the serving engine can inline the :meth:`hit_fractions`
-        lerp in its cached pricing with the exact same list lookups this
+        Exposed so ``ReplicaPool.cached_price`` can inline the
+        :meth:`hit_fractions` lerp with the exact same list lookups this
         class performs.
         """
         return self._f_hot
@@ -168,11 +172,12 @@ class CacheSpec:
 class ReplicaCache:
     """Reference model of one replica's embedding cache (its resident rows).
 
-    The engine keeps fills in ``ReplicaPool.fill_rows`` and prices inline;
-    ``tests/serving/test_cache.py`` checks it against this class query for
-    query.  A fresh cache starts empty, so a crash-replacement or drain-evicted
-    replica's replacement container restarts cold and earns its hit rate
-    back one served query at a time.  Warm-up is *optimistic* in the
+    The engine keeps fills in ``ReplicaPool.fill_rows`` and prices them in
+    ``ReplicaPool.cached_price``; ``tests/serving/test_cache.py`` checks it
+    against this class query for query.  A fresh cache starts empty, so a
+    crash-replacement or drain-evicted replica's replacement container
+    restarts cold and earns its hit rate back one served query at a time.
+    Warm-up is *optimistic* in the
     insert-on-miss sense: every missed gather is assumed to admit a new row
     (duplicate misses across queries are not deduplicated), which slightly
     overestimates warm-up speed but keeps admission O(1) per query.
@@ -595,3 +600,76 @@ class ReplicaServer:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_seconds_between(start, now) / elapsed)
+
+
+def serve_least_work(
+    servers: Sequence[ReplicaServer],
+    arrivals: Sequence[float],
+    service_time: float,
+    multipliers: Sequence[float] | None = None,
+    price: Callable[[int, int], float] | None = None,
+) -> list[float]:
+    """Serve queries in arrival order on one lane of ready single-query replicas.
+
+    Each query goes to the replica whose queue drains first (lowest index
+    on ties), starts at ``max(arrival, drain time)`` and runs for its unit
+    batch service time: the k-server FIFO workload recursion
+    (Kiefer-Wolfowitz), kept as a ``(drain time, index)`` heap.  It is
+    exactly what least-work routing followed by :meth:`ReplicaServer.submit`
+    computes query by query once every replica is ready and serves
+    ``max_batch=1`` batches under one shared batch model, including each
+    server's counters and merged busy runs, written in query order.
+
+    ``multipliers`` are the queries' cost multipliers (all 1.0 when
+    ``None``); ``price(index, query)``, when given, returns instead the
+    multiplier of the ``query``-th arrival on replica ``index`` (the
+    embedding-cache tier prices against the chosen replica's fill).
+    Returns each query's completion time.
+    """
+    if service_time <= 0:
+        raise ValueError("service_time must be positive")
+    # submit's single-query pricing, factor(1, m) through the unit slope; at
+    # m == 1.0 both forms are exactly service_time, as submit's shortcut.
+    scale = servers[0]._unit_scale
+    if price is not None:
+        services = None
+    elif multipliers is None:
+        services = [service_time] * len(arrivals)
+    elif scale is None:
+        services = [service_time * m for m in multipliers]
+    else:
+        services = [service_time * (1.0 + scale * (m - 1.0)) for m in multipliers]
+    queue = [(server._busy_until, index) for index, server in enumerate(servers)]
+    heapify(queue)
+    busy_time = [server._busy_time for server in servers]
+    served = [0] * len(servers)
+    run_starts = [server._run_starts for server in servers]
+    run_ends = [server._run_ends for server in servers]
+    completions = []
+    for query, arrival in enumerate(arrivals):
+        drain, index = queue[0]
+        if services is not None:
+            service = services[query]
+        elif scale is None:
+            service = service_time * price(index, query)
+        else:
+            service = service_time * (1.0 + scale * (price(index, query) - 1.0))
+        start = arrival if arrival > drain else drain
+        completion = start + service
+        heapreplace(queue, (completion, index))
+        busy_time[index] += service
+        served[index] += 1
+        ends = run_ends[index]
+        if ends and start <= ends[-1]:
+            ends[-1] = completion
+        else:
+            run_starts[index].append(start)
+            ends.append(completion)
+        completions.append(completion)
+    for drain, index in queue:
+        server = servers[index]
+        server._busy_until = drain
+        server._busy_time = busy_time[index]
+        server._completed += served[index]
+        server._batches += served[index]
+    return completions

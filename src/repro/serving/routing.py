@@ -109,6 +109,9 @@ class ReplicaPool:
     blocked, and the latest ``ready_at`` — once ``now`` passes it on an
     unblocked pool, every replica is routable and policies skip the masking
     entirely.
+
+    On a cached lane the pool also holds each replica's embedding-cache fill
+    and prices queries against it (:meth:`cached_price`).
     """
 
     __slots__ = (
@@ -127,6 +130,7 @@ class ReplicaPool:
         "fill_rows",
         "cache_capacity",
         "cache_inv_capacity",
+        "cache_geometry",
         "cache_warm",
     )
 
@@ -152,6 +156,26 @@ class ReplicaPool:
         self.fill_rows: list[float] | None = None
         self.cache_capacity = float(cache_spec.capacity_eff) if cache_spec else 0.0
         self.cache_inv_capacity = cache_spec.inv_capacity_eff if cache_spec else 0.0
+        # The spec's fill grid flattened into one tuple that ``cached_price``
+        # unpacks into locals; the adjacent-point differences are hoisted out
+        # of the per-query lerp (the same IEEE subtraction
+        # ``CacheSpec.hit_fractions`` performs).
+        self.cache_geometry: tuple | None = None
+        if cache_spec is not None:
+            grid_hot = cache_spec.grid_hot
+            grid_cold = cache_spec.grid_cold
+            self.cache_geometry = (
+                cache_spec.step,
+                grid_hot,
+                grid_cold,
+                [b - a for a, b in zip(grid_hot, grid_hot[1:])],
+                [b - a for a, b in zip(grid_cold, grid_cold[1:])],
+                len(grid_hot) - 1,
+                grid_hot[-1],
+                grid_cold[-1],
+                cache_spec.hit_cost_fraction,
+                1.0 - cache_spec.hit_cost_fraction,
+            )
         # True only while *every* fill is pinned at the capacity.  Fills are
         # monotonic between invalidations (admission only adds rows), so once
         # set the flag stays valid until ``reset_fills`` or a membership
@@ -227,6 +251,74 @@ class ReplicaPool:
         if self.fill_rows is not None:
             self.fill_rows = [0.0] * self.size
             self.cache_warm = False
+
+    def cached_price(
+        self, index: int, cost: float, hot: float, cold: float, total: float
+    ) -> tuple[float, float]:
+        """Price one query's gathers on replica ``index``'s cache; admit its misses.
+
+        ``hot``/``cold``/``total`` are the query's gather split and ``cost``
+        its cost multiplier.  Returns ``(multiplier, hits)``: the multiplier
+        after the cache serves a fill-dependent fraction of the gathers at
+        the hit cost, and the expected gathers it served.  A cold cache hits
+        nothing and admits everything; a replica pinned at capacity (or a
+        pool whose every replica is) takes the fill-independent grid-end
+        price and writes nothing.  The one place cached pricing happens,
+        bit-exact with ``ReplicaCache.serve`` followed by
+        ``cache_adjusted_multiplier``.
+        """
+        if not total > 0.0:
+            return cost, 0.0
+        (
+            step,
+            grid_hot,
+            grid_cold,
+            grid_dhot,
+            grid_dcold,
+            grid_last,
+            hot_end,
+            cold_end,
+            hit_cost,
+            miss_scale,
+        ) = self.cache_geometry
+        fills = self.fill_rows
+        capacity = self.cache_capacity
+        if self.cache_warm or fills[index] >= capacity:
+            # A replica pinned at capacity: the grid-end fractions, with the
+            # lerp branch's IEEE ops, and no admission.
+            hit_rate = (hot * hot_end + cold * cold_end) / total
+        else:
+            fill = fills[index]
+            if fill <= 0.0:
+                hit_rate = 0.0
+                fill = fill + total
+            else:
+                position = fill / step
+                grid_index = int(position)
+                if grid_index >= grid_last:
+                    f_hot = hot_end
+                    f_cold = cold_end
+                else:
+                    frac = position - grid_index
+                    f_hot = grid_hot[grid_index] + frac * grid_dhot[grid_index]
+                    f_cold = grid_cold[grid_index] + frac * grid_dcold[grid_index]
+                hits = hot * f_hot + cold * f_cold
+                hit_rate = hits / total
+                fill = fill + (total - hits)
+            if fill >= capacity:
+                # Admission clamps at capacity; the pool's last cold replica
+                # pinning there makes the whole pool warm.
+                fills[index] = capacity
+                if min(fills) >= capacity:
+                    self.cache_warm = True
+            else:
+                fills[index] = fill
+        if not hit_rate > 0.0:
+            return cost, 0.0
+        if hit_rate == 1.0:
+            # IEEE-exact warm-cache contract: exactly hit_cost_fraction * cost.
+            return cost * hit_cost, hit_rate * total
+        return cost * (1.0 - hit_rate * miss_scale), hit_rate * total
 
     def all_ready(self, now: float) -> bool:
         """Fast-path test: every replica routable and past its ready time."""
@@ -306,9 +398,9 @@ class LeastWorkPolicy(RoutingPolicy):
         now: float,
         cost: tuple[float, float] | None = None,
     ) -> int | None:
-        # The engine's default policy: one call per query per deployment, so
-        # refresh() and all_ready() are inlined (identical logic, two fewer
-        # method calls on the hottest path in the package).
+        # The engine's default policy: one call per query per deployment
+        # outside the drain kernel, so refresh() and all_ready() are
+        # inlined (identical logic, two fewer method calls per call).
         if pool._dirty:
             pool._rebuild()
         if not pool.size:

@@ -23,8 +23,9 @@ from repro.data.distributions import ZipfDistribution
 from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import ServingEngine, _TenantRuntime
-from repro.serving.replica_server import CacheSpec, ReplicaCache, ReplicaServer
+from repro.serving.engine import ServingEngine
+from repro.serving.replica_server import CacheSpec, ReplicaCache
+from repro.serving.routing import ReplicaPool
 from repro.serving.scenarios import build_scenario
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import SkewedCostModel
@@ -317,45 +318,34 @@ class TestEngineWithCaches:
 
 
 # ----------------------------------------------------------------------
-# Differential check: the engine's inline pricing vs the ReplicaCache rule
+# Differential check: the pool's cached pricing vs the ReplicaCache rule
 # ----------------------------------------------------------------------
 @pytest.fixture
 def priced(monkeypatch):
-    """Every submit ``_dispatch`` makes to a cached lane's replica, in call
-    order, as ``(query index, server, multiplier)``."""
+    """Every price ``ReplicaPool.cached_price`` returns, in call order, as
+    ``(replica name, cost, hot, cold, multiplier)``.
+
+    Both serving paths price a cached lane's query through this one method:
+    the per-query dispatch loop and the lane-by-lane drain kernel (which
+    never calls ``ReplicaServer.submit``).
+    """
     calls = []
-    current = []
-    dispatch = _TenantRuntime._dispatch
-    submit = ReplicaServer.submit
+    cached_price = ReplicaPool.cached_price
 
-    def recording_dispatch(runtime, lanes, now, query_index, *args):
-        current.append((runtime, query_index))
-        try:
-            return dispatch(runtime, lanes, now, query_index, *args)
-        finally:
-            current.pop()
+    def recording_price(pool, index, cost, hot, cold, total):
+        multiplier, hits = cached_price(pool, index, cost, hot, cold, total)
+        calls.append((pool.servers[index].name, cost, hot, cold, multiplier))
+        return multiplier, hits
 
-    def recording_submit(server, arrival, service_time, multiplier=1.0):
-        if current:
-            runtime, query = current[-1]
-            if any(
-                server.name in runtime.servers[lane.name]
-                for lane in runtime._lanes
-                if lane.cached
-            ):
-                calls.append((query, server, multiplier))
-        return submit(server, arrival, service_time, multiplier)
-
-    monkeypatch.setattr(_TenantRuntime, "_dispatch", recording_dispatch)
-    monkeypatch.setattr(ReplicaServer, "submit", recording_submit)
+    monkeypatch.setattr(ReplicaPool, "cached_price", recording_price)
     return calls
 
 
 class TestInlinePricingMatchesReference:
-    """Replay a cached run's submits through one ``ReplicaCache`` per replica.
+    """Replay a cached run's prices through one ``ReplicaCache`` per replica.
 
-    The engine never holds ``ReplicaCache`` objects: it prices inline
-    against ``ReplicaPool.fill_rows``.  Every multiplier it charges a cached
+    The engine never holds ``ReplicaCache`` objects: it prices against
+    ``ReplicaPool.fill_rows``.  Every multiplier it charges a cached
     replica must equal ``cache_adjusted_multiplier`` over a reference cache
     that has served exactly that replica's queries (starting cold), and
     every final pool fill must equal its reference fill, float for float.
@@ -388,15 +378,21 @@ class TestInlinePricingMatchesReference:
         result = engine.run(pattern)
         runtime = engine._runtimes[0]
         spec = runtime.cache_spec
-        references: dict[str, ReplicaCache] = {}
-        for query, server, multiplier in priced:
-            reference = references.setdefault(server.name, ReplicaCache(spec))
-            hot, cold = runtime.query_hot[query], runtime.query_cold[query]
-            hit_rate = reference.serve(hot, cold)
-            expected = cache_adjusted_multiplier(
-                runtime.query_multipliers[query], hit_rate, spec.hit_cost_fraction
+        # Every price is charged on some query's own cost and gather split.
+        queries = set(
+            zip(
+                runtime.query_multipliers.tolist(),
+                runtime.query_hot.tolist(),
+                runtime.query_cold.tolist(),
             )
-            assert multiplier == expected, (server.name, query)
+        )
+        references: dict[str, ReplicaCache] = {}
+        for name, cost, hot, cold, multiplier in priced:
+            assert (cost, hot, cold) in queries, name
+            reference = references.setdefault(name, ReplicaCache(spec))
+            hit_rate = reference.serve(hot, cold)
+            expected = cache_adjusted_multiplier(cost, hit_rate, spec.hit_cost_fraction)
+            assert multiplier == expected, name
         assert len(priced) > 10_000
         for lane in runtime._lanes:
             if lane.cached:

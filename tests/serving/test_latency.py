@@ -113,6 +113,67 @@ class TestWindowBoundaries:
         assert np.array_equal(tracker.latencies_s, np.array([0.2, 0.1]))
 
 
+class TestExtend:
+    """``extend`` is n ``record`` calls in one go, byte for byte."""
+
+    @staticmethod
+    def _pair(recorded: LatencyTracker, extended: LatencyTracker, times, lats) -> None:
+        for completion, latency in zip(times.tolist(), lats.tolist()):
+            recorded.record(completion, latency)
+        extended.extend(times, lats)
+
+    @staticmethod
+    def _assert_identical(a: LatencyTracker, b: LatencyTracker) -> None:
+        assert (a.num_samples, a.live_samples, a.capacity) == (
+            b.num_samples,
+            b.live_samples,
+            b.capacity,
+        )
+        assert a.completion_times.tobytes() == b.completion_times.tobytes()
+        assert a.latencies_s.tobytes() == b.latencies_s.tobytes()
+
+    def test_extend_matches_record_across_growth_and_spill(self):
+        rng = np.random.default_rng(3)
+        times = rng.uniform(0.0, 100.0, 3_200)
+        lats = rng.uniform(0.0, 1.0, 3_200)
+        recorded, extended = LatencyTracker(), LatencyTracker()
+        # 1,300 samples from empty cross two doublings (512 -> 2,048).
+        self._pair(recorded, extended, times[:1_300], lats[:1_300])
+        self._assert_identical(recorded, extended)
+        spilled = {"record": [], "extend": []}
+        recorded.spill(1_000, lambda *chunk: spilled["record"].append(chunk))
+        extended.spill(1_000, lambda *chunk: spilled["extend"].append(chunk))
+        # After the spill, 1,900 more samples overflow the compacted buffer
+        # (300 live + 1,900 > 2,048 -> 4,096).
+        self._pair(recorded, extended, times[1_300:], lats[1_300:])
+        assert recorded.spilled_samples == extended.spilled_samples == 1_000
+        [(t_a, l_a)], [(t_b, l_b)] = spilled["record"], spilled["extend"]
+        assert t_a.tobytes() == t_b.tobytes() and l_a.tobytes() == l_b.tobytes()
+        assert recorded.capacity == extended.capacity == 4_096
+        assert recorded.sample(3_199) == extended.sample(3_199)
+        assert recorded._times[: recorded.live_samples].tobytes() == (
+            extended._times[: extended.live_samples].tobytes()
+        )
+        assert recorded._lats[: recorded.live_samples].tobytes() == (
+            extended._lats[: extended.live_samples].tobytes()
+        )
+
+    def test_extend_without_a_spill_matches_record(self):
+        rng = np.random.default_rng(4)
+        recorded, extended = LatencyTracker(), LatencyTracker()
+        for size in (3, 509, 1, 600):
+            self._pair(
+                recorded, extended, rng.uniform(0, 9, size), rng.uniform(0, 1, size)
+            )
+            self._assert_identical(recorded, extended)
+
+    def test_extend_rejects_a_negative_latency(self):
+        tracker = LatencyTracker()
+        with pytest.raises(ValueError, match="latency_s must be non-negative"):
+            tracker.extend(np.array([1.0, 2.0]), np.array([0.1, -0.1]))
+        assert tracker.num_samples == 0
+
+
 # ----------------------------------------------------------------------
 # Tracker-level equivalence (Hypothesis)
 # ----------------------------------------------------------------------

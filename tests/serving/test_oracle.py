@@ -4,7 +4,9 @@
 every configuration it covers — least-work or round-robin routing, the
 plan's replica counts or a uniform override, homogeneous or skewed costs,
 disaggregated or monolithic plans — the engine must reproduce its
-per-query completion times and latencies exactly.
+per-query completion times and latencies exactly.  A metamorphic
+property rides along: on fixed least-work lanes, adding a replica never
+delays a query.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core.baseline import ModelWisePlanner  # noqa: E402
 from repro.core.planner import ElasticRecPlanner  # noqa: E402
 from repro.hardware.specs import cpu_only_cluster  # noqa: E402
 from repro.model.configs import microbenchmark  # noqa: E402
-from repro.serving.engine import ServingEngine  # noqa: E402
+from repro.serving.engine import EventKind, ServingEngine, _TenantRuntime  # noqa: E402
 from repro.serving.scenarios import build_scenario, scenario_names  # noqa: E402
 
 _CLUSTER = cpu_only_cluster(num_nodes=4)
@@ -66,3 +68,72 @@ def test_engine_matches_the_oracle(
     assert result.rejected_queries == 0
     assert np.array_equal(result.tracker.completion_times, completions)
     assert np.array_equal(result.tracker.latencies_s, latencies)
+
+
+@pytest.mark.parametrize("cost_model", ["homogeneous", "skewed"])
+@pytest.mark.parametrize("strategy", sorted(_PLANS))
+def test_a_warm_fixed_fleet_serves_drains_lane_by_lane(monkeypatch, strategy, cost_model):
+    """Least-work on warm fixed replicas: only each drain's popped arrival
+    goes through ``serve_query``; the rest of the drain is served lane by
+    lane, and every completion and latency still equals the oracle's."""
+    plan = _PLANS[strategy]
+    pattern = build_scenario("diurnal", 10.0, 30.0, 90.0, seed=5)
+    served = []
+    serve_query = _TenantRuntime.serve_query
+
+    def counting_serve_query(runtime, arrival, *args):
+        served.append(arrival)
+        return serve_query(runtime, arrival, *args)
+
+    monkeypatch.setattr(_TenantRuntime, "serve_query", counting_serve_query)
+    popped = []
+
+    def on_event(now, kind):
+        if kind == EventKind.ARRIVAL:
+            popped.append(now)
+
+    result = ServingEngine(
+        plan, routing="least-work", autoscale=False, seed=5, cost_model=cost_model
+    ).run(pattern, on_event=on_event)
+    completions, latencies = simulate(plan, pattern, 5, "least-work", cost_model)
+    assert result.rejected_queries == 0
+    assert served == popped
+    assert len(served) < result.tracker.num_samples // 10
+    assert np.array_equal(result.tracker.completion_times, completions)
+    assert np.array_equal(result.tracker.latencies_s, latencies)
+
+
+@given(
+    strategy=st.sampled_from(sorted(_PLANS)),
+    cost_model=st.sampled_from(["homogeneous", "skewed"]),
+    replicas=st.sampled_from([1, 2]),
+    scenario=st.sampled_from(scenario_names()),
+    peak_qps=st.floats(min_value=2.0, max_value=45.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_adding_a_replica_never_delays_a_query(
+    strategy, cost_model, replicas, scenario, peak_qps, seed
+):
+    """Kiefer-Wolfowitz monotonicity: on fixed least-work FIFO lanes, one
+    more replica per lane leaves every query's latency equal or lower."""
+    plan = _PLANS[strategy]
+    pattern = build_scenario(scenario, peak_qps / 3.0, peak_qps, 60.0, seed=seed)
+    fewer, more = (
+        ServingEngine(
+            plan,
+            routing="least-work",
+            autoscale=False,
+            initial_replicas=count,
+            seed=seed,
+            cost_model=cost_model,
+        ).run(pattern)
+        for count in (replicas, replicas + 1)
+    )
+    assert fewer.rejected_queries == 0 and more.rejected_queries == 0
+    assert np.all(more.tracker.latencies_s <= fewer.tracker.latencies_s)

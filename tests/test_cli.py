@@ -161,7 +161,8 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "top-20 hot spots by cumulative time" in output
         assert "cumulative" in output  # the pstats column header
-        assert "serve_query" in output  # the engine hot path made the table
+        # The engine hot path made the table: the lane-by-lane drain kernel.
+        assert "serve_chunk" in output
         # The result table still prints ahead of the profile.
         assert "'constant' traffic" in output
 
