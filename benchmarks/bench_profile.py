@@ -17,9 +17,9 @@ hot path itself:
 * no routing policy keeps a per-server ``select`` loop beside the pool-array
   ``select_index``;
 * the *cached* run must stay on the same shape: pricing happens against the
-  pool's array-backed fills, so neither the per-replica
-  ``ReplicaCache.serve`` reference nor the ``cache_adjusted_multiplier``
-  helper may appear in the profile at all.
+  pool's array-backed fills, so neither the spec's ``hit_fractions`` nor
+  the ``cache_adjusted_multiplier`` helper may appear in the profile at all
+  (the per-replica ``ReplicaCache`` reference lives in the tests).
 """
 
 from __future__ import annotations

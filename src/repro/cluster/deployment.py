@@ -76,8 +76,11 @@ class Deployment:
         Throughput targets observe the recent per-replica query rate; latency
         targets observe the recent p95 latency recorded for the deployment.
         The simulator records one aggregated ``<name>/queries`` sample (the
-        query count) and one ``<name>/latency_s`` sample (the interval's p95)
-        per control interval.
+        query count) per control interval for every deployment, and one
+        ``<name>/latency_s`` sample (the p95 of the interval's end-to-end
+        latencies) only for dense and monolithic deployments.  A latency
+        target on an embedding deployment would see no samples and return
+        ``None``.
         """
         if self.hpa is None:
             return None

@@ -53,8 +53,9 @@ def cache_adjusted_multiplier(
     subtraction) rather than calling it per query.  The differential test
     ``TestInlinePricingMatchesReference`` in ``tests/serving/test_cache.py``
     locks the two together: it checks every multiplier a cached run charges
-    against this function over a ``ReplicaCache`` reference, float for
-    float.  Change one and you must change the other.
+    against this function over the ``ReplicaCache`` reference in
+    ``tests/serving/oracle.py``, float for float.  Change one and you must
+    change the other.
     """
     if not 0.0 <= cache_hit_rate <= 1.0:
         raise ValueError("cache_hit_rate must be in [0, 1]")

@@ -86,10 +86,6 @@ class ModelAnalytics:
         """Dense FLOPs for one query (batch of items)."""
         return self.dense_flops_per_sample() * self._config.batch_size
 
-    def sparse_flops_per_query(self) -> int:
-        """Sparse FLOPs for one query."""
-        return self.sparse_flops_per_sample() * self._config.batch_size
-
     def flops_breakdown(self) -> LayerBreakdown:
         """Figure 3(a) FLOPs split."""
         return LayerBreakdown(

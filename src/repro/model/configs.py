@@ -74,11 +74,6 @@ class MLPConfig:
         """Width of the final layer."""
         return self.layer_sizes[-1]
 
-    @property
-    def num_layers(self) -> int:
-        """Number of weight layers."""
-        return len(self.layer_sizes)
-
     def dims_with_input(self, input_dim: int) -> tuple[int, ...]:
         """Full layer-width sequence including the input width."""
         if input_dim <= 0:

@@ -489,8 +489,9 @@ class _DeploymentLane:
 
     A lane bundles everything the routing loop needs — the deployment name,
     its replica pool, the mean service time, the role flags and the
-    per-interval accumulators — into one slotted struct, so the per-query
-    path does no dict lookups.
+    per-interval accumulators (offered count, cache hits; latencies are
+    kept per tenant, in ``_TenantRuntime.interval_latencies``) — into one
+    slotted struct, so the per-query path does no dict lookups.
     """
 
     __slots__ = (
@@ -501,7 +502,6 @@ class _DeploymentLane:
         "dense",
         "cached",
         "count",
-        "latencies",
         "hit_sum",
         "gather_sum",
     )
@@ -525,9 +525,6 @@ class _DeploymentLane:
         self.cached = cached
         #: Queries offered to the deployment this sample interval.
         self.count = 0
-        #: Shard latencies recorded this sample interval (end-to-end for
-        #: dense/monolithic lanes).
-        self.latencies: list[float] = []
         #: Cache-hit accounting for the interval: expected gathers served
         #: from cache and total gathers offered (cached lanes only).
         self.hit_sum = 0.0
@@ -669,8 +666,8 @@ class _TenantRuntime:
             for d in self.deployments
         ]
         self._lane_by_name = {lane.name: lane for lane in self._lanes}
-        # Dense/monolithic lanes receive the query's end-to-end latency (the
-        # signal their HPA scales on); the set is fixed by the plan.
+        # Dense/monolithic lanes record the interval's end-to-end p95 as their
+        # ``<name>/latency_s`` metric; the set is fixed by the plan.
         self._dense_lanes = [lane for lane in self._lanes if lane.dense]
         # Most policies leave the base no-op on_submit untouched; skip the
         # per-lane-per-query call entirely for them.
@@ -840,6 +837,10 @@ class _TenantRuntime:
         self.interval_degraded = 0
         self._start_series_chunk()
         self.tracker = LatencyTracker()
+        #: End-to-end latencies of the queries served this sample interval
+        #: (first attempts and resolved retries, not shed queries), read by
+        #: the dense lanes' latency metric, drift detection and the watchdog.
+        self.interval_latencies: list[float] = []
         self.boundaries = np.arange(
             self.sample_interval_s,
             pattern.duration_s + self.sample_interval_s,
@@ -847,7 +848,6 @@ class _TenantRuntime:
         )
         for lane in self._lanes:
             lane.count = 0
-            lane.latencies = []
             lane.hit_sum = 0.0
             lane.gather_sum = 0.0
         for pool in self.pools.values():
@@ -947,9 +947,7 @@ class _TenantRuntime:
         )
         query_completion = worst_completion + self.rpc_overhead_s
         latency = query_completion - arrival
-        # End-to-end latency is what the dense (or monolithic) shard's HPA sees.
-        for lane in self._dense_lanes:
-            lane.latencies.append(latency)
+        self.interval_latencies.append(latency)
         if rejected:
             self.rejected_indices.add(query_index)
             if watchdog_on:
@@ -1065,8 +1063,6 @@ class _TenantRuntime:
                         hit_sum += hit
                     lane.hit_sum = hit_sum
                 lane.count += count - head
-                if not lane.dense:
-                    lane.latencies.extend((np.array(tail) - times[head:]).tolist())
                 completions += tail
             completions = np.array(completions)
             if worst is None:
@@ -1074,10 +1070,7 @@ class _TenantRuntime:
             else:
                 np.maximum(worst, completions, out=worst)
         latencies = worst + self.rpc_overhead_s - times
-        if self._dense_lanes:
-            end_to_end = latencies.tolist()
-            for lane in self._dense_lanes:
-                lane.latencies.extend(end_to_end)
+        self.interval_latencies.extend(latencies.tolist())
         self.tracker.extend(times + latencies, latencies)
 
     def _dispatch(
@@ -1100,11 +1093,11 @@ class _TenantRuntime:
         tier; registering updates the pool's busy mirror, the routing
         policy, the in-flight registry and the COMPLETION event.  First
         attempts and retries enter the lanes' interval accounting (offered
-        count, shard latency, cache hits); a requeue is not a newly offered
-        query and does not.  A lane with no routable replica counts a
-        failure, and a first attempt is charged the full-SLA-violation
-        penalty there so the HPA sees the overload it most needs to react
-        to.
+        count, cache hits); a requeue is not a newly offered query and does
+        not.  A lane with no routable replica counts a failure, and a first
+        attempt is charged the full-SLA-violation penalty there, so the
+        query's end-to-end latency shows the dense HPA the overload it most
+        needs to react to.
 
         The query's cost multiplier and gather split are read once from
         the float64 cost columns by ``query_index`` (``item`` yields Python
@@ -1147,8 +1140,6 @@ class _TenantRuntime:
                         completion = now + 2.0 * self.sla_s
                         if completion > worst:
                             worst = completion
-                        if not lane.dense:
-                            lane.latencies.append(completion - now)
                 continue
             server = pool.servers[index]
             if faults_on:
@@ -1201,8 +1192,6 @@ class _TenantRuntime:
                 worst = completion
             if record:
                 lane.count += 1
-                if not lane.dense:
-                    lane.latencies.append(completion - now)
         return worst, rejected
 
     # ------------------------------------------------------------------
@@ -1242,18 +1231,15 @@ class _TenantRuntime:
     def observe_slo(self, now: float) -> None:
         """Feed the watchdog one sample tick (no-op when the plane is off).
 
-        Runs inside the SAMPLE phase *before* the interval latency buffers
-        clear, so the tick sees exactly the interval's end-to-end latencies.
-        Ladder decisions are buffered in ``watchdog_actions``; the driver
-        relays them onto the heap as typed WATCHDOG events so they apply in
-        deterministic event order in every execution mode.
+        Runs inside the SAMPLE phase *before* ``interval_latencies`` clears,
+        and hands the watchdog that list itself: exactly the interval's
+        end-to-end latencies (shed queries excluded).  Ladder decisions are
+        buffered in ``watchdog_actions``; the driver relays them onto the
+        heap as typed WATCHDOG events so they apply in deterministic event
+        order in every execution mode.
         """
         if not self.watchdog_on:
             return
-        latencies: list[float] = []
-        for lane in self._dense_lanes:
-            if lane.latencies:
-                latencies.extend(lane.latencies)
         arrivals = self.interval_arrivals
         admitted = arrivals - self.interval_shed
         involuntary = self.interval_rejected + self.interval_timeouts
@@ -1263,7 +1249,9 @@ class _TenantRuntime:
         else:
             availability = 1.0 if involuntary == 0 else 0.0
             reject_rate = 0.0 if involuntary == 0 else 1.0
-        actions = self.watchdog.observe(now, latencies, availability, reject_rate)
+        actions = self.watchdog.observe(
+            now, self.interval_latencies, availability, reject_rate
+        )
         if actions:
             self.watchdog_actions.extend(actions)
         series = self.watchdog_series
@@ -1426,8 +1414,7 @@ class _TenantRuntime:
         new_total = worst + self.rpc_overhead_s
         latency = new_total - arrival
         self.tracker.update(query_index, new_total, latency)
-        for lane in self._dense_lanes:
-            lane.latencies.append(latency)
+        self.interval_latencies.append(latency)
         if fallback and query_index not in self.degraded_indices:
             self.degraded_indices.add(query_index)
             self.interval_degraded += 1
@@ -1708,18 +1695,16 @@ class _TenantRuntime:
     def observe_drift(self, now: float) -> None:
         """Feed the detector this interval's end-to-end p95 (if replanning).
 
-        Called from :meth:`sample` before the interval latency buffers are
-        cleared.  A fire only raises a flag; the driver turns it into a
-        typed REPLAN heap event so migrations stay on the event timeline.
+        Called from :meth:`sample` before ``interval_latencies`` is cleared;
+        the p95 is taken over that one buffer (``None`` for an interval that
+        served nothing).  A fire only raises a flag; the driver turns it
+        into a typed REPLAN heap event so migrations stay on the event
+        timeline.
         """
         if self.detector is None or self.replan_in_progress:
             return
-        p95_s: float | None = None
-        for lane in self._dense_lanes:
-            if lane.latencies:
-                value = float(np.percentile(lane.latencies, 95))
-                if p95_s is None or value > p95_s:
-                    p95_s = value
+        latencies = self.interval_latencies
+        p95_s = float(np.percentile(latencies, 95)) if latencies else None
         if self.detector.observe(now, p95_s):
             self.replan_requested = True
 
@@ -1822,18 +1807,24 @@ class _TenantRuntime:
         self.replans_applied += 1
 
     def record_interval_metrics(self, now: float, metrics) -> None:
+        """Record the interval's HPA inputs into the cluster's ``metrics``.
+
+        Every lane records ``<name>/queries`` (what a throughput target
+        reads); the dense/monolithic lanes also record ``<name>/latency_s``,
+        the p95 of the interval's end-to-end latencies, computed once.
+        """
         for lane in self._lanes:
             metrics.record(f"{lane.name}/queries", float(lane.count), now)
-            if lane.latencies:
-                metrics.record(
-                    f"{lane.name}/latency_s", float(np.percentile(lane.latencies, 95)), now
-                )
+        if self.interval_latencies:
+            p95_s = float(np.percentile(self.interval_latencies, 95))
+            for lane in self._dense_lanes:
+                metrics.record(f"{lane.name}/latency_s", p95_s, now)
 
     def sample(self, now: float) -> None:
-        # Drift detection reads the interval latency buffers this method is
+        # Drift detection reads the interval latency buffer this method is
         # about to clear, so it observes first (a no-op unless replanning).
         self.observe_drift(now)
-        # The SLO watchdog reads the same buffers plus the interval arrival/
+        # The SLO watchdog reads the same buffer plus the interval arrival/
         # failure counters (a no-op when the control plane is off).
         self.observe_slo(now)
         self.sample_times.append(now)
@@ -1887,7 +1878,7 @@ class _TenantRuntime:
                 lane.hit_sum = 0.0
                 lane.gather_sum = 0.0
             lane.count = 0
-            lane.latencies = []
+        self.interval_latencies = []
         if self.track_inflight:
             # Prune settled in-flight entries so the registry stays bounded.
             for key, entries in self.inflight.items():
@@ -2726,11 +2717,6 @@ class ServingEngine(MultiTenantEngine):
         super().__init__(
             [TenantSpec(name=plan.name, plan=plan, **options)], warm_start=warm_start
         )
-
-    @property
-    def routing_policy(self) -> RoutingPolicy:
-        """The active replica-selection policy."""
-        return self._runtimes[0].policy
 
     def run(
         self,

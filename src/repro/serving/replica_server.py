@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 from repro.data.distributions import AccessDistribution
 from repro.hardware.perf_model import BatchLatencyModel
 
-__all__ = ["CacheSpec", "ReplicaCache", "ReplicaServer", "serve_least_work"]
+__all__ = ["CacheSpec", "ReplicaServer", "serve_least_work"]
 
 
 class CacheSpec:
@@ -41,11 +41,12 @@ class CacheSpec:
 
     One spec is shared by every replica of a deployment; the per-replica
     fills live in :class:`~repro.serving.routing.ReplicaPool`, tested
-    against the :class:`ReplicaCache` reference.  The model is the conservative
-    hot-prefix one the paper adopts from the caching literature (after Kwon
-    et al., as in ``core/gpu_cache.py``): a cache holding ``p`` rows is
-    approximated as holding the ``p`` *hottest* rows, so the probability
-    that a gather hits is the distribution's coverage of that prefix.
+    against the ``ReplicaCache`` reference in ``tests/serving/oracle.py``.
+    The model is the conservative hot-prefix one the paper adopts from the
+    caching literature (after Kwon et al., as in ``core/gpu_cache.py``): a
+    cache holding ``p`` rows is approximated as holding the ``p`` *hottest*
+    rows, so the probability that a gather hits is the distribution's
+    coverage of that prefix.
     Splitting by the shared hot-prefix definition
     (:func:`repro.data.distributions.hot_prefix_rows`, the same prefix
     :class:`~repro.serving.workload.SkewedCostModel` charges
@@ -167,92 +168,6 @@ class CacheSpec:
             hot_a + frac * (f_hot[index + 1] - hot_a),
             cold_a + frac * (f_cold[index + 1] - cold_a),
         )
-
-
-class ReplicaCache:
-    """Reference model of one replica's embedding cache (its resident rows).
-
-    The engine keeps fills in ``ReplicaPool.fill_rows`` and prices them in
-    ``ReplicaPool.cached_price``; ``tests/serving/test_cache.py`` checks it
-    against this class query for query.  A fresh cache starts empty, so a
-    crash-replacement or drain-evicted replica's replacement container
-    restarts cold and earns its hit rate back one served query at a time.
-    Warm-up is *optimistic* in the
-    insert-on-miss sense: every missed gather is assumed to admit a new row
-    (duplicate misses across queries are not deduplicated), which slightly
-    overestimates warm-up speed but keeps admission O(1) per query.
-    """
-
-    __slots__ = ("spec", "fill_rows")
-
-    def __init__(self, spec: CacheSpec) -> None:
-        self.spec = spec
-        self.fill_rows = 0.0
-
-    @property
-    def fill_fraction(self) -> float:
-        """Resident rows as a fraction of the effective capacity.
-
-        Uses the spec's cached ``1/capacity_eff`` (a multiply, not a divide)
-        with the full cache special-cased to exactly 1.0; the recovery-aware
-        routing policy computes the identical expression over the pool's
-        fill array.
-        """
-        fill = self.fill_rows
-        spec = self.spec
-        if fill >= spec.capacity_eff:
-            return 1.0
-        return fill * spec.inv_capacity_eff
-
-    def hit_rate(self, hot_gathers: float, cold_gathers: float) -> float:
-        """Expected fraction of a query's gathers served from the cache."""
-        total = hot_gathers + cold_gathers
-        if total <= 0.0:
-            return 0.0
-        f_hot, f_cold = self.spec.hit_fractions(self.fill_rows)
-        return (hot_gathers * f_hot + cold_gathers * f_cold) / total
-
-    def price(self, hot_gathers: float, cold_gathers: float) -> tuple[float, float]:
-        """Pure pricing read: (hit rate, expected hit count), no admission.
-
-        ``hits`` is returned alongside the rate because ``hit_rate * total``
-        does not round back to ``hits`` in floating point — :meth:`admit`
-        needs the exact hit count to reproduce :meth:`serve`'s fill update.
-        """
-        total = hot_gathers + cold_gathers
-        if total <= 0.0:
-            return 0.0, 0.0
-        f_hot, f_cold = self.spec.hit_fractions(self.fill_rows)
-        hits = hot_gathers * f_hot + cold_gathers * f_cold
-        return hits / total, hits
-
-    def admit(self, total_gathers: float, hits: float) -> None:
-        """Admit one priced query's missed gathers, clamped at capacity.
-
-        The single admission rule shared by the scalar reference and the
-        pool-array path: fill grows by ``total - hits`` and saturates at the
-        effective capacity.
-        """
-        fill = self.fill_rows + (total_gathers - hits)
-        capacity = self.spec.capacity_eff
-        self.fill_rows = capacity if fill > capacity else fill
-
-    def serve(self, hot_gathers: float, cold_gathers: float) -> float:
-        """Hit rate for one query's gathers; admits the missed rows."""
-        total = hot_gathers + cold_gathers
-        if total <= 0.0:
-            return 0.0
-        hit_rate, hits = self.price(hot_gathers, cold_gathers)
-        self.admit(total, hits)
-        return hit_rate
-
-    def warm(self) -> None:
-        """Fill to capacity instantly (asymptotic steady state, for tests)."""
-        self.fill_rows = float(self.spec.capacity_eff)
-
-    def invalidate(self) -> None:
-        """Drop every resident row (re-sharding moves the rows elsewhere)."""
-        self.fill_rows = 0.0
 
 
 class ReplicaServer:
@@ -408,10 +323,6 @@ class ReplicaServer:
     def is_ready(self, now: float) -> bool:
         """Whether the replica can accept traffic at ``now``."""
         return now >= self._ready_at
-
-    def is_available(self, now: float) -> bool:
-        """Ready *and* neither failed nor draining: routable at ``now``."""
-        return not self._failed and not self._draining and now >= self._ready_at
 
     def pending_work(self, now: float) -> float:
         """Seconds of queued work ahead of a query submitted at ``now``."""

@@ -264,7 +264,8 @@ class ReplicaPool:
         nothing and admits everything; a replica pinned at capacity (or a
         pool whose every replica is) takes the fill-independent grid-end
         price and writes nothing.  The one place cached pricing happens,
-        bit-exact with ``ReplicaCache.serve`` followed by
+        bit-exact with the test reference ``ReplicaCache.serve``
+        (``tests/serving/oracle.py``) followed by
         ``cache_adjusted_multiplier``.
         """
         if not total > 0.0:
@@ -684,8 +685,9 @@ class RecoveryAwarePolicy(RoutingPolicy):
             # time-window fast path does not apply; the cold fractions come
             # from each replica's actual fill.
             service_s = cost[0] * cost[1] if cost is not None else 0.0
-            # Elementwise ``1 - ReplicaCache.fill_fraction``, including its
-            # full-cache == exactly-1.0 special case.  The pool keeps its
+            # Elementwise ``1 - ReplicaCache.fill_fraction`` (the reference
+            # in tests/serving/oracle.py), including its full-cache ==
+            # exactly-1.0 special case.  The pool keeps its
             # fills as a Python list for the engine's per-query pricing;
             # this conversion stays off the default least-work route.
             fills = np.asarray(pool.fill_rows)

@@ -1,16 +1,18 @@
-"""Tests for the characterisation experiments (Figures 3, 5, 6, 9)."""
+"""Tests for the characterisation experiments (Figures 3, 5, 6, 9).
+
+Each figure's result comes from the session's ``all_results`` fixture, the
+same run the golden digests check.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import fig03, fig05, fig06, fig09
-
 
 class TestFig3:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig03.run()
+    def result(self, all_results):
+        return all_results["fig3"]
 
     def test_one_row_per_model(self, result):
         assert result.column("model") == ["RM1", "RM2", "RM3"]
@@ -40,8 +42,8 @@ class TestFig3:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig05.run()
+    def result(self, all_results):
+        return all_results["fig5"]
 
     def test_covers_both_systems(self, result):
         assert set(result.column("system")) == {"cpu", "cpu-gpu"}
@@ -67,8 +69,8 @@ class TestFig5:
 
 class TestFig6:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig06.run()
+    def result(self, all_results):
+        return all_results["fig6"]
 
     def test_all_datasets_present(self, result):
         assert set(result.column("dataset")) == {"amazon-books", "criteo", "movielens"}
@@ -88,8 +90,8 @@ class TestFig6:
 
 class TestFig9:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig09.run()
+    def result(self, all_results):
+        return all_results["fig9"]
 
     def test_dimensions_and_counts(self, result):
         assert set(result.column("embedding_dim")) == {32, 128, 512}

@@ -1,26 +1,17 @@
 """Tests for the paper-scale evaluation experiments (Figures 12-20, headline).
 
-These run the real experiment code on the real Table II workloads, so they
-are the slowest tests in the suite; the assertions check the *shape* of the
-paper's results (who wins, orderings, rough factors), not exact numbers.
+These check the real experiment code on the real Table II workloads.  Each
+default-argument result comes from the session's ``all_results`` fixture
+(the same run the golden digests check), so no experiment runs twice; the
+assertions check the *shape* of the paper's results (who wins, orderings,
+rough factors), not exact numbers.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-    fig20,
-    headline,
-)
+from repro.experiments import fig12
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
@@ -55,22 +46,22 @@ class TestFig12Microbenchmarks:
         # ...and the DP-chosen plan is at least as good as any forced count.
         assert result.summary["dp_chosen_gb"] <= min(memories.values()) * 1.02
 
-    def test_combined_runner(self):
-        result = fig12.run()
+    def test_combined_runner(self, all_results):
+        result = all_results["fig12"]
         assert {r["panel"] for r in result.rows} == {"fig12a", "fig12b", "fig12c", "fig12d"}
 
 
 class TestCpuOnlyEvaluation:
-    def test_fig13_memory_reductions(self):
-        result = fig13.run()
+    def test_fig13_memory_reductions(self, all_results):
+        result = all_results["fig13"]
         reductions = {r["model"]: r["reduction"] for r in result.rows}
         # ElasticRec wins for every workload, most on RM3 (paper: 2.2/2.6/8.1x).
         assert all(value > 1.5 for value in reductions.values())
         assert reductions["RM3"] == max(reductions.values())
         assert 2.0 < result.summary["geomean_reduction"] < 8.0
 
-    def test_fig14_utility(self):
-        result = fig14.run()
+    def test_fig14_utility(self, all_results):
+        result = all_results["fig14"]
         baseline_rows = [r for r in result.rows if r["strategy"] == "model-wise"]
         elastic_hot = [
             r for r in result.rows if r["strategy"] == "elasticrec" and r["shard"] == "S1"
@@ -80,16 +71,16 @@ class TestCpuOnlyEvaluation:
         assert all(r["memory_utility_pct"] > 3 * baseline_rows[0]["memory_utility_pct"] for r in elastic_hot)
         assert result.summary["geomean_utility_gain"] > 3.0
 
-    def test_fig14_replicas_proportional_to_hotness(self):
-        result = fig14.run()
+    def test_fig14_replicas_proportional_to_hotness(self, all_results):
+        result = all_results["fig14"]
         for model in ("RM1", "RM2", "RM3"):
             shards = [
                 r for r in result.rows if r["strategy"] == "elasticrec" and r["model"] == model
             ]
             assert shards[0]["replicas"] == max(s["replicas"] for s in shards)
 
-    def test_fig15_server_reduction(self):
-        result = fig15.run()
+    def test_fig15_server_reduction(self, all_results):
+        result = all_results["fig15"]
         by_model = {r["model"]: r for r in result.rows}
         # ElasticRec needs no more servers anywhere and strictly fewer for RM1/RM3.
         for model, row in by_model.items():
@@ -99,29 +90,29 @@ class TestCpuOnlyEvaluation:
 
 
 class TestCpuGpuEvaluation:
-    def test_fig16_memory_reductions(self):
-        result = fig16.run()
+    def test_fig16_memory_reductions(self, all_results):
+        result = all_results["fig16"]
         for row in result.rows:
             assert row["reduction"] > 1.2
         # RM3's gain is smaller than on CPU-only (paper: 8.1x -> 2.6x).
-        cpu_only = {r["model"]: r["reduction"] for r in fig13.run().rows}
+        cpu_only = {r["model"]: r["reduction"] for r in all_results["fig13"].rows}
         gpu = {r["model"]: r["reduction"] for r in result.rows}
         assert gpu["RM3"] < cpu_only["RM3"]
 
-    def test_fig17_utility(self):
-        result = fig17.run()
+    def test_fig17_utility(self, all_results):
+        result = all_results["fig17"]
         assert result.experiment_id == "fig17"
         assert result.summary["geomean_utility_gain"] > 3.0
 
-    def test_fig18_runs_and_reports_paper_reference(self):
-        result = fig18.run()
+    def test_fig18_runs_and_reports_paper_reference(self, all_results):
+        result = all_results["fig18"]
         assert {r["model"] for r in result.rows} == {"RM1", "RM2", "RM3"}
         for row in result.rows:
             assert row["paper_reduction"] in (1.4, 1.6, 1.2)
             assert row["rpc_overhead_ms"] == pytest.approx(60.0)
 
-    def test_fig20_cache_comparison(self):
-        result = fig20.run()
+    def test_fig20_cache_comparison(self, all_results):
+        result = all_results["fig20"]
         for row in result.rows:
             # The cache shrinks the baseline substantially (paper: 41%)...
             assert 0.25 < row["cache_saving_vs_mw"] < 0.6
@@ -132,8 +123,8 @@ class TestCpuGpuEvaluation:
 
 
 class TestDynamicTrafficAndHeadline:
-    def test_fig19_reduced_mode(self):
-        result = fig19.run(full=False)
+    def test_fig19_reduced_mode(self, all_results):
+        result = all_results["fig19"]
         summary = result.summary
         # ElasticRec uses less memory at peak and violates the SLA less often.
         assert summary["peak_memory_ratio"] > 1.2
@@ -144,8 +135,8 @@ class TestDynamicTrafficAndHeadline:
         strategies = {r["strategy"] for r in result.rows}
         assert strategies == {"elasticrec", "model-wise"}
 
-    def test_headline_aggregates(self):
-        result = headline.run()
+    def test_headline_aggregates(self, all_results):
+        result = all_results["headline"]
         summary = result.summary
         assert summary["average_memory_reduction"] > 2.0
         assert summary["average_utility_gain"] > 3.0

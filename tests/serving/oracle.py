@@ -21,11 +21,17 @@ from the engine's code (it imports nothing from ``repro.serving.engine``,
 :func:`simulate` returns per-query completion times and latencies in
 arrival order; the differential test in ``test_oracle.py`` holds the engine
 to them exactly, float for float.
+
+:class:`ReplicaCache` is the scalar reference of one replica's embedding
+cache: given a deployment's ``CacheSpec`` (the hit-fraction curves), it
+prices and admits one query's gathers at a time, the rule the engine's
+pool-array cache pricing must reproduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +39,9 @@ from repro.core.plan import ROLE_DENSE, DeploymentPlan
 from repro.hardware.perf_model import PerfModel
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import make_cost_model
+
+if TYPE_CHECKING:
+    from repro.serving.replica_server import CacheSpec
 
 #: The routing rules the oracle models.
 ROUTINGS = ("least-work", "round-robin")
@@ -147,3 +156,89 @@ def simulate(
         overhead_s,
     )
     return np.asarray(completions), np.asarray(latencies)
+
+
+class ReplicaCache:
+    """Reference model of one replica's embedding cache (its resident rows).
+
+    The engine keeps fills in ``ReplicaPool.fill_rows`` and prices them in
+    ``ReplicaPool.cached_price``; ``test_cache.py`` checks it against this
+    class query for query, and ``test_dispatch.py`` prices retries and
+    requeues with it.  A fresh cache starts empty, so a crash-replacement or
+    drain-evicted replica's replacement container restarts cold and earns
+    its hit rate back one served query at a time.  Warm-up is *optimistic*
+    in the insert-on-miss sense: every missed gather is assumed to admit a
+    new row (duplicate misses across queries are not deduplicated), which
+    slightly overestimates warm-up speed but keeps admission O(1) per query.
+    """
+
+    __slots__ = ("spec", "fill_rows")
+
+    def __init__(self, spec: CacheSpec) -> None:
+        self.spec = spec
+        self.fill_rows = 0.0
+
+    @property
+    def fill_fraction(self) -> float:
+        """Resident rows as a fraction of the effective capacity.
+
+        Uses the spec's cached ``1/capacity_eff`` (a multiply, not a divide)
+        with the full cache special-cased to exactly 1.0; the recovery-aware
+        routing policy computes the identical expression over the pool's
+        fill array.
+        """
+        fill = self.fill_rows
+        spec = self.spec
+        if fill >= spec.capacity_eff:
+            return 1.0
+        return fill * spec.inv_capacity_eff
+
+    def hit_rate(self, hot_gathers: float, cold_gathers: float) -> float:
+        """Expected fraction of a query's gathers served from the cache."""
+        total = hot_gathers + cold_gathers
+        if total <= 0.0:
+            return 0.0
+        f_hot, f_cold = self.spec.hit_fractions(self.fill_rows)
+        return (hot_gathers * f_hot + cold_gathers * f_cold) / total
+
+    def price(self, hot_gathers: float, cold_gathers: float) -> tuple[float, float]:
+        """Pure pricing read: (hit rate, expected hit count), no admission.
+
+        ``hits`` is returned alongside the rate because ``hit_rate * total``
+        does not round back to ``hits`` in floating point — :meth:`admit`
+        needs the exact hit count to reproduce :meth:`serve`'s fill update.
+        """
+        total = hot_gathers + cold_gathers
+        if total <= 0.0:
+            return 0.0, 0.0
+        f_hot, f_cold = self.spec.hit_fractions(self.fill_rows)
+        hits = hot_gathers * f_hot + cold_gathers * f_cold
+        return hits / total, hits
+
+    def admit(self, total_gathers: float, hits: float) -> None:
+        """Admit one priced query's missed gathers, clamped at capacity.
+
+        The single admission rule shared by the scalar reference and the
+        pool-array path: fill grows by ``total - hits`` and saturates at the
+        effective capacity.
+        """
+        fill = self.fill_rows + (total_gathers - hits)
+        capacity = self.spec.capacity_eff
+        self.fill_rows = capacity if fill > capacity else fill
+
+    def serve(self, hot_gathers: float, cold_gathers: float) -> float:
+        """Hit rate for one query's gathers; admits the missed rows."""
+        total = hot_gathers + cold_gathers
+        if total <= 0.0:
+            return 0.0
+        hit_rate, hits = self.price(hot_gathers, cold_gathers)
+        self.admit(total, hits)
+        return hit_rate
+
+    def warm(self) -> None:
+        """Fill to capacity instantly (asymptotic steady state, for tests)."""
+        self.fill_rows = float(self.spec.capacity_eff)
+
+    def invalidate(self) -> None:
+        """Drop every resident row (re-sharding moves the rows elsewhere)."""
+        self.fill_rows = 0.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import ReplicaCache
 
 from repro.core.planner import ElasticRecPlanner
 from repro.data.distributions import ZipfDistribution
@@ -24,7 +25,7 @@ from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import ServingEngine
-from repro.serving.replica_server import CacheSpec, ReplicaCache
+from repro.serving.replica_server import CacheSpec
 from repro.serving.routing import ReplicaPool
 from repro.serving.scenarios import build_scenario
 from repro.serving.traffic import TrafficPattern

@@ -13,13 +13,14 @@ import heapq
 import itertools
 
 import pytest
+from oracle import ReplicaCache
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import EventKind, ServingEngine
-from repro.serving.replica_server import ReplicaCache, ReplicaServer
+from repro.serving.replica_server import ReplicaServer
 from repro.serving.traffic import TrafficPattern
 from repro.serving.workload import degraded_gather_multiplier
 

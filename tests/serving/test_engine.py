@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.baseline import ModelWisePlanner
+from repro.core.plan import ROLE_EMBEDDING
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark, rm1
@@ -244,6 +246,30 @@ class TestRejectedQueryMetrics:
         dense = next(d for d in plan.deployments if d.role == "dense")
         latency = metrics.samples(f"{dense.name}/latency_s")
         assert latency and latency[0].value >= 2.0 * plan.cluster.sla_s
+
+    @pytest.mark.parametrize("strategy", ["elasticrec", "model-wise"])
+    def test_latency_metric_is_the_interval_end_to_end_p95(self, plan, pattern, strategy):
+        # Embedding deployments scale on throughput and record no latency;
+        # the dense (or monolithic) one records the p95 of the end-to-end
+        # latencies of the queries that arrived in the interval, recomputed
+        # here from the tracker (fault-free and retry-free, so each query
+        # has one latency).
+        if strategy == "model-wise":
+            plan = ModelWisePlanner(plan.cluster).plan(plan.workload, plan.target_qps)
+        engine = ServingEngine(plan, seed=0)
+        result = engine.run(pattern)
+        metrics = engine.cluster.metrics
+        for deployment in plan.deployments:
+            if deployment.role == ROLE_EMBEDDING:
+                assert not metrics.samples(f"{deployment.name}/latency_s")
+        (scaled,) = [d for d in plan.deployments if d.role != ROLE_EMBEDDING]
+        samples = metrics.samples(f"{scaled.name}/latency_s")
+        assert len(samples) == result.sample_times.size
+        latencies = result.tracker.latencies_s
+        arrivals = pattern.arrivals(np.random.default_rng(0))[: latencies.size]
+        for sample in samples:
+            interval = (arrivals > sample.timestamp - 15.0) & (arrivals <= sample.timestamp)
+            assert sample.value == float(np.percentile(latencies[interval], 95))
 
 
 class TestVectorisedSeries:
