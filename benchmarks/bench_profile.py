@@ -13,7 +13,9 @@ hot path itself:
 * the kernel carried the run: ``serve_query`` (one call per drain's popped
   arrival) sees at most 15% of the queries, where the per-query path would
   see all of them — the assertions fail before any wall-clock regression
-  shows up in CI timing noise;
+  shows up in CI timing noise.  That includes a recovery-aware run through
+  a crash storm: faults and the policy's warm-up window keep the kernel
+  serving, with in-flight tracking on;
 * no routing policy keeps a per-server ``select`` loop beside the pool-array
   ``select_index``;
 * the *cached* run must stay on the same shape: pricing happens against the
@@ -112,6 +114,40 @@ def test_bench_profile_hot_path(benchmark):
         benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"
 
 
+def test_bench_profile_recovery_aware_crash_storm(benchmark):
+    """Profile a recovery-aware run through a crash storm; the kernel carries it."""
+    pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
+    profiler = cProfile.Profile()
+
+    engine = ServingEngine(
+        _reduced_plan(),
+        seed=0,
+        routing="recovery-aware",
+        faults="crash-storm",
+        autoscale=False,
+    )
+
+    def run():
+        profiler.enable()
+        result = engine.run(pattern)
+        profiler.disable()
+        return result
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    queries = result.tracker.num_samples
+    assert queries > 10_000
+    assert result.faults_injected > 0, "the crash storm never struck"
+
+    table = _stats_by_name(pstats.Stats(profiler))
+    _assert_served_once_by_the_kernel(engine, result, table)
+
+    top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
+    benchmark.extra_info["queries"] = queries
+    benchmark.extra_info["faults_injected"] = result.faults_injected
+    for rank, (name, (calls, cumulative)) in enumerate(top[:8]):
+        benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"
+
+
 def test_bench_profile_cached_hot_path(benchmark):
     """Profile a cached run; assert pricing stayed array-backed.
 
@@ -142,7 +178,7 @@ def test_bench_profile_cached_hot_path(benchmark):
     _assert_served_once_by_the_kernel(engine, result, table)
     _assert_select_index_only()
     for leaked in (
-        "replica_server.py:serve",
+        "oracle.py:serve",
         "replica_server.py:hit_fractions",
         "perf_model.py:cache_adjusted_multiplier",
         "perf_model.py:factor",

@@ -76,10 +76,10 @@ structs rather than dict lookups.  Every attempt of a query on a lane —
 first attempts, client retries and crash re-queues alike — goes through
 one dispatch loop (:meth:`_TenantRuntime._dispatch`) that routes, prices,
 submits and registers it, except inside a drain whose queries cannot push
-an event (plain least-work on ready single-query replicas, nothing armed):
-there the rest of the drain is served one lane at a time by the k-server
-FIFO recursion (:meth:`_TenantRuntime.serve_chunk`), bit-exact with the
-per-query loop.
+an event (a policy ranking as least-work on ready single-query replicas,
+no straggler window, nothing armed): there the rest of the drain is served
+one lane at a time by the k-server FIFO recursion
+(:meth:`_TenantRuntime.serve_chunk`), bit-exact with the per-query loop.
 
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
@@ -122,7 +122,6 @@ from repro.serving.replanner import (
 )
 from repro.serving.replica_server import CacheSpec, ReplicaServer, serve_least_work
 from repro.serving.routing import (
-    LeastWorkPolicy,
     ReplicaPool,
     RoutingPolicy,
     make_routing_policy,
@@ -676,10 +675,11 @@ class _TenantRuntime:
             if type(policy).on_submit is not RoutingPolicy.on_submit
             else None
         )
-        # Plain least-work routing (no submit hook, no completion events) is
-        # what :meth:`serve_chunk` reproduces lane by lane.
+        # A policy that routes as least-work from some point on (and has no
+        # submit hook or completion events) can be served by
+        # :meth:`serve_chunk` lane by lane.
         self.least_work = (
-            type(policy) is LeastWorkPolicy
+            type(policy).least_work_from is not RoutingPolicy.least_work_from
             and self.policy_on_submit is None
             and not policy.needs_completion_events
         )
@@ -864,9 +864,9 @@ class _TenantRuntime:
         )
         self.track_completions = self.policy.needs_completion_events
         # Fault state.  A run whose model resolves to nothing (including the
-        # default no-fault configuration) keeps ``faults_on`` False, skips
-        # the in-flight registry entirely, and never touches the fault RNG —
-        # so it stays bit-exact with the fault-unaware engine.
+        # default no-fault configuration) has an empty timeline, skips the
+        # in-flight registry entirely, and never touches the fault RNG — so
+        # it stays bit-exact with the fault-unaware engine.
         fault_model = make_fault_model(self.faults_spec, pattern.duration_s)
         self.faults_name = "none"
         self.fault_timeline: list[tuple[float, object]] = []
@@ -874,12 +874,12 @@ class _TenantRuntime:
             self.faults_name = fault_model.name
             self.fault_rng = np.random.default_rng([self.seed, 3])
             self.fault_timeline = fault_model.timeline(pattern.duration_s, self.fault_rng)
-        self.faults_on = bool(self.fault_timeline)
-        # In-flight tracking is wider than faults_on: a tenant with no fault
-        # model of its own still needs its in-flight registry when *another*
-        # tenant's node drain can evict its replicas, so the driver turns
-        # this on for every tenant as soon as any tenant has a timeline.
-        self.track_inflight = self.faults_on
+        # In-flight tracking is wider than the tenant's own timeline: a
+        # tenant with no fault model of its own still needs its in-flight
+        # registry when *another* tenant's node drain can evict its
+        # replicas, so :func:`_drive` turns this on for every tenant as soon
+        # as any tenant has a timeline.
+        self.track_inflight = bool(self.fault_timeline)
         self.faults_injected = 0
         #: (deployment, replica) -> stack of active straggler factors.
         #: Stacks (not scalars) so overlapping windows compose: each window
@@ -970,17 +970,18 @@ class _TenantRuntime:
     def chunk_eligible(self) -> bool:
         """Whether the rest of a drain may go through :meth:`serve_chunk`.
 
-        Observed state, not a knob: plain least-work routing, nothing the
-        watchdog arms (shedding, deadlines, fallback), no fault tracking,
-        and every lane's pool non-empty, unblocked and serving single-query
-        batches.  Under these conditions a query touches no state shared
-        across lanes and pushes no heap event, so lanes can be served one
-        at a time.
+        Observed state, not a knob: a policy that routes as least-work from
+        some time on, no straggler window active, nothing the watchdog arms
+        (shedding, deadlines, fallback), and every lane's pool non-empty,
+        unblocked and serving single-query batches.  Under these conditions
+        a query touches no state shared across lanes and pushes no heap
+        event, so lanes can be served one at a time.  A deployment-wide
+        degradation stretches a whole lane alike, and in-flight attempts
+        are registered by the kernel as :meth:`_dispatch` registers them.
         """
         if (
             not self.least_work
-            or self.faults_on
-            or self.track_inflight
+            or self.slowdowns
             or self.shed_armed
             or self.deadline_armed
             or self.fallback_armed
@@ -1002,16 +1003,20 @@ class _TenantRuntime:
     ) -> None:
         """Serve arrivals ``[begin, stop)`` of an eligible drain, lane by lane.
 
-        On each lane, arrivals before its last replica is ready go through
-        :meth:`_dispatch` one query at a time (least-work then masks out
-        starting replicas); the rest are served in one call to
+        On each lane, arrivals before the policy's
+        :meth:`~repro.serving.routing.RoutingPolicy.least_work_from` time
+        (all of them when it is ``None``) go through :meth:`_dispatch` one
+        query at a time; the rest are served in one call to
         :func:`~repro.serving.replica_server.serve_least_work`, the k-server
         FIFO recursion that least-work routing and ``submit`` compute query
-        by query, with cached lanes pricing through
+        by query, with the lane's degradation factor applied to its service
+        time and cached lanes pricing through
         :meth:`~repro.serving.routing.ReplicaPool.cached_price` in query
-        order.  End-to-end latency is then the latest lane completion plus
-        the RPC overhead, recorded with one tracker ``extend``: bit-exact
-        with serving each arrival through :meth:`serve_query`, because an
+        order.  While in-flight attempts are tracked, those completing
+        after the heap top are registered, as :meth:`_dispatch` does.
+        End-to-end latency is then the latest lane completion plus the RPC
+        overhead, recorded with one tracker ``extend``: bit-exact with
+        serving each arrival through :meth:`serve_query`, because an
         eligible query touches no state shared across lanes.
         """
         count = stop - begin
@@ -1030,10 +1035,15 @@ class _TenantRuntime:
             cold = self.query_cold[begin:stop].tolist()
             total = self.query_total[begin:stop].tolist()
         dispatch = self._dispatch
+        least_work_from = self.policy.least_work_from
+        inflight = self.inflight if self.track_inflight else None
+        chosen = None if inflight is None else []
+        settled = heap[0][0] if heap else -np.inf
         worst = None
         for lane in self._lanes:
             pool = lane.pool
-            head = int(np.searchsorted(times, pool.ready_threshold))
+            start = least_work_from(pool)
+            head = count if start is None else int(np.searchsorted(times, start))
             completions = [
                 dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
                 for query, arrival in enumerate(arrivals[:head], begin)
@@ -1048,10 +1058,23 @@ class _TenantRuntime:
                     price = _cache_pricer(
                         pool, costs, hot[head:], cold[head:], total[head:], hits
                     )
+                # No straggler window is open: only degradations stretch it.
+                service = lane.service_s * self._slowdown_factor(lane.name)
                 tail = serve_least_work(
-                    pool.servers, arrivals[head:], lane.service_s, costs, price
+                    pool.servers, arrivals[head:], service, costs, price, chosen
                 )
-                pool.busy[:] = [server.busy_until for server in pool.servers]
+                servers = pool.servers
+                pool.busy[:] = [server.busy_until for server in servers]
+                if chosen:
+                    name = lane.name
+                    for query, index, completion in zip(
+                        range(begin + head, stop), chosen, tail
+                    ):
+                        if completion > settled:
+                            inflight.setdefault((name, servers[index].name), []).append(
+                                (completion, query)
+                            )
+                    chosen.clear()
                 if lane.cached:
                     # In query order, as _dispatch accumulates them.
                     gather_sum = lane.gather_sum
@@ -1114,8 +1137,11 @@ class _TenantRuntime:
         multiplier = 1.0 if multipliers is None else multipliers.item(query_index)
         select_index = self.policy.select_index
         on_submit = self.policy_on_submit
-        faults_on = self.faults_on
+        slowed = self.degradations or self.slowdowns
         inflight = self.inflight if self.track_inflight else None
+        # No crash or eviction lands before the heap top, and settling skips
+        # attempts complete by then: the registry takes only the rest.
+        settled = heap[0][0] if heap else -np.inf
         completions = heap if self.track_completions else None
         if self.caches_on:
             # One query's gather split is shared by every cached lane: read
@@ -1142,9 +1168,9 @@ class _TenantRuntime:
                             worst = completion
                 continue
             server = pool.servers[index]
-            if faults_on:
+            if slowed:
                 # Stragglers and transient degradations stretch this shard's
-                # service time; a healthy run multiplies by nothing.
+                # service time; outside their windows nothing multiplies.
                 service = service * self._slowdown_factor(name, server.name)
             submit_cost = cost
             if fallback and lane.cost_bearing:
@@ -1174,7 +1200,7 @@ class _TenantRuntime:
             pool.busy[index] = completion
             if on_submit is not None:
                 on_submit(name, server)
-            if inflight is not None:
+            if inflight is not None and completion > settled:
                 inflight.setdefault((name, server.name), []).append(
                     (completion, query_index)
                 )
@@ -1429,11 +1455,12 @@ class _TenantRuntime:
     # ------------------------------------------------------------------
     # Fault handling
     # ------------------------------------------------------------------
-    def _slowdown_factor(self, deployment_name: str, server_name: str) -> float:
+    def _slowdown_factor(self, deployment_name: str, server_name: str | None = None) -> float:
         """Combined service-time stretch of every window active on a replica.
 
         Overlapping windows compound multiplicatively (a straggler inside a
-        deployment-wide degradation is slow twice over).
+        deployment-wide degradation is slow twice over).  Without a
+        ``server_name``, only the deployment-wide degradations.
         """
         factor = 1.0
         for value in self.degradations.get(deployment_name, ()):

@@ -201,7 +201,6 @@ class ReplicaServer:
         "_unit_scale",
         "_completed",
         "_batches",
-        "_busy_time",
         "_failed",
         "_draining",
         "_batch_start",
@@ -246,7 +245,6 @@ class ReplicaServer:
             self._unit_scale = 1.0 - batch_model.overhead_fraction
         self._completed = 0
         self._batches = 0
-        self._busy_time = 0.0
         self._failed = False
         self._draining = False
         # Forming-batch state: service-start time, member count, summed cost
@@ -296,11 +294,6 @@ class ReplicaServer:
     def batch_model(self) -> BatchLatencyModel | None:
         """The latency model scaling this replica's batch service times."""
         return self._batch_model
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total service time accumulated (for utilization accounting)."""
-        return self._busy_time
 
     @property
     def failed(self) -> bool:
@@ -382,7 +375,6 @@ class ReplicaServer:
                 self._batch_count, self._batch_mult_sum
             )
             completion = max(completion, self._busy_until)
-            self._busy_time += completion - self._busy_until
             self._busy_until = completion
             self._run_ends[-1] = completion
         else:
@@ -418,7 +410,6 @@ class ReplicaServer:
             self._batches += 1
             completion = start + service
             self._busy_until = completion
-            self._busy_time += service
             run_ends = self._run_ends
             if run_ends and start <= run_ends[-1]:
                 run_ends[-1] = completion
@@ -519,6 +510,7 @@ def serve_least_work(
     service_time: float,
     multipliers: Sequence[float] | None = None,
     price: Callable[[int, int], float] | None = None,
+    chosen: list[int] | None = None,
 ) -> list[float]:
     """Serve queries in arrival order on one lane of ready single-query replicas.
 
@@ -535,7 +527,8 @@ def serve_least_work(
     ``None``); ``price(index, query)``, when given, returns instead the
     multiplier of the ``query``-th arrival on replica ``index`` (the
     embedding-cache tier prices against the chosen replica's fill).
-    Returns each query's completion time.
+    Returns each query's completion time; when ``chosen`` is given, each
+    query's replica index is appended to it.
     """
     if service_time <= 0:
         raise ValueError("service_time must be positive")
@@ -552,7 +545,6 @@ def serve_least_work(
         services = [service_time * (1.0 + scale * (m - 1.0)) for m in multipliers]
     queue = [(server._busy_until, index) for index, server in enumerate(servers)]
     heapify(queue)
-    busy_time = [server._busy_time for server in servers]
     served = [0] * len(servers)
     run_starts = [server._run_starts for server in servers]
     run_ends = [server._run_ends for server in servers]
@@ -568,7 +560,6 @@ def serve_least_work(
         start = arrival if arrival > drain else drain
         completion = start + service
         heapreplace(queue, (completion, index))
-        busy_time[index] += service
         served[index] += 1
         ends = run_ends[index]
         if ends and start <= ends[-1]:
@@ -577,10 +568,11 @@ def serve_least_work(
             run_starts[index].append(start)
             ends.append(completion)
         completions.append(completion)
+        if chosen is not None:
+            chosen.append(index)
     for drain, index in queue:
         server = servers[index]
         server._busy_until = drain
-        server._busy_time = busy_time[index]
         server._completed += served[index]
         server._batches += served[index]
     return completions

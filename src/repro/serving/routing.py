@@ -386,11 +386,25 @@ class RoutingPolicy:
     def on_complete(self, deployment_name: str, server_name: str) -> None:
         """Notification that a query finished on the named replica."""
 
+    def least_work_from(self, pool: ReplicaPool) -> float | None:
+        """From when this policy picks exactly ``pool.busy.argmin()``.
+
+        The engine's drain kernel serves a lane's arrivals at or after this
+        time with the least-work recursion instead of one ``select_index``
+        call each.  Called on a refreshed, unblocked pool, and valid until
+        its next membership or fill-state change.  ``None`` means never; a
+        subclass that changes the ranking must override this as well.
+        """
+        return None
+
 
 class LeastWorkPolicy(RoutingPolicy):
     """Route to the replica whose queue drains first (the seed behaviour)."""
 
     name = "least-work"
+
+    def least_work_from(self, pool: ReplicaPool) -> float | None:
+        return pool.ready_threshold
 
     def select_index(
         self,
@@ -668,6 +682,15 @@ class RecoveryAwarePolicy(RoutingPolicy):
             raise ValueError("cold_penalty_queries must be non-negative")
         self.warmup_s = float(warmup_s)
         self.cold_penalty_queries = float(cold_penalty_queries)
+
+    def least_work_from(self, pool: ReplicaPool) -> float | None:
+        # A warm pool adds an exactly-zero penalty, so the ranking is
+        # least-work's: cache-less pools from the end of the last replica's
+        # warm-up window, cached pools once every fill is pinned at capacity
+        # (fills only grow until the next membership change or reset).
+        if pool.has_caches:
+            return pool.ready_threshold if pool.cache_warm else None
+        return pool.ready_threshold + self.warmup_s
 
     def select_index(
         self,

@@ -8,7 +8,12 @@ import pytest
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import MultiTenantEngine, ServingEngine, TenantSpec
+from repro.serving.engine import (
+    MultiTenantEngine,
+    ServingEngine,
+    TenantSpec,
+    _TenantRuntime,
+)
 from repro.serving.faults import (
     FAULT_SCENARIOS,
     FaultModel,
@@ -406,3 +411,155 @@ class TestAutoscalerCapacityLoss:
         assert result.faults_injected > 0
         for series in result.replica_counts.values():
             assert series[-1] >= 1
+
+
+def _kernel_and_per_query(monkeypatch, run):
+    """``run()``'s per-tenant results as-is and with the drain kernel off.
+
+    The as-is run must reach :meth:`_TenantRuntime.serve_chunk`, or the
+    comparison would hold trivially.
+    """
+    chunks = []
+    serve_chunk = _TenantRuntime.serve_chunk
+
+    def counted(self, begin, stop, *args):
+        chunks.append((begin, stop))
+        return serve_chunk(self, begin, stop, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_TenantRuntime, "serve_chunk", counted)
+        kernel = run()
+    assert chunks, "the drain kernel never ran"
+    with monkeypatch.context() as patch:
+        patch.setattr(_TenantRuntime, "chunk_eligible", lambda self: False)
+        per_query = run()
+    return kernel, per_query, chunks
+
+
+def _assert_same_outcome(kernel, per_query):
+    assert kernel.keys() == per_query.keys()
+    for name, result in kernel.items():
+        other = per_query[name]
+        assert result.digest() == other.digest(), name
+        assert result.requeued_queries == other.requeued_queries, name
+        assert result.dropped_queries == other.dropped_queries, name
+        assert result.rejected_queries == other.rejected_queries, name
+
+
+class TestDrainKernelUnderFaults:
+    """The drain kernel serves faulty and recovery-aware tenants exactly as
+    the per-query path does: same digest and same failure accounting."""
+
+    @pytest.mark.parametrize(
+        ("options", "settled"),
+        [
+            pytest.param(
+                dict(routing="recovery-aware", faults="crash@60;crash@120"),
+                None,
+                id="recovery-aware",
+            ),
+            pytest.param(
+                dict(
+                    routing="recovery-aware",
+                    cost_model="skewed",
+                    cache_mb=64.0,
+                    faults="crash@60;crash@120",
+                ),
+                None,
+                id="recovery-aware-cached",
+            ),
+            pytest.param(
+                dict(
+                    initial_replicas=2,
+                    autoscale=False,
+                    faults="crashes@30+150:rate=4,policy=requeue",
+                ),
+                "requeued_queries",
+                id="crash-storm-requeue",
+            ),
+            pytest.param(
+                dict(faults="crashes@30+150:rate=4,policy=drop"),
+                "dropped_queries",
+                id="crash-storm-drop",
+            ),
+            pytest.param(
+                dict(autoscale=False, faults="degrade@60+60:factor=2.0"),
+                None,
+                id="degrade",
+            ),
+            pytest.param(
+                dict(autoscale=False, faults="straggler@60+60:factor=3"),
+                None,
+                id="straggler",
+            ),
+        ],
+    )
+    def test_single_tenant_matches_per_query_path(
+        self, monkeypatch, plan, pattern, options, settled
+    ):
+        def run():
+            result = ServingEngine(plan, seed=0, **options).run(pattern)
+            return {plan.name: result}
+
+        kernel, per_query, _ = _kernel_and_per_query(monkeypatch, run)
+        _assert_same_outcome(kernel, per_query)
+        result = kernel[plan.name]
+        assert result.faults_injected > 0
+        if settled is not None:
+            # A kernel that loses in-flight attempts only shows if the
+            # crashes do find attempts to settle.
+            assert getattr(result, settled) > 0
+
+    def test_two_tenant_node_drain_matches_per_query_path(self, monkeypatch, plan):
+        # Tenant a's drain evicts b's replicas too.  b carries most of the
+        # traffic, so its drains are long and the kernel serves (and must
+        # register) most of the attempts the eviction settles.
+        light = TrafficPattern.constant(2.0, duration_s=180.0)
+        heavy = TrafficPattern.constant(30.0, duration_s=180.0)
+
+        def run():
+            tenants = [
+                TenantSpec(
+                    "a", plan, light, seed=0,
+                    faults="drain@60+60:node=1,policy=drop,grace=0",
+                ),
+                TenantSpec("b", plan, heavy, seed=1, autoscale=False),
+            ]
+            engine = MultiTenantEngine(tenants, cluster_spec=cpu_only_cluster(num_nodes=2))
+            return engine.run().tenants
+
+        kernel, per_query, _ = _kernel_and_per_query(monkeypatch, run)
+        _assert_same_outcome(kernel, per_query)
+        assert kernel["b"].faults_injected > 0
+        assert kernel["b"].dropped_queries > 0
+
+    def test_arrival_at_the_warm_up_boundary(self, monkeypatch, plan, pattern):
+        # After a crash, recovery-aware routing ranks as least-work only
+        # from the replacement's ready time plus the warm-up window.  Put an
+        # arrival exactly there and check the kernel serves it as the
+        # per-query path does.
+        options = dict(
+            routing="recovery-aware", initial_replicas=2, autoscale=False,
+            faults="crash@60",
+        )
+        probe = ServingEngine(plan, seed=0, **options)
+        probe.run(pattern)
+        runtime = probe._runtimes[0]
+        boundary = max(
+            runtime.policy.least_work_from(pool.refresh())
+            for pool in runtime.pools.values()
+        )
+        assert 60.0 < boundary < pattern.duration_s
+        arrivals = pattern.arrivals(np.random.default_rng(0))
+        arrivals = np.sort(np.append(arrivals, boundary))
+        query = int(np.searchsorted(arrivals, boundary))
+        monkeypatch.setattr(TrafficPattern, "arrivals", lambda self, rng: arrivals.copy())
+
+        def run():
+            return {plan.name: ServingEngine(plan, seed=0, **options).run(pattern)}
+
+        kernel, per_query, chunks = _kernel_and_per_query(monkeypatch, run)
+        _assert_same_outcome(kernel, per_query)
+        assert any(begin <= query < stop for begin, stop in chunks), (
+            "the boundary arrival was not served by the kernel"
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.hardware.perf_model import BatchLatencyModel
@@ -19,7 +21,7 @@ class TestReplicaServer:
         completion = server.submit(arrival=10.0, service_time=0.5)
         assert completion == pytest.approx(10.5)
         assert server.completed_queries == 1
-        assert server.busy_seconds == pytest.approx(0.5)
+        assert server.busy_seconds_between(0.0, math.inf) == pytest.approx(0.5)
 
     def test_queueing_is_fifo(self):
         server = ReplicaServer("r0")
@@ -177,7 +179,7 @@ class TestBatching:
         server.submit(0.5, 1.0)
         server.submit(0.7, 1.0)
         # Runs: [0, 1) then [1, 2.8): total busy 2.8 seconds.
-        assert server.busy_seconds == pytest.approx(2.8)
+        assert server.busy_seconds_between(0.0, math.inf) == pytest.approx(2.8)
         assert server.busy_seconds_between(0.0, 10.0) == pytest.approx(2.8)
 
     def test_invalid_batch_configuration_rejected(self):
