@@ -15,7 +15,10 @@ hot path itself:
   see all of them — the assertions fail before any wall-clock regression
   shows up in CI timing noise.  That includes a recovery-aware run through
   a crash storm: faults and the policy's warm-up window keep the kernel
-  serving, with in-flight tracking on;
+  serving, with in-flight tracking on; and the same storm under an SLO
+  watchdog with a short attempt timeout, where armed shedding, deadlines
+  and fallback stay in the kernel and one-lane ``_dispatch`` calls stay
+  at most 5% of the query-lanes;
 * no routing policy keeps a per-server ``select`` loop beside the pool-array
   ``select_index``;
 * the *cached* run must stay on the same shape: pricing happens against the
@@ -34,7 +37,7 @@ import numpy as np
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import rm1
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import ServingEngine, _TenantRuntime
 from repro.serving.routing import ROUTING_POLICIES, RoutingPolicy
 from repro.serving.traffic import paper_dynamic_pattern
 
@@ -144,6 +147,73 @@ def test_bench_profile_recovery_aware_crash_storm(benchmark):
     top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
     benchmark.extra_info["queries"] = queries
     benchmark.extra_info["faults_injected"] = result.faults_injected
+    for rank, (name, (calls, cumulative)) in enumerate(top[:8]):
+        benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"
+
+
+#: The ``incident_slo`` workload's availability-first policy with a 2x-SLA
+#: attempt timeout, so the crash storm arms deadlines (and TIMEOUTs and
+#: retries fire) and quality fallback.
+_SHORT_TIMEOUT_SLO = (
+    "p95@1.5:p99=8,availability=0.995,reject=0.02,patience=1,"
+    "shed=0.0,deadline=20,timeout=2,retries=3,storm=0.5,recover=2"
+)
+
+
+def test_bench_profile_watchdog_crash_storm(benchmark, monkeypatch):
+    """Profile a watchdog-armed recovery-aware crash storm; the kernel carries it.
+
+    Fixed replicas at half the planned load, as the ``incident_slo``
+    workload runs.  Armed shedding, deadlines and fallback are served by
+    the kernel (deadlines in windows of one attempt timeout), and so are
+    warming replicas: one-lane ``_dispatch`` calls, the per-query route a
+    lane falls back to, stay at most 5% of the query-lanes.
+    """
+    pattern = paper_dynamic_pattern(base_qps=4.5, peak_qps=9.0, duration_s=1800.0)
+    profiler = cProfile.Profile()
+
+    engine = ServingEngine(
+        _reduced_plan(),
+        seed=0,
+        routing="recovery-aware",
+        faults="crash-storm",
+        autoscale=False,
+        slo=_SHORT_TIMEOUT_SLO,
+    )
+    one_lane = [0]
+    dispatch = _TenantRuntime._dispatch
+
+    def counted(self, lanes, *args):
+        if len(lanes) == 1:
+            one_lane[0] += 1
+        return dispatch(self, lanes, *args)
+
+    monkeypatch.setattr(_TenantRuntime, "_dispatch", counted)
+
+    def run():
+        profiler.enable()
+        result = engine.run(pattern)
+        profiler.disable()
+        return result
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    queries = result.tracker.num_samples
+    assert queries > 10_000
+    assert result.faults_injected > 0, "the crash storm never struck"
+    assert result.retried_queries > 0, "no attempt timed out and retried"
+    assert result.watchdog_series["degraded"].sum() > 0, "fallback never armed"
+
+    table = _stats_by_name(pstats.Stats(profiler))
+    _assert_served_once_by_the_kernel(engine, result, table)
+    lane_queries = queries * len(result.replica_counts)
+    assert one_lane[0] <= 0.05 * lane_queries, (
+        f"{one_lane[0]} one-lane _dispatch calls for {lane_queries} query-lanes"
+    )
+
+    top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
+    benchmark.extra_info["queries"] = queries
+    benchmark.extra_info["one_lane_dispatches"] = one_lane[0]
+    benchmark.extra_info["retried_queries"] = result.retried_queries
     for rank, (name, (calls, cumulative)) in enumerate(top[:8]):
         benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"
 

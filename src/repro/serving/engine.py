@@ -75,11 +75,12 @@ buffers, and per-deployment interval accounting lives in slotted lane
 structs rather than dict lookups.  Every attempt of a query on a lane —
 first attempts, client retries and crash re-queues alike — goes through
 one dispatch loop (:meth:`_TenantRuntime._dispatch`) that routes, prices,
-submits and registers it, except inside a drain whose queries cannot push
-an event (a policy ranking as least-work on ready single-query replicas,
-no straggler window, nothing armed): there the rest of the drain is served
-one lane at a time by the k-server FIFO recursion
-(:meth:`_TenantRuntime.serve_chunk`), bit-exact with the per-query loop.
+submits and registers it, except inside a drain whose lanes share nothing
+but the end-to-end latency (a policy ranking as least-work on unblocked
+single-query replicas, no straggler window): there the rest of the drain
+is served one lane at a time by the k-server FIFO recursion
+(:meth:`_TenantRuntime.serve_chunk`), with what the watchdog arms applied
+per chunk, bit-exact with the per-query loop.
 
 Series post-processing (achieved QPS, windowed p95) is vectorised with a
 *single shared* stable sort of the completion times (via
@@ -675,11 +676,11 @@ class _TenantRuntime:
             if type(policy).on_submit is not RoutingPolicy.on_submit
             else None
         )
-        # A policy that routes as least-work from some point on (and has no
-        # submit hook or completion events) can be served by
-        # :meth:`serve_chunk` lane by lane.
+        # A policy that can rank its pools as least-work (and has no submit
+        # hook or completion events) can be served by :meth:`serve_chunk`
+        # lane by lane.
         self.least_work = (
-            type(policy).least_work_from is not RoutingPolicy.least_work_from
+            type(policy).least_work_ranking is not RoutingPolicy.least_work_ranking
             and self.policy_on_submit is None
             and not policy.needs_completion_events
         )
@@ -970,22 +971,18 @@ class _TenantRuntime:
     def chunk_eligible(self) -> bool:
         """Whether the rest of a drain may go through :meth:`serve_chunk`.
 
-        Observed state, not a knob: a policy that routes as least-work from
-        some time on, no straggler window active, nothing the watchdog arms
-        (shedding, deadlines, fallback), and every lane's pool non-empty,
+        Observed state, not a knob: a policy that can rank pools as
+        least-work (:meth:`~repro.serving.routing.RoutingPolicy.least_work_ranking`),
+        no straggler window active, and every lane's pool non-empty,
         unblocked and serving single-query batches.  Under these conditions
-        a query touches no state shared across lanes and pushes no heap
-        event, so lanes can be served one at a time.  A deployment-wide
-        degradation stretches a whole lane alike, and in-flight attempts
-        are registered by the kernel as :meth:`_dispatch` registers them.
+        a query's lanes share no state but its end-to-end latency, so lanes
+        can be served one at a time.  A deployment-wide degradation
+        stretches a whole lane alike, in-flight attempts are registered by
+        the kernel as :meth:`_dispatch` registers them, and what the
+        watchdog arms (shedding, deadlines, fallback) is applied per chunk
+        as :meth:`serve_query` applies it per query.
         """
-        if (
-            not self.least_work
-            or self.slowdowns
-            or self.shed_armed
-            or self.deadline_armed
-            or self.fallback_armed
-        ):
+        if not self.least_work or self.slowdowns:
             return False
         for lane in self._lanes:
             pool = lane.pool.refresh()
@@ -1003,98 +1000,177 @@ class _TenantRuntime:
     ) -> None:
         """Serve arrivals ``[begin, stop)`` of an eligible drain, lane by lane.
 
-        On each lane, arrivals before the policy's
-        :meth:`~repro.serving.routing.RoutingPolicy.least_work_from` time
-        (all of them when it is ``None``) go through :meth:`_dispatch` one
-        query at a time; the rest are served in one call to
+        Each lane is one call to
         :func:`~repro.serving.replica_server.serve_least_work`, the k-server
-        FIFO recursion that least-work routing and ``submit`` compute query
-        by query, with the lane's degradation factor applied to its service
-        time and cached lanes pricing through
+        FIFO recursion that the policy's ranking
+        (:meth:`~repro.serving.routing.RoutingPolicy.least_work_ranking`)
+        and ``submit`` compute query by query: replicas join at their ready
+        time and warming ones carry their cold penalty, priced with the
+        query's undegraded cost hint.  A pool the policy ranks some other
+        way (``None``: recovery-aware routing on caches still filling) goes
+        through :meth:`_dispatch` one query at a time.  The lane's
+        degradation factor stretches its service time, and cached lanes
+        price through
         :meth:`~repro.serving.routing.ReplicaPool.cached_price` in query
         order.  While in-flight attempts are tracked, those completing
         after the heap top are registered, as :meth:`_dispatch` does.
+
+        What the watchdog arms applies as in :meth:`serve_query`, in arrival
+        order.  Shedding draws the chunk's ``slo_rng`` values with one
+        ``random(count)`` call (the stream the scalar draws consume) and
+        keeps shed queries out of every lane.  Quality fallback prices the
+        cost-bearing lanes' queries at their degraded cost, bypassing the
+        cache tier.  Armed deadlines push each query's completion onto the
+        live population and schedule its TIMEOUT when it outlives the
+        attempt timeout; :func:`_drive` cuts such drains into windows so
+        that no TIMEOUT lands before a window's last arrival.
+
         End-to-end latency is then the latest lane completion plus the RPC
         overhead, recorded with one tracker ``extend``: bit-exact with
-        serving each arrival through :meth:`serve_query`, because an
-        eligible query touches no state shared across lanes.
+        serving each arrival through :meth:`serve_query`.
         """
         count = stop - begin
         if self.watchdog_on:
             self.interval_arrivals += count
         times = self.arrivals[begin:stop]
-        arrivals = times.tolist()
+        rows = slice(begin, stop)
+        indices = range(begin, stop)
+        served = None
+        if self.shed_armed:
+            shed = self.slo_rng.random(count) < self.shed_fraction_value
+            if shed.any():
+                served = ~shed
+                rows = np.flatnonzero(served) + begin
+                indices = rows.tolist()
+                self.rejected_indices.update((np.flatnonzero(shed) + begin).tolist())
+                self.shed_count += count - rows.size
+                self.interval_shed += count - rows.size
+        served_times = times if served is None else times[served]
+        arrivals = served_times.tolist()
         multipliers = None
         if self.query_multipliers is not None:
-            chunk = self.query_multipliers[begin:stop]
+            chunk = self.query_multipliers[rows]
             if (chunk <= 0).any():
                 raise ValueError("multiplier must be positive")
             multipliers = chunk.tolist()
-        if self.caches_on:
-            hot = self.query_hot[begin:stop].tolist()
-            cold = self.query_cold[begin:stop].tolist()
-            total = self.query_total[begin:stop].tolist()
+        fallback = self.fallback_armed
+        if self.query_hot is not None and (self.caches_on or fallback):
+            hot = self.query_hot[rows].tolist()
+            cold = self.query_cold[rows].tolist()
+            total = self.query_total[rows].tolist()
+        # Quality fallback: the cost-bearing lanes' degraded costs, as
+        # _dispatch prices them; the cache tier is bypassed.
+        degraded = None
+        if fallback:
+            if self.query_hot is not None:
+                hot_fraction = self._hot_cost_fraction
+                degraded = [
+                    degraded_gather_multiplier(cost, h, c, hot_fraction)
+                    for cost, h, c in zip(multipliers, hot, cold)
+                ]
+            elif multipliers is not None:
+                quality = self.slo_policy.quality
+                degraded = [cost * quality for cost in multipliers]
+            else:
+                degraded = [self.slo_policy.quality] * len(arrivals)
+            if min(degraded, default=1.0) <= 0:
+                raise ValueError("multiplier must be positive")
         dispatch = self._dispatch
-        least_work_from = self.policy.least_work_from
+        ranking = self.policy.least_work_ranking
         inflight = self.inflight if self.track_inflight else None
         chosen = None if inflight is None else []
         settled = heap[0][0] if heap else -np.inf
+        first = arrivals[0] if arrivals else np.inf
         worst = None
         for lane in self._lanes:
             pool = lane.pool
-            start = least_work_from(pool)
-            head = count if start is None else int(np.searchsorted(times, start))
-            completions = [
-                dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
-                for query, arrival in enumerate(arrivals[:head], begin)
-            ]
-            if head < count:
-                costs = None
-                if lane.cost_bearing and multipliers is not None:
-                    costs = multipliers[head:]
+            rank = ranking(pool)
+            if rank is None:
+                completions = [
+                    dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
+                    for query, arrival in zip(indices, arrivals)
+                ]
+            else:
+                hint = multipliers if lane.cost_bearing else None
+                costs = degraded if fallback and lane.cost_bearing else hint
+                priced = lane.cached and not fallback
                 price = None
-                if lane.cached:
+                if priced:
                     hits: list[float] = []
-                    price = _cache_pricer(
-                        pool, costs, hot[head:], cold[head:], total[head:], hits
-                    )
+                    price = _cache_pricer(pool, costs, hot, cold, total, hits)
+                warmup_s, penalty_queries = rank
+                penalties = None
+                if penalty_queries > 0 and first < pool.ready_threshold + warmup_s:
+                    # A replica is still warming: each query's penalty in
+                    # seconds, from its undegraded cost hint.
+                    service_s = lane.service_s
+                    if hint is None:
+                        penalties = [penalty_queries * service_s] * len(arrivals)
+                    else:
+                        penalties = [penalty_queries * (service_s * cost) for cost in hint]
                 # No straggler window is open: only degradations stretch it.
                 service = lane.service_s * self._slowdown_factor(lane.name)
-                tail = serve_least_work(
-                    pool.servers, arrivals[head:], service, costs, price, chosen
-                )
                 servers = pool.servers
+                completions = serve_least_work(
+                    servers,
+                    pool.ready.tolist(),
+                    arrivals,
+                    service,
+                    costs,
+                    price,
+                    chosen,
+                    warmup_s,
+                    penalties,
+                )
                 pool.busy[:] = [server.busy_until for server in servers]
                 if chosen:
                     name = lane.name
-                    for query, index, completion in zip(
-                        range(begin + head, stop), chosen, tail
-                    ):
+                    for query, index, completion in zip(indices, chosen, completions):
                         if completion > settled:
                             inflight.setdefault((name, servers[index].name), []).append(
                                 (completion, query)
                             )
                     chosen.clear()
-                if lane.cached:
+                if priced:
                     # In query order, as _dispatch accumulates them.
                     gather_sum = lane.gather_sum
-                    for gathers in total[head:]:
+                    for gathers in total:
                         gather_sum += gathers
                     lane.gather_sum = gather_sum
                     hit_sum = lane.hit_sum
                     for hit in hits:
                         hit_sum += hit
                     lane.hit_sum = hit_sum
-                lane.count += count - head
-                completions += tail
+                lane.count += len(arrivals)
             completions = np.array(completions)
             if worst is None:
                 worst = completions
             else:
                 np.maximum(worst, completions, out=worst)
-        latencies = worst + self.rpc_overhead_s - times
+        query_completions = worst + self.rpc_overhead_s
+        latencies = query_completions - served_times
         self.interval_latencies.extend(latencies.tolist())
+        if served is not None:
+            # Shed queries record the rejection penalty, in arrival order.
+            shed_latencies = np.full(count, 2.0 * self.sla_s)
+            shed_latencies[served] = latencies
+            latencies = shed_latencies
         self.tracker.extend(times + latencies, latencies)
+        if fallback:
+            self.degraded_indices.update(indices)
+            self.interval_degraded += len(arrivals)
+        if self.deadline_armed:
+            live = self._live_completions
+            timeout_s = self.attempt_timeout_s
+            for query, arrival, completion in zip(
+                indices, arrivals, query_completions.tolist()
+            ):
+                heapq.heappush(live, completion)
+                attempt_deadline = arrival + timeout_s
+                if completion > attempt_deadline:
+                    self._schedule(
+                        attempt_deadline, EventKind.TIMEOUT, tenant_index, query, heap, seq
+                    )
 
     def _dispatch(
         self,
@@ -2184,10 +2260,15 @@ def _drive(
     the draining tenant: tenants share no state between control ticks, so
     that order changes no result.  The popped arrival always goes through
     :meth:`_TenantRuntime.serve_query`; when the tenant's observed state
-    makes the rest of the drain unable to push an event
-    (:meth:`_TenantRuntime.chunk_eligible`), that remainder is served lane
-    by lane in one :meth:`_TenantRuntime.serve_chunk` call, otherwise query
-    by query.
+    allows it (:meth:`_TenantRuntime.chunk_eligible`), the rest of the drain
+    is served lane by lane by :meth:`_TenantRuntime.serve_chunk`, otherwise
+    query by query.  While deadlines are armed, a chunk is one window: the
+    arrivals up to its first arrival plus the attempt timeout, inclusive
+    (an arrival ties ahead of a TIMEOUT).  A TIMEOUT the window's queries
+    push lands at or after its last arrival, exactly as per-query serving
+    would meet it; after each window the heap top is re-read and the drain
+    goes on with the next window.  On ``incident_slo`` (seed 0) this leaves
+    142 of 114,815 arrivals to ``serve_query``, down from 54,065.
 
     ``probe``, if given, is called as ``probe(now)`` after each tenant sample
     point (at equal timestamps every reconcile precedes every sample, so the
@@ -2256,14 +2337,29 @@ def _drive(
                     index += 1
                     if heap[0] is not top:
                         break
-                top = heap[0]
-                side = "left" if top[1] == EventKind.COMPLETION else "right"
-                stop = max(int(np.searchsorted(arrivals, top[0], side=side)), index)
-                if index < stop and runtime.chunk_eligible():
-                    # No query of the remainder can push an event, so the
-                    # top stays put: serve it lane by lane in one go.
-                    runtime.serve_chunk(index, stop, tenant_index, heap, seq)
-                    index = stop
+                while True:
+                    top = heap[0]
+                    side = "left" if top[1] == EventKind.COMPLETION else "right"
+                    stop = max(int(np.searchsorted(arrivals, top[0], side=side)), index)
+                    if index >= stop or not runtime.chunk_eligible():
+                        break
+                    end = stop
+                    if runtime.deadline_armed:
+                        # A query's TIMEOUT lands at its arrival plus the
+                        # attempt timeout, so within this window it lands
+                        # at or after the last arrival (which ties ahead).
+                        end = min(
+                            end,
+                            int(
+                                np.searchsorted(
+                                    arrivals,
+                                    arrivals[index] + runtime.attempt_timeout_s,
+                                    side="right",
+                                )
+                            ),
+                        )
+                    runtime.serve_chunk(index, end, tenant_index, heap, seq)
+                    index = end
             if index < runtime.num_served:
                 heapq.heappush(
                     heap,

@@ -19,15 +19,17 @@ configuration (and skips the latency model entirely for an average-cost
 query, where the factor is exactly 1.0), and the merged busy runs are kept as
 parallel start/end lists so windowed utilization lookups bisect into them
 instead of scanning the whole history.  :func:`serve_least_work` serves a
-whole run of queries on one lane of ready single-query replicas at once,
-bit-exact with least-work routing plus ``submit`` per query.
+whole run of queries on one lane of single-query replicas at once, starting
+and warming replicas included, bit-exact with least-work (or
+recovery-aware) routing plus ``submit`` per query.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import heapify, heapreplace
+from heapq import heappush, heapreplace
 from itertools import islice
+from math import inf
 from typing import Callable, Sequence
 
 from repro.data.distributions import AccessDistribution
@@ -506,22 +508,34 @@ class ReplicaServer:
 
 def serve_least_work(
     servers: Sequence[ReplicaServer],
+    ready: Sequence[float],
     arrivals: Sequence[float],
     service_time: float,
     multipliers: Sequence[float] | None = None,
     price: Callable[[int, int], float] | None = None,
     chosen: list[int] | None = None,
+    warmup_s: float = 0.0,
+    penalties: Sequence[float] | None = None,
 ) -> list[float]:
-    """Serve queries in arrival order on one lane of ready single-query replicas.
+    """Serve queries in arrival order on one lane of single-query replicas.
 
     Each query goes to the replica whose queue drains first (lowest index
     on ties), starts at ``max(arrival, drain time)`` and runs for its unit
     batch service time: the k-server FIFO workload recursion
-    (Kiefer-Wolfowitz), kept as a ``(drain time, index)`` heap.  It is
-    exactly what least-work routing followed by :meth:`ReplicaServer.submit`
-    computes query by query once every replica is ready and serves
-    ``max_batch=1`` batches under one shared batch model, including each
-    server's counters and merged busy runs, written in query order.
+    (Kiefer-Wolfowitz).  It is exactly what least-work routing followed by
+    :meth:`ReplicaServer.submit` computes query by query on replicas that
+    serve ``max_batch=1`` batches under one shared batch model, including
+    each server's counters and merged busy runs, written in query order.
+
+    ``ready`` holds each replica's ready time: a replica joins the ranking
+    once an arrival reaches it, and every replica ranks while none has.  With ``penalties`` (one penalty in seconds per
+    query), a replica also carries a cold penalty until ``ready +
+    warmup_s``: it ranks at its drain time plus ``penalties[query] *
+    (((ready + warmup_s) - arrival) / warmup_s)``, the IEEE operations of
+    :meth:`~repro.serving.routing.RecoveryAwarePolicy.select_index`.
+    Replicas that are ready with no penalty left stay in a ``(drain time,
+    index)`` heap; the others are ranked beside its top, query by query,
+    until they join it.
 
     ``multipliers`` are the queries' cost multipliers (all 1.0 when
     ``None``); ``price(index, query)``, when given, returns instead the
@@ -543,14 +557,41 @@ def serve_least_work(
         services = [service_time * m for m in multipliers]
     else:
         services = [service_time * (1.0 + scale * (m - 1.0)) for m in multipliers]
-    queue = [(server._busy_until, index) for index, server in enumerate(servers)]
-    heapify(queue)
+    drains = [server._busy_until for server in servers]
+    # When each replica joins the (drain time, index) heap: once it is ready
+    # with no penalty left.  Latest first, so the next to join pops last.
+    joins = ready if penalties is None else [at + warmup_s for at in ready]
+    pending = sorted(zip(joins, range(len(servers))), reverse=True)
+    queue = []
     served = [0] * len(servers)
     run_starts = [server._run_starts for server in servers]
     run_ends = [server._run_ends for server in servers]
     completions = []
     for query, arrival in enumerate(arrivals):
-        drain, index = queue[0]
+        while pending and pending[-1][0] <= arrival:
+            index = pending.pop()[1]
+            heappush(queue, (drains[index], index))
+        if pending and (penalties is not None or not queue):
+            # Ready replicas rank (the heap top plus any still warming);
+            # while none is ready, every replica does.
+            warming = [entry for entry in pending if ready[entry[1]] <= arrival]
+            if queue:
+                drain, index = queue[0]
+            else:
+                drain, index = inf, len(drains)
+                if not warming:
+                    warming = pending
+            best = drain
+            penalty = None if penalties is None else penalties[query]
+            for plain_at, other in warming:
+                key = drains[other]
+                if penalty is not None:
+                    key = key + penalty * ((plain_at - arrival) / warmup_s)
+                if key < best or (key == best and other < index):
+                    best, index = key, other
+                    drain = drains[other]
+        else:
+            drain, index = queue[0]
         if services is not None:
             service = services[query]
         elif scale is None:
@@ -559,7 +600,10 @@ def serve_least_work(
             service = service_time * (1.0 + scale * (price(index, query) - 1.0))
         start = arrival if arrival > drain else drain
         completion = start + service
-        heapreplace(queue, (completion, index))
+        if queue and queue[0][1] == index:
+            heapreplace(queue, (completion, index))
+        else:
+            drains[index] = completion
         served[index] += 1
         ends = run_ends[index]
         if ends and start <= ends[-1]:
@@ -571,8 +615,9 @@ def serve_least_work(
         if chosen is not None:
             chosen.append(index)
     for drain, index in queue:
-        server = servers[index]
-        server._busy_until = drain
+        drains[index] = drain
+    for index, server in enumerate(servers):
+        server._busy_until = drains[index]
         server._completed += served[index]
         server._batches += served[index]
     return completions

@@ -386,14 +386,22 @@ class RoutingPolicy:
     def on_complete(self, deployment_name: str, server_name: str) -> None:
         """Notification that a query finished on the named replica."""
 
-    def least_work_from(self, pool: ReplicaPool) -> float | None:
-        """From when this policy picks exactly ``pool.busy.argmin()``.
+    def least_work_ranking(self, pool: ReplicaPool) -> tuple[float, float] | None:
+        """How this policy ranks ``pool``, for the engine's drain kernel.
 
-        The engine's drain kernel serves a lane's arrivals at or after this
-        time with the least-work recursion instead of one ``select_index``
-        call each.  Called on a refreshed, unblocked pool, and valid until
-        its next membership or fill-state change.  ``None`` means never; a
-        subclass that changes the ranking must override this as well.
+        ``(warmup_s, cold_penalty_queries)`` when ``select_index`` is
+        least-work with a fading cold penalty: a replica joins the ranking
+        once an arrival reaches its ``ready_at`` (every replica ranks while
+        none is ready), and ranks at its queue-drain time plus
+        ``cold_penalty_queries * (service_s * multiplier)`` times the
+        fraction of its warm-up window ``[ready_at, ready_at + warmup_s)``
+        still ahead; ties go to the lowest index.  A zero penalty is plain
+        least-work.  The kernel then serves a lane's arrivals with the
+        least-work recursion instead of one ``select_index`` call each.
+        Called on a refreshed, unblocked pool, and valid until its next
+        membership or fill-state change.  ``None`` means this policy ranks
+        the pool some other way; a subclass that changes the ranking must
+        override this as well.
         """
         return None
 
@@ -403,8 +411,8 @@ class LeastWorkPolicy(RoutingPolicy):
 
     name = "least-work"
 
-    def least_work_from(self, pool: ReplicaPool) -> float | None:
-        return pool.ready_threshold
+    def least_work_ranking(self, pool: ReplicaPool) -> tuple[float, float] | None:
+        return (0.0, 0.0)
 
     def select_index(
         self,
@@ -683,14 +691,14 @@ class RecoveryAwarePolicy(RoutingPolicy):
         self.warmup_s = float(warmup_s)
         self.cold_penalty_queries = float(cold_penalty_queries)
 
-    def least_work_from(self, pool: ReplicaPool) -> float | None:
-        # A warm pool adds an exactly-zero penalty, so the ranking is
-        # least-work's: cache-less pools from the end of the last replica's
-        # warm-up window, cached pools once every fill is pinned at capacity
-        # (fills only grow until the next membership change or reset).
+    def least_work_ranking(self, pool: ReplicaPool) -> tuple[float, float] | None:
+        # Cache-less pools penalise by the time window.  A cached pool's
+        # penalty follows its fills instead; once every fill is pinned at
+        # capacity (fills only grow until the next membership change or
+        # reset) it is exactly zero.
         if pool.has_caches:
-            return pool.ready_threshold if pool.cache_warm else None
-        return pool.ready_threshold + self.warmup_s
+            return (0.0, 0.0) if pool.cache_warm else None
+        return (self.warmup_s, self.cold_penalty_queries)
 
     def select_index(
         self,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.planner import ElasticRecPlanner
+from repro.experiments import watchdog as watchdog_experiment
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import (
@@ -413,18 +414,24 @@ class TestAutoscalerCapacityLoss:
             assert series[-1] >= 1
 
 
+_ARMED = ("shed", "deadline", "fallback")
+
+
 def _kernel_and_per_query(monkeypatch, run):
     """``run()``'s per-tenant results as-is and with the drain kernel off.
 
     The as-is run must reach :meth:`_TenantRuntime.serve_chunk`, or the
-    comparison would hold trivially.
+    comparison would hold trivially.  Each kernel call is returned as
+    ``(begin, stop, armed, top)``: its arrival range, the watchdog actions
+    armed (a subset of ``_ARMED``) and the heap top's time.
     """
     chunks = []
     serve_chunk = _TenantRuntime.serve_chunk
 
-    def counted(self, begin, stop, *args):
-        chunks.append((begin, stop))
-        return serve_chunk(self, begin, stop, *args)
+    def counted(self, begin, stop, tenant_index, heap, seq):
+        armed = {flag for flag in _ARMED if getattr(self, f"{flag}_armed")}
+        chunks.append((begin, stop, armed, heap[0][0]))
+        return serve_chunk(self, begin, stop, tenant_index, heap, seq)
 
     with monkeypatch.context() as patch:
         patch.setattr(_TenantRuntime, "serve_chunk", counted)
@@ -534,10 +541,10 @@ class TestDrainKernelUnderFaults:
         assert kernel["b"].dropped_queries > 0
 
     def test_arrival_at_the_warm_up_boundary(self, monkeypatch, plan, pattern):
-        # After a crash, recovery-aware routing ranks as least-work only
-        # from the replacement's ready time plus the warm-up window.  Put an
-        # arrival exactly there and check the kernel serves it as the
-        # per-query path does.
+        # After a crash, recovery-aware routing penalises the replacement
+        # until its ready time plus the warm-up window.  Put an arrival
+        # exactly there (its penalty is exactly zero) and check the kernel
+        # serves it as the per-query path does.
         options = dict(
             routing="recovery-aware", initial_replicas=2, autoscale=False,
             faults="crash@60",
@@ -545,10 +552,12 @@ class TestDrainKernelUnderFaults:
         probe = ServingEngine(plan, seed=0, **options)
         probe.run(pattern)
         runtime = probe._runtimes[0]
-        boundary = max(
-            runtime.policy.least_work_from(pool.refresh())
+        rankings = [
+            (pool.refresh(), runtime.policy.least_work_ranking(pool))
             for pool in runtime.pools.values()
-        )
+        ]
+        assert all(ranking[1] > 0 for _, ranking in rankings)
+        boundary = max(pool.ready_threshold + ranking[0] for pool, ranking in rankings)
         assert 60.0 < boundary < pattern.duration_s
         arrivals = pattern.arrivals(np.random.default_rng(0))
         arrivals = np.sort(np.append(arrivals, boundary))
@@ -560,6 +569,135 @@ class TestDrainKernelUnderFaults:
 
         kernel, per_query, chunks = _kernel_and_per_query(monkeypatch, run)
         _assert_same_outcome(kernel, per_query)
-        assert any(begin <= query < stop for begin, stop in chunks), (
+        assert any(begin <= query < stop for begin, stop, *_ in chunks), (
             "the boundary arrival was not served by the kernel"
+        )
+
+
+#: The ``watchdog`` experiment's availability-first policy (no shedding,
+#: 6x-SLA attempt timeout, 20x-SLA deadline) on a reduced incident: a 2x
+#: brownout with a crash storm that drops in-flight queries.
+_WATCHDOG_SLO = watchdog_experiment._SLO
+_INCIDENT = "degrade@60+90:factor=2.0;crashes@60+120:rate=2.5,policy=drop"
+
+
+def _watchdog_run(plan, qps, options, runtimes):
+    """A ``run()`` for :func:`_kernel_and_per_query` that keeps each runtime."""
+    pattern = TrafficPattern.constant(qps, duration_s=240.0)
+
+    def run():
+        engine = ServingEngine(plan, seed=0, autoscale=False, faults=_INCIDENT, **options)
+        result = engine.run(pattern)
+        runtimes.append(engine._runtimes[0])
+        return {plan.name: result}
+
+    return run
+
+
+def _assert_same_watchdog_outcome(kernel, per_query, runtimes):
+    _assert_same_outcome(kernel, per_query)
+    for name, result in kernel.items():
+        other = per_query[name]
+        assert result.timeout_queries == other.timeout_queries, name
+        assert result.retried_queries == other.retried_queries, name
+        assert result.shed_queries == other.shed_queries, name
+        assert result.watchdog_series.keys() == other.watchdog_series.keys()
+        for key, series in result.watchdog_series.items():
+            assert np.array_equal(series, other.watchdog_series[key]), key
+    kernel_runtime, per_query_runtime = runtimes
+    assert kernel_runtime.degraded_indices == per_query_runtime.degraded_indices
+
+
+class TestDrainKernelUnderTheWatchdog:
+    """Drains with shedding, deadlines or quality fallback armed go through
+    the kernel, deadlines in windows of one attempt timeout, with the same
+    digest, failure accounting and watchdog outcome as per-query serving."""
+
+    @pytest.mark.parametrize(
+        ("qps", "options", "armed", "nonzero"),
+        [
+            pytest.param(
+                12.0,
+                dict(routing="recovery-aware", slo=_WATCHDOG_SLO),
+                {"deadline", "fallback"},
+                (),
+                id="watchdog-experiment-policy",
+            ),
+            pytest.param(
+                12.0,
+                dict(routing="recovery-aware", slo=_WATCHDOG_SLO.replace("timeout=6", "timeout=1")),
+                {"deadline"},
+                ("timeout_queries", "retried_queries"),
+                id="timeout-1",
+            ),
+            pytest.param(
+                11.0,
+                dict(
+                    routing="recovery-aware",
+                    cost_model="skewed",
+                    slo=_WATCHDOG_SLO.replace("timeout=6", "timeout=1"),
+                ),
+                {"fallback"},
+                ("timeout_queries", "retried_queries"),
+                id="skewed-fallback",
+            ),
+            pytest.param(
+                12.0,
+                dict(slo=_WATCHDOG_SLO.replace("shed=0.0", "shed=0.2")),
+                {"shed"},
+                ("shed_queries",),
+                id="shed-0.2",
+            ),
+        ],
+    )
+    def test_matches_per_query_path(self, monkeypatch, plan, qps, options, armed, nonzero):
+        runtimes = []
+        kernel, per_query, chunks = _kernel_and_per_query(
+            monkeypatch, _watchdog_run(plan, qps, options, runtimes)
+        )
+        _assert_same_watchdog_outcome(kernel, per_query, runtimes)
+        assert any(armed <= flags for _, _, flags, _ in chunks), (
+            f"the kernel never ran with {sorted(armed)} armed"
+        )
+        result = kernel[plan.name]
+        for counter in nonzero:
+            assert getattr(result, counter) > 0, counter
+        if "fallback" in armed:
+            # Counted per interval: a degraded query that later times out
+            # leaves ``degraded_queries``.
+            assert result.watchdog_series["degraded"].sum() > 0
+
+    def test_arrival_at_the_end_of_a_deadline_window(self, monkeypatch, plan):
+        # A deadline window takes the arrivals up to its first arrival plus
+        # the attempt timeout, inclusive: an arrival exactly there still
+        # ties ahead of any TIMEOUT the window pushes.  Insert one at the
+        # end of a window whose drain runs past it, and check it closes
+        # that window.
+        options = dict(
+            routing="recovery-aware", slo=_WATCHDOG_SLO.replace("timeout=6", "timeout=1")
+        )
+        probe = []
+        _, _, chunks = _kernel_and_per_query(
+            monkeypatch, _watchdog_run(plan, 12.0, options, probe)
+        )
+        runtime = probe[0]
+        arrivals = runtime.arrivals
+        begin, end_at = next(
+            (begin, arrivals[begin] + runtime.attempt_timeout_s)
+            for begin, _, flags, top in chunks
+            if "deadline" in flags
+            and top > arrivals[begin] + runtime.attempt_timeout_s
+            and arrivals[begin] + runtime.attempt_timeout_s not in arrivals
+        )
+        arrivals = np.sort(np.append(arrivals, end_at))
+        query = int(np.searchsorted(arrivals, end_at))
+        monkeypatch.setattr(TrafficPattern, "arrivals", lambda self, rng: arrivals.copy())
+
+        runtimes = []
+        kernel, per_query, chunks = _kernel_and_per_query(
+            monkeypatch, _watchdog_run(plan, 12.0, options, runtimes)
+        )
+        _assert_same_watchdog_outcome(kernel, per_query, runtimes)
+        assert (begin, query + 1) in [(b, e) for b, e, flags, _ in chunks if "deadline" in flags], (
+            "the arrival at the window's end did not close the window"
         )

@@ -9,7 +9,7 @@ from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import ServingEngine
-from repro.serving.replica_server import ReplicaServer
+from repro.serving.replica_server import ReplicaServer, serve_least_work
 from repro.serving.routing import (
     ROUTING_POLICIES,
     CostWeightedPolicy,
@@ -17,6 +17,7 @@ from repro.serving.routing import (
     LeastWorkPolicy,
     PowerOfTwoPolicy,
     ReadyOnlyPolicy,
+    RecoveryAwarePolicy,
     ReplicaPool,
     RoundRobinPolicy,
     RoutingPolicy,
@@ -243,3 +244,142 @@ class TestPoliciesUnderIdenticalArrivals:
             results["least-work"].overall_p95_latency_ms
             <= results["round-robin"].overall_p95_latency_ms * 1.05
         )
+
+
+def _replicas(ready_at, busy_until, service=1.0):
+    """Single-query replicas with the given ready times and drain times.
+
+    A replica busier than its ready time holds one query submitted at its
+    ready time (integer inputs keep every drain time exact).
+    """
+    servers = []
+    for index, (ready, busy) in enumerate(zip(ready_at, busy_until)):
+        server = ReplicaServer(f"r{index}", ready_at=ready)
+        if busy > ready:
+            server.submit(ready, busy - ready)
+        servers.append(server)
+    return servers
+
+
+def _served_both_ways(policy, ready_at, busy_until, arrivals, multipliers=None):
+    """``arrivals`` served per query (``select_index`` + ``submit``) and by the
+    drain kernel under the policy's ranking, on identical replica sets.
+
+    Returns ``(per_query, kernel)``, each a list of (replica index,
+    completion) per query followed by every replica's final drain time and
+    served count.
+    """
+    service = 1.0
+    costs = multipliers or [1.0] * len(arrivals)
+
+    def outcome(servers, picks):
+        return picks, [(s.busy_until, s.completed_queries) for s in servers]
+
+    servers = _replicas(ready_at, busy_until)
+    pool = ReplicaPool({server.name: server for server in servers}).refresh()
+    picks = []
+    for arrival, cost in zip(arrivals, costs):
+        index = policy.select_index("d", pool, arrival, (service, cost))
+        completion = pool.servers[index].submit(arrival, service, cost)
+        pool.busy[index] = completion
+        picks.append((index, completion))
+    per_query = outcome(servers, picks)
+
+    servers = _replicas(ready_at, busy_until)
+    pool = ReplicaPool({server.name: server for server in servers}).refresh()
+    warmup_s, penalty_queries = policy.least_work_ranking(pool)
+    penalties = None
+    if penalty_queries > 0:
+        penalties = [penalty_queries * (service * cost) for cost in costs]
+    chosen = []
+    completions = serve_least_work(
+        pool.servers, pool.ready.tolist(), arrivals, service, multipliers, None, chosen,
+        warmup_s, penalties,
+    )
+    kernel = outcome(servers, list(zip(chosen, completions)))
+    return per_query, kernel
+
+
+class TestLeastWorkRanking:
+    """The drain kernel ranks a pool exactly as the policy's ``select_index``
+    does (``RoutingPolicy.least_work_ranking``): replicas join at their
+    ready time, warming replicas carry the fading cold penalty, every
+    replica ranks while none is ready, and ties go to the lowest index."""
+
+    POLICIES = [
+        pytest.param(LeastWorkPolicy(), id="least-work"),
+        pytest.param(RecoveryAwarePolicy(warmup_s=64.0), id="recovery-aware"),
+    ]
+
+    def test_only_least_work_rankings_are_declared(self):
+        pool = ReplicaPool({s.name: s for s in _servers(2)}).refresh()
+        assert LeastWorkPolicy().least_work_ranking(pool) == (0.0, 0.0)
+        assert RecoveryAwarePolicy(warmup_s=64.0).least_work_ranking(pool) == (64.0, 4.0)
+        for name in ("round-robin", "power-of-two", "ready-only",
+                     "least-outstanding", "cost-weighted"):
+            assert make_routing_policy(name).least_work_ranking(pool) is None, name
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_staggered_ready_times_join_on_arrival(self, policy):
+        # Replica 0 is ready but backed up; replicas 1-3 turn ready at 10,
+        # 20 and 30, each less backed up than the ones before.  An arrival
+        # exactly at a ready time must already see that replica (``ready <=
+        # now``), and does pick it.
+        per_query, kernel = _served_both_ways(
+            policy,
+            ready_at=[0, 10, 20, 30],
+            busy_until=[200, 150, 150, 30],
+            arrivals=[5.0, 10.0, 10.5, 20.0, 25.0, 30.0, 31.0, 90.0, 100.0],
+        )
+        assert kernel == per_query
+        picks = [index for index, _ in per_query[0]]
+        assert picks[1] == 1 and picks[3] == 2 and picks[5] == 3
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_replica_ready_ranks_every_replica(self, policy):
+        per_query, kernel = _served_both_ways(
+            policy,
+            ready_at=[50, 40, 60],
+            busy_until=[50, 40, 60],
+            arrivals=[0.0, 1.0, 2.0, 3.0, 39.0, 45.0, 55.0],
+            multipliers=[1.0, 2.0, 0.5, 1.0, 3.0, 1.0, 1.0],
+        )
+        assert kernel == per_query
+        assert per_query[0][0][0] == 1  # the least-work starting replica
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_equal_keys_go_to_the_lowest_index(self, policy):
+        # Identical replicas tie on every key.
+        per_query, kernel = _served_both_ways(
+            policy, ready_at=[8, 8, 8], busy_until=[8, 8, 8], arrivals=[16.0, 16.0, 16.0, 17.0]
+        )
+        assert kernel == per_query
+        assert [index for index, _ in per_query[0][:3]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("warming_first", [True, False])
+    def test_equal_penalised_and_plain_keys_go_to_the_lowest_index(self, warming_first):
+        # At t = 32 the warming replica (ready at 0, warm-up 64 s, drain 32)
+        # carries 4 x 1 s x (64 - 32) / 64 = 2 s of penalty: key 34, exactly
+        # the plain replica's drain time.  The lower index wins either way.
+        warming, plain = (0, 1) if warming_first else (1, 0)
+        ready_at, busy_until = [0, 0], [0, 0]
+        ready_at[warming], busy_until[warming] = 0, 32
+        ready_at[plain], busy_until[plain] = -100, 34
+        per_query, kernel = _served_both_ways(
+            RecoveryAwarePolicy(warmup_s=64.0), ready_at, busy_until, arrivals=[32.0]
+        )
+        assert kernel == per_query
+        assert per_query[0][0][0] == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_arrival_at_the_end_of_the_warm_up_window(self, policy):
+        # Replica 1 turns ready at 10; at 10 + 64 its penalty is exactly
+        # zero, and the arrivals around that instant rank it as the policy
+        # does.
+        per_query, kernel = _served_both_ways(
+            policy,
+            ready_at=[0, 10],
+            busy_until=[76, 10],
+            arrivals=[73.0, 73.5, 74.0, 74.0, 74.5],
+        )
+        assert kernel == per_query
