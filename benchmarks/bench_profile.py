@@ -19,6 +19,9 @@ hot path itself:
   watchdog with a short attempt timeout, where armed shedding, deadlines
   and fallback stay in the kernel and one-lane ``_dispatch`` calls stay
   at most 5% of the query-lanes;
+* lanes with equal kernel inputs are served once: the least-work and
+  cached runs make at most one kernel call per distinct static lane
+  configuration per chunk, where serving each lane would make one per lane;
 * no routing policy keeps a per-server ``select`` loop beside the pool-array
   ``select_index``;
 * the *cached* run must stay on the same shape: pricing happens against the
@@ -87,6 +90,24 @@ def _assert_served_once_by_the_kernel(engine, result, table) -> None:
     )
 
 
+def _assert_twins_served_once(engine, table) -> None:
+    """At most one kernel call per distinct static lane configuration per chunk.
+
+    The tables of a Table II model share one configuration, so each shard
+    type has one lane per table; a lane whose kernel inputs equal an
+    earlier lane's copies its outcome instead of calling the kernel.
+    """
+    lanes = engine._runtimes[0]._lanes
+    distinct = len({(lane.service_s, lane.cost_bearing, lane.cached) for lane in lanes})
+    assert distinct < len(lanes)
+    kernel_calls = table["replica_server.py:serve_least_work"][0]
+    chunks = table["engine.py:serve_chunk"][0]
+    assert kernel_calls <= distinct * chunks, (
+        f"twin lanes were served separately ({kernel_calls} kernel calls for "
+        f"{chunks} chunks of {len(lanes)} lanes, {distinct} distinct)"
+    )
+
+
 def test_bench_profile_hot_path(benchmark):
     """Profile a mid-size run; assert the drain kernel carried it."""
     pattern = paper_dynamic_pattern(base_qps=30.0, peak_qps=110.0, duration_s=600.0)
@@ -108,6 +129,7 @@ def test_bench_profile_hot_path(benchmark):
     table = _stats_by_name(stats)
     deployments = len(result.replica_counts)
     _assert_served_once_by_the_kernel(engine, result, table)
+    _assert_twins_served_once(engine, table)
     _assert_select_index_only()
 
     top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
@@ -246,6 +268,7 @@ def test_bench_profile_cached_hot_path(benchmark):
     table = _stats_by_name(stats)
     deployments = len(result.replica_counts)
     _assert_served_once_by_the_kernel(engine, result, table)
+    _assert_twins_served_once(engine, table)
     _assert_select_index_only()
     for leaked in (
         "oracle.py:serve",

@@ -54,19 +54,24 @@ _CHUNK = 1 << 20
 DEFAULT_TOP_FRACTION = 0.1
 
 
-def _generalized_harmonic(n: int, alpha: float) -> float:
+def _generalized_harmonic(
+    n: int, alpha: float, head_powers: np.ndarray | None = None
+) -> float:
     """Return ``sum_{i=1}^{n} i^{-alpha}``.
 
     Exact for ``n <= _EXACT_HEAD``; otherwise the head is summed exactly and
     the tail is approximated by the midpoint integral
     ``∫_{m+1/2}^{n+1/2} x^{-alpha} dx`` which is accurate to well under 0.1%
-    for the table sizes used in the paper.
+    for the table sizes used in the paper.  ``head_powers``, when given,
+    holds ``i^{-alpha}`` for ``i = 1, 2, ...`` over at least the exact head;
+    its prefix is summed instead of being recomputed (the same values).
     """
     if n <= 0:
         return 0.0
     head = min(n, _EXACT_HEAD)
-    ranks = np.arange(1, head + 1, dtype=np.float64)
-    total = float(np.sum(ranks ** (-alpha)))
+    if head_powers is None:
+        head_powers = np.arange(1, head + 1, dtype=np.float64) ** (-alpha)
+    total = float(np.sum(head_powers[:head]))
     if n > head:
         lo = head + 0.5
         hi = n + 0.5
@@ -162,10 +167,14 @@ class ZipfDistribution(AccessDistribution):
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
         self._alpha = float(alpha)
-        self._harmonic_total = _generalized_harmonic(self.num_items, self._alpha)
+        # The exact head's rank powers, kept: every ``coverage`` call sums a
+        # prefix of them (the planner makes about a thousand per plan).
         head = min(self.num_items, _EXACT_HEAD)
-        head_probs = np.arange(1, head + 1, dtype=np.float64) ** (-self._alpha)
-        self._head_cdf = np.cumsum(head_probs) / self._harmonic_total
+        self._head_powers = np.arange(1, head + 1, dtype=np.float64) ** (-self._alpha)
+        self._harmonic_total = self._harmonic(self.num_items)
+        # Built on the first ``sample``: the planner's distributions are
+        # only ever asked for coverage.
+        self._head_cdf: np.ndarray | None = None
 
     @classmethod
     def from_locality(
@@ -183,13 +192,17 @@ class ZipfDistribution(AccessDistribution):
         """Power-law exponent."""
         return self._alpha
 
+    def _harmonic(self, n: int) -> float:
+        """:func:`_generalized_harmonic` at this ``alpha``, from the kept powers."""
+        return _generalized_harmonic(n, self._alpha, self._head_powers)
+
     def coverage(self, k: int) -> float:
         k = int(k)
         if k <= 0:
             return 0.0
         if k >= self.num_items:
             return 1.0
-        return _generalized_harmonic(k, self._alpha) / self._harmonic_total
+        return self._harmonic(k) / self._harmonic_total
 
     def probabilities(self) -> np.ndarray:
         ranks = np.arange(1, self.num_items + 1, dtype=np.float64)
@@ -205,6 +218,8 @@ class ZipfDistribution(AccessDistribution):
         if size < 0:
             raise ValueError("size must be non-negative")
         u = rng.random(size)
+        if self._head_cdf is None:
+            self._head_cdf = np.cumsum(self._head_powers) / self._harmonic_total
         head = len(self._head_cdf)
         head_coverage = float(self._head_cdf[-1]) if head else 0.0
         out = np.empty(size, dtype=np.int64)
@@ -218,7 +233,7 @@ class ZipfDistribution(AccessDistribution):
 
     def _invert_tail(self, u: np.ndarray, head: int) -> np.ndarray:
         """Continuous inverse-CDF for ranks beyond the exact head."""
-        target_mass = u * self._harmonic_total - _generalized_harmonic(head, self._alpha)
+        target_mass = u * self._harmonic_total - self._harmonic(head)
         lo = head + 0.5
         if abs(self._alpha - 1.0) < 1e-12:
             x = lo * np.exp(target_mass)

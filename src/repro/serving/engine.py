@@ -93,6 +93,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Callable, Sequence
@@ -121,7 +122,14 @@ from repro.serving.replanner import (
     ReplanPolicy,
     make_replan_policy,
 )
-from repro.serving.replica_server import CacheSpec, ReplicaServer, serve_least_work
+from repro.serving.replica_server import (
+    CacheSpec,
+    ReplicaServer,
+    copy_least_work,
+    least_work_marks,
+    least_work_state,
+    serve_least_work,
+)
 from repro.serving.routing import (
     ReplicaPool,
     RoutingPolicy,
@@ -504,6 +512,7 @@ class _DeploymentLane:
         "count",
         "hit_sum",
         "gather_sum",
+        "twinned",
     )
 
     def __init__(
@@ -529,6 +538,9 @@ class _DeploymentLane:
         #: from cache and total gathers offered (cached lanes only).
         self.hit_sum = 0.0
         self.gather_sum = 0.0
+        #: Whether another lane of the tenant has this lane's role, so the
+        #: two can enter the drain kernel with equal inputs.
+        self.twinned = False
 
 
 class _TenantRuntime:
@@ -666,6 +678,12 @@ class _TenantRuntime:
             for d in self.deployments
         ]
         self._lane_by_name = {lane.name: lane for lane in self._lanes}
+        # Every Table II model gives all its tables one configuration, so
+        # each shard type has a lane per table that ``serve_chunk`` can serve
+        # once; a role held by one lane (the dense shard) never twins.
+        roles = Counter((lane.cost_bearing, lane.dense, lane.cached) for lane in self._lanes)
+        for lane in self._lanes:
+            lane.twinned = roles[lane.cost_bearing, lane.dense, lane.cached] > 1
         # Dense/monolithic lanes record the interval's end-to-end p95 as their
         # ``<name>/latency_s`` metric; the set is fixed by the plan.
         self._dense_lanes = [lane for lane in self._lanes if lane.dense]
@@ -1015,6 +1033,15 @@ class _TenantRuntime:
         order.  While in-flight attempts are tracked, those completing
         after the heap top are registered, as :meth:`_dispatch` does.
 
+        A lane whose kernel inputs (service time and degradation factor,
+        cost and cache pricing, ranking, ready times, and each server's
+        drain time and last busy run) equal an earlier lane's in this chunk
+        is a twin: it takes that lane's outcome through
+        :func:`~repro.serving.replica_server.copy_least_work` instead of a
+        kernel call, which equal inputs make exact.  The tables of a Table
+        II model share one configuration, so most lanes are twins until a
+        crash, a one-deployment degradation or the HPA splits them.
+
         What the watchdog arms applies as in :meth:`serve_query`, in arrival
         order.  Shedding draws the chunk's ``slo_rng`` values with one
         ``random(count)`` call (the stream the scalar draws consume) and
@@ -1078,13 +1105,16 @@ class _TenantRuntime:
         dispatch = self._dispatch
         ranking = self.policy.least_work_ranking
         inflight = self.inflight if self.track_inflight else None
-        chosen = None if inflight is None else []
         settled = heap[0][0] if heap else -np.inf
         first = arrivals[0] if arrivals else np.inf
         worst = None
+        # Kernel inputs -> (pool, marks, completions, chosen, hits) of the
+        # lane that was served with them.
+        served_once = {}
         for lane in self._lanes:
             pool = lane.pool
             rank = ranking(pool)
+            twin = None
             if rank is None:
                 completions = [
                     dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
@@ -1094,34 +1124,63 @@ class _TenantRuntime:
                 hint = multipliers if lane.cost_bearing else None
                 costs = degraded if fallback and lane.cost_bearing else hint
                 priced = lane.cached and not fallback
-                price = None
-                if priced:
-                    hits: list[float] = []
-                    price = _cache_pricer(pool, costs, hot, cold, total, hits)
-                warmup_s, penalty_queries = rank
-                penalties = None
-                if penalty_queries > 0 and first < pool.ready_threshold + warmup_s:
-                    # A replica is still warming: each query's penalty in
-                    # seconds, from its undegraded cost hint.
-                    service_s = lane.service_s
-                    if hint is None:
-                        penalties = [penalty_queries * service_s] * len(arrivals)
-                    else:
-                        penalties = [penalty_queries * (service_s * cost) for cost in hint]
                 # No straggler window is open: only degradations stretch it.
-                service = lane.service_s * self._slowdown_factor(lane.name)
+                factor = self._slowdown_factor(lane.name)
                 servers = pool.servers
-                completions = serve_least_work(
-                    servers,
-                    pool.ready.tolist(),
-                    arrivals,
-                    service,
-                    costs,
-                    price,
-                    chosen,
-                    warmup_s,
-                    penalties,
-                )
+                ready = pool.ready.tolist()
+                key = None
+                if lane.twinned:
+                    # Everything the kernel reads.  The factor is kept apart
+                    # from service_s: penalties price the undegraded time.
+                    key = (
+                        lane.service_s,
+                        factor,
+                        lane.cost_bearing,
+                        priced,
+                        rank,
+                        tuple(ready),
+                        least_work_state(servers),
+                    )
+                    if priced:
+                        key += (pool.cache_capacity, pool.cache_warm, tuple(pool.fill_rows))
+                    twin = served_once.get(key)
+                if twin is None:
+                    hits: list[float] = []
+                    price = None
+                    if priced:
+                        price = _cache_pricer(pool, costs, hot, cold, total, hits)
+                    warmup_s, penalty_queries = rank
+                    penalties = None
+                    if penalty_queries > 0 and first < pool.ready_threshold + warmup_s:
+                        # A replica is still warming: each query's penalty in
+                        # seconds, from its undegraded cost hint.
+                        service_s = lane.service_s
+                        if hint is None:
+                            penalties = [penalty_queries * service_s] * len(arrivals)
+                        else:
+                            penalties = [penalty_queries * (service_s * cost) for cost in hint]
+                    chosen = None if inflight is None else []
+                    marks = None if key is None else least_work_marks(servers)
+                    completions = serve_least_work(
+                        servers,
+                        ready,
+                        arrivals,
+                        lane.service_s * factor,
+                        costs,
+                        price,
+                        chosen,
+                        warmup_s,
+                        penalties,
+                    )
+                    if key is not None:
+                        served_once[key] = (pool, marks, completions, chosen, hits)
+                else:
+                    # A twin: equal inputs, so the primary's outcome.
+                    primary, marks, completions, chosen, hits = twin
+                    copy_least_work(primary.servers, marks, servers)
+                    if priced:
+                        pool.fill_rows[:] = primary.fill_rows
+                        pool.cache_warm = primary.cache_warm
                 pool.busy[:] = [server.busy_until for server in servers]
                 if chosen:
                     name = lane.name
@@ -1130,7 +1189,6 @@ class _TenantRuntime:
                             inflight.setdefault((name, servers[index].name), []).append(
                                 (completion, query)
                             )
-                    chosen.clear()
                 if priced:
                     # In query order, as _dispatch accumulates them.
                     gather_sum = lane.gather_sum
@@ -1142,6 +1200,9 @@ class _TenantRuntime:
                         hit_sum += hit
                     lane.hit_sum = hit_sum
                 lane.count += len(arrivals)
+            if twin is not None:
+                # Its completions are the primary's, already in ``worst``.
+                continue
             completions = np.array(completions)
             if worst is None:
                 worst = completions

@@ -21,7 +21,9 @@ parallel start/end lists so windowed utilization lookups bisect into them
 instead of scanning the whole history.  :func:`serve_least_work` serves a
 whole run of queries on one lane of single-query replicas at once, starting
 and warming replicas included, bit-exact with least-work (or
-recovery-aware) routing plus ``submit`` per query.
+recovery-aware) routing plus ``submit`` per query, and
+:func:`copy_least_work` hands its outcome to a twin lane whose inputs were
+equal.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from typing import Callable, Sequence
 from repro.data.distributions import AccessDistribution
 from repro.hardware.perf_model import BatchLatencyModel
 
-__all__ = ["CacheSpec", "ReplicaServer", "serve_least_work"]
+__all__ = [
+    "CacheSpec",
+    "ReplicaServer",
+    "copy_least_work",
+    "least_work_marks",
+    "least_work_state",
+    "serve_least_work",
+]
 
 
 class CacheSpec:
@@ -621,3 +630,49 @@ def serve_least_work(
         server._completed += served[index]
         server._batches += served[index]
     return completions
+
+
+def least_work_state(servers: Sequence[ReplicaServer]) -> tuple:
+    """What :func:`serve_least_work` reads of ``servers``.
+
+    The shared unit slope, then each server's drain time and last busy-run
+    end (``None`` before its first run).  Two lanes whose servers have
+    equal states, served with equal other arguments, leave the kernel with
+    equal completions and equal server changes.
+    """
+    return (
+        servers[0]._unit_scale,
+        tuple([server._busy_until for server in servers]),
+        tuple([server._run_ends[-1] if server._run_ends else None for server in servers]),
+    )
+
+
+def least_work_marks(servers: Sequence[ReplicaServer]) -> list[tuple[int, int]]:
+    """Each server's (completed queries, busy runs), taken before a
+    :func:`serve_least_work` call for :func:`copy_least_work`."""
+    return [(server._completed, len(server._run_ends)) for server in servers]
+
+
+def copy_least_work(
+    primary: Sequence[ReplicaServer],
+    marks: Sequence[tuple[int, int]],
+    twins: Sequence[ReplicaServer],
+) -> None:
+    """Apply to ``twins`` what :func:`serve_least_work` did to ``primary``.
+
+    ``marks`` are :func:`least_work_marks` of ``primary`` before the call,
+    and the twins had the primary's :func:`least_work_state` then, so the
+    call would have done the same to them: each twin takes its primary's
+    drain time, served count (as queries and single-query batches), merged
+    last busy-run end and appended runs.
+    """
+    for server, (completed, runs), twin in zip(primary, marks, twins):
+        served = server._completed - completed
+        twin._busy_until = server._busy_until
+        twin._completed += served
+        twin._batches += served
+        ends = server._run_ends
+        if runs:
+            twin._run_ends[-1] = ends[runs - 1]
+        twin._run_starts += server._run_starts[runs:]
+        twin._run_ends += ends[runs:]

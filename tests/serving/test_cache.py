@@ -24,6 +24,7 @@ from repro.data.distributions import ZipfDistribution
 from repro.hardware.perf_model import cache_adjusted_multiplier
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
+from repro.serving import engine as engine_module
 from repro.serving.engine import ServingEngine
 from repro.serving.replica_server import CacheSpec
 from repro.serving.routing import ReplicaPool
@@ -323,22 +324,43 @@ class TestEngineWithCaches:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def priced(monkeypatch):
-    """Every price ``ReplicaPool.cached_price`` returns, in call order, as
+    """Every price a cached replica is charged, in call order, as
     ``(replica name, cost, hot, cold, multiplier)``.
 
-    Both serving paths price a cached lane's query through this one method:
-    the per-query dispatch loop and the lane-by-lane drain kernel (which
-    never calls ``ReplicaServer.submit``).
+    Both serving paths price a cached lane's query through one method,
+    ``ReplicaPool.cached_price``: the per-query dispatch loop and the
+    lane-by-lane drain kernel (which never calls ``ReplicaServer.submit``).
+    A twin lane, whose kernel inputs equal an earlier lane's in the same
+    chunk, takes that lane's outcome through ``copy_least_work`` instead;
+    its replicas are charged the primary's prices of that call, re-emitted
+    here under the twin's replica names.
     """
     calls = []
+    spans = {}
     cached_price = ReplicaPool.cached_price
+    serve_least_work = engine_module.serve_least_work
+    copy_least_work = engine_module.copy_least_work
 
     def recording_price(pool, index, cost, hot, cold, total):
         multiplier, hits = cached_price(pool, index, cost, hot, cold, total)
         calls.append((pool.servers[index].name, cost, hot, cold, multiplier))
         return multiplier, hits
 
+    def recording_kernel(servers, *args):
+        start = len(calls)
+        completions = serve_least_work(servers, *args)
+        spans[id(servers)] = (start, len(calls))
+        return completions
+
+    def recording_copy(primary, marks, twins):
+        copy_least_work(primary, marks, twins)
+        start, stop = spans[id(primary)]
+        names = {server.name: twin.name for server, twin in zip(primary, twins)}
+        calls.extend((names[name], *price) for name, *price in calls[start:stop])
+
     monkeypatch.setattr(ReplicaPool, "cached_price", recording_price)
+    monkeypatch.setattr(engine_module, "serve_least_work", recording_kernel)
+    monkeypatch.setattr(engine_module, "copy_least_work", recording_copy)
     return calls
 
 

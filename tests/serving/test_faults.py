@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.planner import ElasticRecPlanner
 from repro.experiments import watchdog as watchdog_experiment
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
+from repro.serving import engine as engine_module
 from repro.serving.engine import (
     MultiTenantEngine,
     ServingEngine,
@@ -30,7 +33,7 @@ from repro.serving.faults import (
 from repro.serving.replica_server import ReplicaServer
 from repro.serving.routing import make_routing_policy
 from repro.serving.spec import SpecError
-from repro.serving.traffic import TrafficPattern
+from repro.serving.traffic import TrafficPattern, paper_dynamic_pattern
 from test_routing import _pick
 
 
@@ -701,3 +704,221 @@ class TestDrainKernelUnderTheWatchdog:
         assert (begin, query + 1) in [(b, e) for b, e, flags, _ in chunks if "deadline" in flags], (
             "the arrival at the window's end did not close the window"
         )
+
+
+def _registry(runtime):
+    """The in-flight registry, each replica named by its creation order (a
+    replica's name ends in a number that differs from run to run)."""
+    names = sorted({name for _, name in runtime.inflight}, key=lambda n: int(n.rsplit("-", 1)[1]))
+    order = {name: index for index, name in enumerate(names)}
+    return {(lane, order[name]): entries for (lane, name), entries in runtime.inflight.items()}
+
+
+def _lane(runtime, suffix):
+    return next(lane for lane in runtime._lanes if lane.name.endswith(suffix))
+
+
+class TestTwinLanes:
+    """A lane whose drain-kernel inputs equal an earlier lane's in the same
+    chunk takes that lane's outcome instead of a kernel call of its own.
+    Every case compares with per-query serving (digest, failure accounting,
+    in-flight registry, cache fills) and checks twins were served once."""
+
+    @staticmethod
+    def _compare(monkeypatch, run, runtimes):
+        """Check ``run()`` against per-query serving; return its kernel calls.
+
+        Each kernel call is returned as ``(first arrival, latest ready time,
+        penalised)``, and each twin copy as the primary's call plus whether
+        fallback was armed and the twin pool's cache state before the copy
+        (``None`` if uncached, else whether it was warm).
+        """
+        calls, copies = [], []
+        last = {}
+        tenant = []
+        serve_least_work = engine_module.serve_least_work
+        copy_least_work = engine_module.copy_least_work
+        serve_chunk = _TenantRuntime.serve_chunk
+
+        def chunk(self, *args):
+            tenant[:] = [self]
+            return serve_chunk(self, *args)
+
+        def counted(servers, ready, arrivals, *args):
+            call = (arrivals[0], max(ready), args[-1] is not None)
+            calls.append(call)
+            last[id(servers)] = call
+            return serve_least_work(servers, ready, arrivals, *args)
+
+        def copied(primary, marks, twins):
+            pool = next(p for p in tenant[0].pools.values() if p.servers is twins)
+            warm = pool.cache_warm if pool.has_caches else None
+            copies.append((*last[id(primary)], tenant[0].fallback_armed, warm))
+            return copy_least_work(primary, marks, twins)
+
+        monkeypatch.setattr(_TenantRuntime, "serve_chunk", chunk)
+        monkeypatch.setattr(engine_module, "serve_least_work", counted)
+        monkeypatch.setattr(engine_module, "copy_least_work", copied)
+        kernel, per_query, chunks = _kernel_and_per_query(monkeypatch, run)
+        _assert_same_outcome(kernel, per_query)
+        kernel_runtime, per_query_runtime = runtimes
+        assert _registry(kernel_runtime) == _registry(per_query_runtime)
+        for lane, other in zip(kernel_runtime._lanes, per_query_runtime._lanes):
+            assert lane.name == other.name
+            assert lane.pool.fill_rows == other.pool.fill_rows, lane.name
+            assert lane.pool.cache_warm == other.pool.cache_warm, lane.name
+            for server, twin in zip(lane.pool.servers, other.pool.servers):
+                assert server.busy_until == twin.busy_until, lane.name
+                assert server.completed_queries == twin.completed_queries, lane.name
+                assert server.completed_batches == twin.completed_batches, lane.name
+                assert server.busy_seconds_between(-np.inf, np.inf) == (
+                    twin.busy_seconds_between(-np.inf, np.inf)
+                ), lane.name
+        assert copies, "no lane was served as a twin"
+        assert len(calls) < len(kernel_runtime._lanes) * len(chunks)
+        return kernel, calls, copies, chunks
+
+    @staticmethod
+    def _run(plan, pattern, options, runtimes):
+        def run():
+            engine = ServingEngine(plan, seed=0, **options)
+            result = engine.run(pattern)
+            runtimes.append(engine._runtimes[0])
+            return {plan.name: result}
+
+        return run
+
+    def test_identical_tables_with_the_hpa_and_pre_ready_joins(self, monkeypatch, plan):
+        runtimes = []
+        pattern = paper_dynamic_pattern(10.0, 60.0, 300.0)
+        _, _, copies, _ = self._compare(
+            monkeypatch, self._run(plan, pattern, {}, runtimes), runtimes
+        )
+        assert any(first < ready for first, ready, *_ in copies), (
+            "no twin was served while a replica was still starting"
+        )
+
+    def test_cached_skewed_costs(self, monkeypatch, plan):
+        runtimes = []
+        pattern = paper_dynamic_pattern(10.0, 60.0, 300.0)
+        options = dict(cost_model="skewed", cache_mb=4.0)
+        kernel, _, copies, _ = self._compare(
+            monkeypatch, self._run(plan, pattern, options, runtimes), runtimes
+        )
+        assert kernel[plan.name].cache_hit_rate
+        warm = {copy[-1] for copy in copies}
+        assert {True, False} <= warm, "twins never copied both filling and warm caches"
+
+    def test_a_degraded_table_splits_its_twins(self, monkeypatch, plan, pattern):
+        runtimes = []
+        options = dict(autoscale=False, faults="degrade@60+60:factor=2.0,deployment=table1-")
+        kernel, calls, _, _ = self._compare(
+            monkeypatch, self._run(plan, pattern, options, runtimes), runtimes
+        )
+        assert kernel[plan.name].faults_injected > 0
+        per_chunk = {}
+        for first, *_ in calls:
+            per_chunk[first] = per_chunk.get(first, 0) + 1
+        roles = len({(lane.cost_bearing, lane.service_s) for lane in runtimes[0]._lanes})
+        assert max(per_chunk.values()) > roles, "the degradation never split a twin"
+
+    def test_a_requeued_crash_on_a_twin(self, monkeypatch, plan, pattern):
+        runtimes = []
+        options = dict(
+            autoscale=False,
+            initial_replicas=2,
+            faults="crash@120:deployment=table1-shard0,replica=0,policy=requeue",
+        )
+        kernel, *_ = self._compare(
+            monkeypatch, self._run(plan, pattern, options, runtimes), runtimes
+        )
+        assert kernel[plan.name].requeued_queries > 0
+
+    def test_recovery_aware_penalties_under_fallback(self, monkeypatch, plan):
+        # A brownout with the HPA on: fallback arms while scale-outs warm up
+        # in both tables alike.
+        runtimes = []
+        pattern = TrafficPattern.constant(12.0, duration_s=240.0)
+        options = dict(
+            routing="recovery-aware",
+            cost_model="skewed",
+            faults="degrade@60+90:factor=2.0",
+            slo=_WATCHDOG_SLO.replace("timeout=6", "timeout=1"),
+        )
+        kernel, _, copies, _ = self._compare(
+            monkeypatch, self._run(plan, pattern, options, runtimes), runtimes
+        )
+        assert any(penalised and fallback for *_, penalised, fallback, _ in copies), (
+            "no twin copied a penalised call under fallback"
+        )
+        assert kernel[plan.name].watchdog_series["degraded"].sum() > 0
+
+    @staticmethod
+    def _halve_fills(runtime):
+        # Both shard-0 caches fill anew, table 1's at a lower fill.
+        for lane, scale in (("table0-shard0", 0.5), ("table1-shard0", 0.25)):
+            pool = _lane(runtime, lane).pool
+            pool.fill_rows[:] = [pool.cache_capacity * scale] * pool.size
+            pool.cache_warm = False
+
+    @staticmethod
+    def _forget_runs(runtime):
+        # Table 1's shard-0 replicas drop their busy runs; drain times stay.
+        for server in _lane(runtime, "table1-shard0").pool.servers:
+            server.prune_runs(np.inf)
+
+    @staticmethod
+    def _split_service_time(runtime):
+        # Equal degraded service times from unequal undegraded ones: the
+        # cold penalties (priced undegraded) differ.
+        first = _lane(runtime, "table0-shard0")
+        second = _lane(runtime, "table1-shard0")
+        second.service_s = first.service_s * 2.0
+        runtime.degradations[first.name] = [2.0]
+
+    @pytest.mark.parametrize(
+        ("options", "edit", "window"),
+        [
+            pytest.param(
+                dict(cost_model="skewed", cache_mb=4.0, autoscale=False),
+                _halve_fills,
+                (60.0, 90.0),
+                id="fills",
+            ),
+            pytest.param(dict(autoscale=False), _forget_runs, (60.0, 90.0), id="busy-runs"),
+            pytest.param(
+                dict(routing="recovery-aware"),
+                _split_service_time,
+                # Past the second shard-0 replica's start, inside its warm-up.
+                (120.0, 150.0),
+                id="service-time",
+            ),
+        ],
+    )
+    def test_lanes_that_differ_in_one_kernel_input(self, plan, options, edit, window):
+        """After a run, make two otherwise equal lanes differ in one kernel
+        input, then serve the same arrivals through the kernel on one copy of
+        the state and per query on another: the lanes must not twin."""
+        runtimes = []
+        for _ in range(2):
+            engine = ServingEngine(plan, seed=0, **options)
+            engine.run(paper_dynamic_pattern(10.0, 60.0, 300.0))
+            runtime = engine._runtimes[0]
+            edit.__func__(runtime)
+            runtimes.append(runtime)
+        kernel, per_query = runtimes
+        begin, stop = np.searchsorted(kernel.arrivals, window).tolist()
+        assert kernel.chunk_eligible()
+        kernel.serve_chunk(begin, stop, 0, [], itertools.count())
+        for index in range(begin, stop):
+            per_query.serve_query(per_query.arrival_at(index), index, 0, [], itertools.count())
+        assert kernel.interval_latencies == per_query.interval_latencies
+        for lane, other in zip(kernel._lanes, per_query._lanes):
+            assert (lane.count, lane.hit_sum, lane.gather_sum) == (
+                other.count, other.hit_sum, other.gather_sum
+            ), lane.name
+            assert lane.pool.fill_rows == other.pool.fill_rows, lane.name
+            assert lane.pool.cache_warm == other.pool.cache_warm, lane.name
+            for server, twin in zip(lane.pool.servers, other.pool.servers):
+                assert server.busy_until == twin.busy_until, lane.name
+                assert server.completed_queries == twin.completed_queries, lane.name
