@@ -14,8 +14,8 @@ This subpackage provides the pieces of that stack the evaluation depends on:
 * :mod:`repro.cluster.autoscaler` — the HPA control loop (throughput and
   latency targets, scale-up/down stabilisation).
 * :mod:`repro.cluster.loadbalancer` — generic replica-selection primitives
-  (round-robin, least-loaded, power-of-two choices) that the serving engine's
-  routing policies (:mod:`repro.serving.routing`) build on.
+  (round-robin, power-of-two choices) that the serving engine's routing
+  policies (:mod:`repro.serving.routing`) build on.
 * :mod:`repro.cluster.metrics` — a Prometheus-like metric registry.
 * :mod:`repro.cluster.cluster` — the facade tying nodes, deployments, the
   scheduler and the autoscaler together for the dynamic-traffic experiments.
@@ -27,11 +27,7 @@ from repro.cluster.node import Node
 from repro.cluster.deployment import Deployment
 from repro.cluster.scheduler import BinPackingScheduler, SchedulingError
 from repro.cluster.autoscaler import HorizontalPodAutoscaler
-from repro.cluster.loadbalancer import (
-    LeastOutstandingBalancer,
-    PowerOfTwoBalancer,
-    RoundRobinBalancer,
-)
+from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.cluster.metrics import MetricSample, MetricsRegistry
 from repro.cluster.cluster import Cluster
 from repro.cluster.manifests import plan_manifests, render_manifests
@@ -50,7 +46,6 @@ __all__ = [
     "SchedulingError",
     "HorizontalPodAutoscaler",
     "RoundRobinBalancer",
-    "LeastOutstandingBalancer",
     "PowerOfTwoBalancer",
     "MetricSample",
     "MetricsRegistry",

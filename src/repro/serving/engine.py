@@ -4,16 +4,16 @@ The engine is a classic discrete-event simulation: a binary heap of typed
 events drives the run, and everything policy-shaped (replica selection,
 traffic generation, autoscaling) is pluggable around the deterministic core.
 
-Event types, in tie-breaking order at equal timestamps:
+Event types, in tie-breaking order at equal timestamps (query completions
+are not events: a replica's ``submit`` returns the attempt's completion time,
+and ``least-outstanding`` routing counts in-flight attempts from those):
 
-* ``COMPLETION`` — a query finished on one replica (scheduled only when the
-  routing policy tracks in-flight queries, e.g. ``least-outstanding``);
 * ``ARRIVAL`` — the next pending query arrival.  Arrivals are pre-generated
   as one sorted vector per tenant per run and consumed in *drains*: one heap
   event serves every arrival up to the first one that must wait for another
   heap event (a control tick, a fault, another tenant's arrival, or a
-  completion or timeout the drain itself scheduled), so a 100k-query run
-  costs thousands — not hundreds of thousands — of heap operations;
+  timeout the drain itself scheduled), so a 100k-query run costs
+  thousands — not hundreds of thousands — of heap operations;
 * ``AUTOSCALE`` — the coalesced control tick: every control phase that lands
   on one boundary timestamp — per-tenant interval-metric flushes and HPA
   evaluations, the shared cluster ``RECONCILE``, per-tenant ``SAMPLE``
@@ -174,6 +174,7 @@ __all__ = [
 class EventKind(IntEnum):
     """Typed events of the serving engine, in same-timestamp priority order."""
 
+    #: Never pushed; kept so per-kind event counters still name it.
     COMPLETION = 0
     ARRIVAL = 1
     AUTOSCALE = 2
@@ -695,12 +696,10 @@ class _TenantRuntime:
             else None
         )
         # A policy that can rank its pools as least-work (and has no submit
-        # hook or completion events) can be served by :meth:`serve_chunk`
-        # lane by lane.
+        # hook) can be served by :meth:`serve_chunk` lane by lane.
         self.least_work = (
             type(policy).least_work_ranking is not RoutingPolicy.least_work_ranking
             and self.policy_on_submit is None
-            and not policy.needs_completion_events
         )
 
     # ------------------------------------------------------------------
@@ -881,7 +880,6 @@ class _TenantRuntime:
             if self.boundaries.size
             else 0
         )
-        self.track_completions = self.policy.needs_completion_events
         # Fault state.  A run whose model resolves to nothing (including the
         # default no-fault configuration) has an empty timeline, skips the
         # in-flight registry entirely, and never touches the fault RNG — so
@@ -944,8 +942,8 @@ class _TenantRuntime:
 
         Every arrival records exactly one tracker sample, in arrival order,
         so a query's tracker index is its arrival index ``query_index``.
-        Its COMPLETION (completion-tracking policies) and TIMEOUT (armed
-        deadlines) events go onto the run's ``heap``, stamped from ``seq``.
+        Its TIMEOUT event (armed deadlines) goes onto the run's ``heap``,
+        stamped from ``seq``.
         The drain serves each popped arrival here and, when it can,
         hands the rest of the drain to :meth:`serve_chunk`, which records
         the same samples lane by lane.
@@ -962,7 +960,7 @@ class _TenantRuntime:
                 return
         fallback_on = self.fallback_armed
         worst_completion, rejected = self._dispatch(
-            self._lanes, arrival, query_index, _FIRST, tenant_index, heap, seq
+            self._lanes, arrival, query_index, _FIRST, heap
         )
         query_completion = worst_completion + self.rpc_overhead_s
         latency = query_completion - arrival
@@ -1117,7 +1115,7 @@ class _TenantRuntime:
             twin = None
             if rank is None:
                 completions = [
-                    dispatch((lane,), arrival, query, _FIRST, tenant_index, heap, seq)[0]
+                    dispatch((lane,), arrival, query, _FIRST, heap)[0]
                     for query, arrival in zip(indices, arrivals)
                 ]
             else:
@@ -1239,9 +1237,7 @@ class _TenantRuntime:
         now: float,
         query_index: int,
         mode: int,
-        tenant_index: int,
         heap: list,
-        seq: itertools.count,
     ) -> tuple[float, bool]:
         """Send one attempt of a query to each lane: route, price, submit, register.
 
@@ -1251,13 +1247,13 @@ class _TenantRuntime:
         its own lane).  Pricing stretches the service time by active fault
         slowdowns, then applies quality fallback or the embedding-cache
         tier; registering updates the pool's busy mirror, the routing
-        policy, the in-flight registry and the COMPLETION event.  First
-        attempts and retries enter the lanes' interval accounting (offered
-        count, cache hits); a requeue is not a newly offered query and does
-        not.  A lane with no routable replica counts a failure, and a first
-        attempt is charged the full-SLA-violation penalty there, so the
-        query's end-to-end latency shows the dense HPA the overload it most
-        needs to react to.
+        policy (with the returned completion time) and the in-flight
+        registry.  First attempts and retries enter the lanes' interval
+        accounting (offered count, cache hits); a requeue is not a newly
+        offered query and does not.  A lane with no routable replica counts
+        a failure, and a first attempt is charged the full-SLA-violation
+        penalty there, so the query's end-to-end latency shows the dense
+        HPA the overload it most needs to react to.
 
         The query's cost multiplier and gather split are read once from
         the float64 cost columns by ``query_index`` (``item`` yields Python
@@ -1279,7 +1275,6 @@ class _TenantRuntime:
         # No crash or eviction lands before the heap top, and settling skips
         # attempts complete by then: the registry takes only the rest.
         settled = heap[0][0] if heap else -np.inf
-        completions = heap if self.track_completions else None
         if self.caches_on:
             # One query's gather split is shared by every cached lane: read
             # it once, not once per lane.
@@ -1336,20 +1331,10 @@ class _TenantRuntime:
             completion = server.submit(now, service, submit_cost)
             pool.busy[index] = completion
             if on_submit is not None:
-                on_submit(name, server)
+                on_submit(name, server, completion)
             if inflight is not None and completion > settled:
                 inflight.setdefault((name, server.name), []).append(
                     (completion, query_index)
-                )
-            if completions is not None:
-                heapq.heappush(
-                    completions,
-                    (
-                        completion,
-                        EventKind.COMPLETION,
-                        next(seq),
-                        (tenant_index, name, server.name),
-                    ),
                 )
             if completion > worst:
                 worst = completion
@@ -1566,9 +1551,7 @@ class _TenantRuntime:
         arrival = self.arrival_at(query_index)
         attempt_deadline = min(now + self.attempt_timeout_s, arrival + self.deadline_s)
         fallback = self.fallback_armed
-        worst, failed = self._dispatch(
-            self._lanes, now, query_index, _RETRY, tenant_index, heap, seq
-        )
+        worst, failed = self._dispatch(self._lanes, now, query_index, _RETRY, heap)
         if failed or worst == -np.inf:
             # The retry itself found no capacity: back off again within the
             # same budget, or finalize.
@@ -1746,7 +1729,7 @@ class _TenantRuntime:
                 # Re-sent to a survivor on the same lane, priced there (its
                 # cache, not the victim's warm rows, serves the gathers).
                 new_completion, failed = self._dispatch(
-                    lane, now, query_index, _REQUEUE, tenant_index, heap, seq
+                    lane, now, query_index, _REQUEUE, heap
                 )
             if not failed:
                 self.requeued_count += 1
@@ -1872,9 +1855,7 @@ class _TenantRuntime:
         if self.detector.observe(now, p95_s):
             self.replan_requested = True
 
-    def start_replan(
-        self, now: float, tenant_index: int, heap: list, seq: itertools.count
-    ) -> float:
+    def start_replan(self, now: float) -> float:
         """Plan the successor deployment and schedule the shard-copy migration.
 
         The successor plan is a fresh DP partitioning of the same workload at
@@ -1902,7 +1883,6 @@ class _TenantRuntime:
         )
         self.pending_successor = successor
         copy_gb_per_s = self.replan_policy.copy_gb_per_s
-        track_completions = self.track_completions
         cutover_at = now
         for deployment, lane in zip(self.deployments, self._lanes):
             if lane.dense:
@@ -1912,17 +1892,7 @@ class _TenantRuntime:
             name = deployment.name
             for server in self.servers[name].values():
                 completion = server.submit(now, copy_s, 1.0)
-                self.policy.on_submit(name, server)
-                if track_completions:
-                    heapq.heappush(
-                        heap,
-                        (
-                            completion,
-                            EventKind.COMPLETION,
-                            next(seq),
-                            (tenant_index, name, server.name),
-                        ),
-                    )
+                self.policy.on_submit(name, server, completion)
                 if completion > cutover_at:
                     cutover_at = completion
             # Copies are synthetic work, not queries: they never enter the
@@ -2384,12 +2354,12 @@ def _drive(
             runtime = runtimes[tenant_index]
             arrivals = runtime.arrivals
             serve = runtime.serve_query
-            # An arrival at t goes before the heap top (h, kind) iff t < h, or
-            # t == h and kind is not COMPLETION.  serve_query may push
-            # COMPLETION and TIMEOUT events, so the top is re-read after every
-            # query; ``top = None`` forces that re-read after the popped
-            # arrival, which is always served.  The tenant's last control tick
-            # is queued after every served arrival, so the heap is never empty.
+            # An arrival at t goes before the heap top at h iff t <= h (no
+            # pushed kind ranks before ARRIVAL).  serve_query may push TIMEOUT
+            # events, so the top is re-read after every query; ``top = None``
+            # forces that re-read after the popped arrival, which is always
+            # served.  The tenant's last control tick is queued after every
+            # served arrival, so the heap is never empty.
             top = None
             stop = index + 1
             while index < stop:
@@ -2400,8 +2370,7 @@ def _drive(
                         break
                 while True:
                     top = heap[0]
-                    side = "left" if top[1] == EventKind.COMPLETION else "right"
-                    stop = max(int(np.searchsorted(arrivals, top[0], side=side)), index)
+                    stop = max(int(np.searchsorted(arrivals, top[0], side="right")), index)
                     if index >= stop or not runtime.chunk_eligible():
                         break
                     end = stop
@@ -2426,11 +2395,6 @@ def _drive(
                     heap,
                     (float(arrivals[index]), EventKind.ARRIVAL, next(seq), (tenant_index, index)),
                 )
-        elif kind == EventKind.COMPLETION:
-            if on_event is not None:
-                on_event(now, kind)
-            tenant_index, deployment_name, server_name = payload
-            runtimes[tenant_index].policy.on_complete(deployment_name, server_name)
         elif kind == EventKind.AUTOSCALE:
             # Coalesced control tick: autoscale each resident tenant, run the
             # shared reconcile, then sample each resident tenant — the exact
@@ -2521,7 +2485,7 @@ def _drive(
             tenant_index, action = payload
             runtime = runtimes[tenant_index]
             if action == "fire":
-                cutover_at = runtime.start_replan(now, tenant_index, heap, seq)
+                cutover_at = runtime.start_replan(now)
                 heapq.heappush(
                     heap,
                     (cutover_at, EventKind.REPLAN, next(seq), (tenant_index, "cutover")),

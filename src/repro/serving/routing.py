@@ -2,9 +2,9 @@
 
 Each policy answers one question: given the replica servers of a deployment
 and the current simulation time, which replica should serve the next query?
-Policies are stateful (round-robin cursors, in-flight counters, private RNG)
-and are reset by the engine at the start of every run, so one policy instance
-can be reused across runs deterministically.
+Policies are stateful (round-robin cursors, in-flight completion times,
+private RNG) and are reset by the engine at the start of every run, so one
+policy instance can be reused across runs deterministically.
 
 The selection mechanics are shared with :mod:`repro.cluster.loadbalancer`
 (the generic Linkerd stand-in): the policies here adapt those balancers to
@@ -31,8 +31,8 @@ Available policies (see :data:`ROUTING_POLICIES`):
     not finished starting; with no ready replica the query is dropped and
     counted as a full SLA violation.
 ``least-outstanding``
-    Route to the replica with the fewest in-flight queries (completion events
-    feed the counters), breaking ties by pending work.
+    Route to the replica with the fewest in-flight queries (attempts whose
+    submitted completion time is still ahead), breaking ties by pending work.
 ``cost-weighted``
     Batch- and cost-aware least-work: route to the replica with the earliest
     *predicted completion* for this specific query, using the cost hint and
@@ -58,6 +58,7 @@ replica in creation order.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 import numpy as np
@@ -359,8 +360,6 @@ class RoutingPolicy:
 
     #: Registry name of the policy.
     name: str = ""
-    #: Whether the engine must schedule completion events for this policy.
-    needs_completion_events: bool = False
 
     def reset(self, rng: np.random.Generator) -> None:
         """Clear per-run state; called by the engine before each run."""
@@ -380,11 +379,12 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def on_submit(self, deployment_name: str, server: ReplicaServer) -> None:
-        """Notification that a query was enqueued on ``server``."""
+    def on_submit(self, deployment_name: str, server: ReplicaServer, completion: float) -> None:
+        """Notification that work submitted to ``server`` completes at ``completion``.
 
-    def on_complete(self, deployment_name: str, server_name: str) -> None:
-        """Notification that a query finished on the named replica."""
+        ``completion`` is what ``server.submit`` returned: a query attempt,
+        or a re-plan's shard copy.
+        """
 
     def least_work_ranking(self, pool: ReplicaPool) -> tuple[float, float] | None:
         """How this policy ranks ``pool``, for the engine's drain kernel.
@@ -484,7 +484,7 @@ class PowerOfTwoPolicy(RoutingPolicy):
     name = "power-of-two"
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._balancer = PowerOfTwoBalancer(_queue_drain_time, rng=rng)
+        self._balancer = PowerOfTwoBalancer(rng=rng)
 
     def reset(self, rng: np.random.Generator) -> None:
         self._balancer.reset(rng)
@@ -544,16 +544,19 @@ class ReadyOnlyPolicy(RoutingPolicy):
 class LeastOutstandingPolicy(RoutingPolicy):
     """Route to the replica with the fewest in-flight queries.
 
-    In-flight counts are maintained from the engine's submit/completion
-    events; ties break toward less pending work, then toward the replica
-    listed first (deterministic given the engine's stable server ordering).
+    A replica's in-flight attempts are those whose completion, as its
+    ``submit`` returned it, is still after ``now``: each ``on_submit``
+    pushes that time onto a per-replica min-heap, and selection pops the
+    ones at or before ``now``.  Replica names are never reused, so a rebuilt
+    replica starts with an empty heap.  Ties break toward less pending
+    work, then toward the replica listed first (deterministic given the
+    engine's stable server ordering).
     """
 
     name = "least-outstanding"
-    needs_completion_events = True
 
     def __init__(self) -> None:
-        self._in_flight: dict[tuple[str, str], int] = {}
+        self._in_flight: dict[tuple[str, str], list[float]] = {}
 
     def reset(self, rng: np.random.Generator) -> None:
         self._in_flight.clear()
@@ -579,22 +582,19 @@ class LeastOutstandingPolicy(RoutingPolicy):
         in_flight = self._in_flight
         servers = pool.servers
         busy = pool.busy
-        return min(
-            candidates,
-            key=lambda i: (in_flight.get((deployment_name, servers[i].name), 0), busy[i]),
+
+        def load(i: int) -> tuple[int, float]:
+            completions = in_flight.get((deployment_name, servers[i].name), ())
+            while completions and completions[0] <= now:
+                heapq.heappop(completions)
+            return len(completions), busy[i]
+
+        return min(candidates, key=load)
+
+    def on_submit(self, deployment_name: str, server: ReplicaServer, completion: float) -> None:
+        heapq.heappush(
+            self._in_flight.setdefault((deployment_name, server.name), []), completion
         )
-
-    def on_submit(self, deployment_name: str, server: ReplicaServer) -> None:
-        key = (deployment_name, server.name)
-        self._in_flight[key] = self._in_flight.get(key, 0) + 1
-
-    def on_complete(self, deployment_name: str, server_name: str) -> None:
-        key = (deployment_name, server_name)
-        remaining = self._in_flight.get(key, 0) - 1
-        if remaining > 0:
-            self._in_flight[key] = remaining
-        else:
-            self._in_flight.pop(key, None)
 
 
 class CostWeightedPolicy(RoutingPolicy):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.autoscaler import HorizontalPodAutoscaler
 from repro.cluster.container import Container, ContainerSpec
 from repro.cluster.deployment import Deployment
-from repro.cluster.loadbalancer import LeastOutstandingBalancer, RoundRobinBalancer
+from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.resources import ResourceRequest
 from repro.core.hpa_policy import build_hpa_target
@@ -152,23 +153,31 @@ class TestAutoscaler:
 class TestLoadBalancers:
     def test_round_robin_cycles(self):
         balancer = RoundRobinBalancer()
-        replicas = ["a", "b", "c"]
-        picks = [balancer.pick("d", replicas) for _ in range(6)]
-        assert picks == ["a", "b", "c", "a", "b", "c"]
+        picks = [balancer.pick_index("d", 3) for _ in range(6)]
+        assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_separate_cursors_per_deployment(self):
         balancer = RoundRobinBalancer()
-        assert balancer.pick("d1", ["a", "b"]) == "a"
-        assert balancer.pick("d2", ["x", "y"]) == "x"
-        assert balancer.pick("d1", ["a", "b"]) == "b"
+        assert balancer.pick_index("d1", 2) == 0
+        assert balancer.pick_index("d2", 2) == 0
+        assert balancer.pick_index("d1", 2) == 1
 
-    def test_least_outstanding(self):
-        load = {"a": 5.0, "b": 1.0, "c": 3.0}
-        balancer = LeastOutstandingBalancer(lambda replica: load[replica])
-        assert balancer.pick("d", ["a", "b", "c"]) == "b"
+    def test_round_robin_reset_forgets_cursors(self):
+        balancer = RoundRobinBalancer()
+        balancer.pick_index("d", 3)
+        balancer.reset()
+        assert balancer.pick_index("d", 3) == 0
+
+    def test_power_of_two_draws_two_distinct_indices(self):
+        balancer = PowerOfTwoBalancer(rng=np.random.default_rng(7))
+        pairs = [balancer.pick_pair(4) for _ in range(50)]
+        assert all(a != b and 0 <= a < 4 and 0 <= b < 4 for a, b in pairs)
+        assert len(set(pairs)) > 1
+        balancer.reset(np.random.default_rng(7))
+        assert [balancer.pick_pair(4) for _ in range(50)] == pairs
 
     def test_empty_replica_list_rejected(self):
+        with pytest.raises(ValueError, match="'d' has no ready replicas"):
+            RoundRobinBalancer().pick_index("d", 0)
         with pytest.raises(ValueError):
-            RoundRobinBalancer().pick("d", [])
-        with pytest.raises(ValueError):
-            LeastOutstandingBalancer(lambda r: 0.0).pick("d", [])
+            PowerOfTwoBalancer(rng=np.random.default_rng(0)).pick_pair(1)

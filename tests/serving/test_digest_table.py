@@ -1,10 +1,13 @@
 """Recorded result digests: a fixed configuration set, locked run by run.
 
-Every configuration below was recorded while the engine still kept a second,
-scalar routing path next to the array-backed one, and the two agreed on each
-digest; ``digest_table.json`` keeps that shared verdict.  The table spans
-every routing policy, the fault processes, skewed costs with batching, the
-embedding cache under crashes, and a streamed cached run.
+The first 40 configurations were recorded while the engine still kept a
+second, scalar routing path next to the array-backed one, and the two agreed
+on each digest; ``digest_table.json`` keeps that shared verdict.  The
+least-outstanding fault, batched and replan rows were added later, recorded
+while that policy still counted in-flight queries from COMPLETION events.
+The table spans every routing policy, the fault processes, skewed costs
+with batching, a drift-triggered replan, the embedding cache under crashes,
+and a streamed cached run.
 
 Rewrite the table after an intended behaviour change with::
 
@@ -41,13 +44,17 @@ def _configs() -> dict[str, dict]:
     for scenario in ("constant", "flash-crowd"):
         for routing in routing_policy_names():
             configs[f"{scenario}/{routing}"] = dict(routing=routing, scenario=scenario)
-    for routing in ("least-work", "power-of-two", "recovery-aware"):
+    for routing in ("least-work", "power-of-two", "recovery-aware", "least-outstanding"):
         for faults in FAULTS:
             configs[f"faults/{routing}/{faults}"] = dict(routing=routing, faults=faults, seed=5)
-    for routing in ("cost-weighted", "least-work"):
+    for routing in ("cost-weighted", "least-work", "least-outstanding"):
         configs[f"batched/{routing}"] = dict(
             routing=routing, cost_model="skewed", max_batch=4, batch_window_s=0.002, seed=3
         )
+    configs["replan/least-outstanding"] = dict(
+        routing="least-outstanding", cost_model="skewed", drift="linear@10+60:to=0.1",
+        replan="sla@1.2:patience=2", seed=1,
+    )
     for routing in ("least-work", "recovery-aware"):
         for cache_mb in (0.25, 16.0):
             for faults in (None, "crash-storm"):

@@ -45,8 +45,9 @@ def pattern():
 
 class TestEventKinds:
     def test_same_timestamp_priorities(self):
-        # Completions resolve before arrivals; the control-plane tick, the
-        # reconcile pass and the sample point run after traffic, in order.
+        # COMPLETION is never pushed and keeps the first rank; the
+        # control-plane tick, the reconcile pass and the sample point run
+        # after traffic, in order.
         assert (
             EventKind.COMPLETION
             < EventKind.ARRIVAL
@@ -94,10 +95,15 @@ class TestEngineBehaviour:
         assert result.memory_gb[-1] > result.memory_gb[0]
         assert np.mean(result.achieved_qps[-4:]) == pytest.approx(60.0, rel=0.15)
 
-    def test_completion_events_with_least_outstanding(self, plan, pattern):
+    def test_least_outstanding_without_completion_events(self, plan, pattern):
+        # In-flight attempts are counted from the completion times that
+        # submit returned, so no event kind exists for completions.
+        kinds = set()
         result = ServingEngine(
             plan, routing="least-outstanding", autoscale=False, seed=0
-        ).run(pattern)
+        ).run(pattern, on_event=lambda now, kind: kinds.add(kind))
+        assert EventKind.ARRIVAL in kinds
+        assert EventKind.COMPLETION not in kinds
         assert np.mean(result.achieved_qps[4:]) == pytest.approx(25.0, rel=0.1)
         assert result.sla_violation_fraction() < 0.05
 

@@ -103,7 +103,7 @@ class TestArrivalDrain:
     @pytest.mark.parametrize("routing", ["recovery-aware", "least-outstanding"])
     def test_no_two_arrival_pops_are_adjacent(self, routing):
         # Brownout plus the SLO ladder: armed deadlines schedule TIMEOUTs
-        # mid-drain, and least-outstanding schedules a COMPLETION per submit.
+        # mid-drain, which least-outstanding serves query by query.
         engine = ServingEngine(
             ElasticRecPlanner(cpu_only_cluster()).plan(rm1(), 18.0),
             routing=routing,

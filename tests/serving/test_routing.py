@@ -31,6 +31,12 @@ def _servers(n: int, ready_at: float = 0.0) -> list[ReplicaServer]:
     return [ReplicaServer(f"r{i}", ready_at=ready_at) for i in range(n)]
 
 
+@pytest.fixture(scope="module")
+def plan():
+    cluster = cpu_only_cluster(num_nodes=4)
+    return ElasticRecPlanner(cluster).plan(microbenchmark(num_tables=2), target_qps=30.0)
+
+
 def _pick(policy, deployment, servers, now, cost=None):
     """The replica ``policy`` routes to among ``servers`` (``None``: drop)."""
     pool = ReplicaPool({server.name: server for server in servers})
@@ -189,32 +195,125 @@ class TestReadyOnly:
 
 
 class TestLeastOutstanding:
+    """In-flight attempts are those whose submitted completion is after ``now``."""
+
     def test_tracks_in_flight_counts(self):
         servers = _servers(2)
         policy = LeastOutstandingPolicy()
-        assert policy.needs_completion_events
         first = _pick(policy, "d", servers, 0.0)
-        policy.on_submit("d", first)
+        policy.on_submit("d", first, first.submit(0.0, 1.0))
         assert _pick(policy, "d", servers, 0.0) is servers[1]
-        policy.on_submit("d", servers[1])
-        policy.on_complete("d", first.name)
-        assert _pick(policy, "d", servers, 0.0) is first
+        policy.on_submit("d", servers[1], servers[1].submit(0.0, 2.0))
+        # ``first``'s attempt completed at 1.0; ``servers[1]``'s runs to 2.0.
+        assert _pick(policy, "d", servers, 1.5) is first
 
     def test_reset_clears_counts(self):
         servers = _servers(2)
         policy = LeastOutstandingPolicy()
-        policy.on_submit("d", servers[0])
+        policy.on_submit("d", servers[0], 5.0)
         policy.reset(np.random.default_rng(0))
         assert _pick(policy, "d", servers, 0.0) is servers[0]
+
+    def test_an_attempt_completing_at_now_no_longer_counts(self):
+        # servers[0] has attempts ending at 1.0 and 2.0, servers[1] one
+        # ending at 3.0.  At exactly 1.0 each has one left, and the tie
+        # goes to the replica whose queue drains first.
+        servers = _servers(2)
+        policy = LeastOutstandingPolicy()
+        for server, service in ((servers[0], 1.0), (servers[0], 1.0), (servers[1], 3.0)):
+            policy.on_submit("d", server, server.submit(0.0, service))
+        assert _pick(policy, "d", servers, 0.999) is servers[1]
+        assert _pick(policy, "d", servers, 1.0) is servers[0]
+
+    def test_batched_attempts_count_until_their_returned_completion(self):
+        # A joiner stretches servers[0]'s batch to end at 2.5, but the
+        # opener's submit returned 1.5: after that only the joiner counts,
+        # although the replica is busy until 2.5.
+        servers = [ReplicaServer(f"r{i}", max_batch=2, batch_window_s=0.5) for i in range(2)]
+        policy = LeastOutstandingPolicy()
+        returned = [
+            servers[0].submit(0.0, 1.0),
+            servers[0].submit(0.2, 1.0),
+            servers[1].submit(0.0, 3.0),
+        ]
+        assert returned == [1.5, 2.5, 3.5]
+        for server, completion in zip((servers[0], servers[0], servers[1]), returned):
+            policy.on_submit("d", server, completion)
+        assert servers[0].busy_until == 2.5
+        assert _pick(policy, "d", servers, 1.4) is servers[1]
+        assert _pick(policy, "d", servers, 2.0) is servers[0]
+
+    def test_replan_shard_copies_count_as_in_flight(self, plan):
+        class Recording(LeastOutstandingPolicy):
+            def __init__(self):
+                super().__init__()
+                self.submits = []
+
+            def on_submit(self, deployment_name, server, completion):
+                self.submits.append((deployment_name, server.name, completion))
+                super().on_submit(deployment_name, server, completion)
+
+        policy = Recording()
+        engine = ServingEngine(
+            plan, routing=policy, cost_model="skewed", replan="sla@1.2:patience=2",
+            autoscale=False, seed=0,
+        )
+        runtime = engine._runtimes[0]
+        runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
+        now = 10.0
+        cutover_at = runtime.start_replan(now)
+        copied = {
+            (lane.name, name): server.busy_until
+            for lane in runtime._lanes
+            if not lane.dense
+            for name, server in runtime.servers[lane.name].items()
+        }
+        assert len(copied) > 1
+        assert {(d, name): c for d, name, c in policy.submits} == copied
+        assert len(policy.submits) == len(copied)
+        assert max(copied.values()) == cutover_at > now
+        # Every copy is in flight until it lands: a replica with a copy ahead
+        # loses to a fresh replica whose queue drains later.
+        lane = next(lane for lane in runtime._lanes if not lane.dense)
+        pool = lane.pool.refresh()
+        fresh = ReplicaServer("fresh")
+        fresh.submit(now, cutover_at - now + 1.0)
+        servers = [pool.servers[0], fresh]
+        assert _pick(policy, lane.name, servers, now) is fresh
+
+    def test_a_crash_replacement_gets_a_fresh_replica_name(self, plan):
+        # The in-flight times are keyed by replica name, so a rebuilt replica
+        # must never inherit its predecessor's name (and attempts).
+        deployment = "micro-medium-high-2t-table0-shard0"
+        engine = ServingEngine(
+            plan,
+            routing="least-outstanding",
+            autoscale=False,
+            seed=0,
+            faults=f"crash@20:deployment={deployment},replica=0,policy=requeue",
+        )
+        runtime = engine._runtimes[0]
+        before: set[str] = set()
+        seen: set[str] = set()
+
+        def observe(now, kind):
+            names = set(runtime.servers[deployment])
+            if now < 20.0:
+                before.update(names)
+            seen.update(names)
+
+        engine.run(TrafficPattern.constant(20.0, duration_s=60.0), on_event=observe)
+        after = set(runtime.servers[deployment])
+        assert len(after) == len(before) == 2
+        lost = before - after
+        assert len(lost) == 1, "the crash did not take a replica"
+        replacement = after - before
+        assert len(replacement) == 1 and not replacement & lost
+        assert seen == before | after
 
 
 class TestPoliciesUnderIdenticalArrivals:
     """Same plan, same seed (hence identical arrivals) across policies."""
-
-    @pytest.fixture(scope="class")
-    def plan(self):
-        cluster = cpu_only_cluster(num_nodes=4)
-        return ElasticRecPlanner(cluster).plan(microbenchmark(num_tables=2), target_qps=30.0)
 
     @pytest.fixture(scope="class")
     def results(self, plan):
