@@ -22,11 +22,11 @@ Architecture Enabling Elastic Resource Scaling for Recommendation Models*
 
 ``repro.cluster``
     A Kubernetes-like substrate: containers, nodes, bin-packing scheduler,
-    deployments, horizontal pod autoscaler, load balancer and metric registry.
+    deployments, horizontal pod autoscaler and metric registry.
 
 ``repro.serving``
     A discrete-event serving simulator (traffic generation, per-replica
-    queueing, RPC fan-out, tail-latency tracking, stress testing).
+    queueing, routing policies, tail-latency tracking).
 
 ``repro.data``
     Power-law embedding access distributions, synthetic dataset presets and

@@ -33,14 +33,6 @@ class CostEstimate:
     total_replicas: int
     relative_cost: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Dictionary form for report tables."""
-        return {
-            "num_servers": float(self.num_servers),
-            "total_replicas": float(self.total_replicas),
-            "relative_cost": self.relative_cost,
-        }
-
 
 def _replica_requests(plan: DeploymentPlan) -> list[ResourceRequest]:
     requests = []

@@ -29,15 +29,6 @@ class MemoryBreakdown:
         """Total allocated memory in GB."""
         return self.dense_gb + self.embedding_gb + self.monolithic_gb
 
-    def as_dict(self) -> dict[str, float]:
-        """Role-keyed dictionary including the total."""
-        return {
-            "dense_gb": self.dense_gb,
-            "embedding_gb": self.embedding_gb,
-            "monolithic_gb": self.monolithic_gb,
-            "total_gb": self.total_gb,
-        }
-
 
 def memory_breakdown(plan: DeploymentPlan) -> MemoryBreakdown:
     """Split a plan's allocated memory by shard role."""

@@ -2,7 +2,9 @@
 
 The paper deploys its shards as containers orchestrated by Kubernetes v1.26
 with Horizontal Pod Autoscaling and Linkerd load balancing (Section V-B).
-This subpackage provides the pieces of that stack the evaluation depends on:
+This subpackage provides the pieces of that stack the evaluation depends on;
+the Linkerd stand-in is the serving engine's routing policies
+(:mod:`repro.serving.routing`):
 
 * :mod:`repro.cluster.resources` / :mod:`repro.cluster.container` /
   :mod:`repro.cluster.node` — resource requests, container lifecycle (with
@@ -13,9 +15,6 @@ This subpackage provides the pieces of that stack the evaluation depends on:
   nodes.
 * :mod:`repro.cluster.autoscaler` — the HPA control loop (throughput and
   latency targets, scale-up/down stabilisation).
-* :mod:`repro.cluster.loadbalancer` — generic replica-selection primitives
-  (round-robin, power-of-two choices) that the serving engine's routing
-  policies (:mod:`repro.serving.routing`) build on.
 * :mod:`repro.cluster.metrics` — a Prometheus-like metric registry.
 * :mod:`repro.cluster.cluster` — the facade tying nodes, deployments, the
   scheduler and the autoscaler together for the dynamic-traffic experiments.
@@ -27,7 +26,6 @@ from repro.cluster.node import Node
 from repro.cluster.deployment import Deployment
 from repro.cluster.scheduler import BinPackingScheduler, SchedulingError
 from repro.cluster.autoscaler import HorizontalPodAutoscaler
-from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.cluster.metrics import MetricSample, MetricsRegistry
 from repro.cluster.cluster import Cluster
 from repro.cluster.manifests import plan_manifests, render_manifests
@@ -45,8 +43,6 @@ __all__ = [
     "BinPackingScheduler",
     "SchedulingError",
     "HorizontalPodAutoscaler",
-    "RoundRobinBalancer",
-    "PowerOfTwoBalancer",
     "MetricSample",
     "MetricsRegistry",
     "Cluster",

@@ -34,23 +34,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_plan(
-        cls,
-        plan: DeploymentPlan,
-        initial_replicas: int | None = None,
-        max_replicas: int = DEFAULT_MAX_REPLICAS,
-    ) -> "Cluster":
-        """Instantiate a cluster hosting every deployment of a plan.
-
-        ``initial_replicas`` overrides each deployment's planned replica count
-        (the dynamic-traffic experiment starts every deployment at one replica
-        and lets the HPA grow it).
-        """
-        cluster = cls(plan.cluster)
-        cluster.add_plan(plan, initial_replicas=initial_replicas, max_replicas=max_replicas)
-        return cluster
-
     def add_plan(
         self,
         plan: DeploymentPlan,
@@ -257,16 +240,6 @@ class Cluster:
             evicted.append(container.name)
             node.evict(container, now)
         return evicted
-
-    def drain_node(self, key: int | str, now: float) -> list[str]:
-        """Cordon one node and immediately evict everything on it.
-
-        The serving engine's :class:`~repro.serving.faults.NodeDrain` event
-        adds a graceful phase between the cordon and the eviction; this
-        method is the grace-free composition for direct cluster callers.
-        """
-        self.node(key).cordon()
-        return self.evict_node(key, now)
 
     def uncordon_node(self, key: int | str) -> None:
         """Return a drained node to the schedulable pool."""

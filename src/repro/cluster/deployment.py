@@ -65,11 +65,6 @@ class Deployment:
         """Memory reserved by the deployment's active replicas."""
         return sum(c.spec.resources.memory_bytes for c in self.active_replicas)
 
-    @property
-    def ready_capacity_qps(self) -> float:
-        """Aggregate throughput capacity of the ready replicas."""
-        return len(self.ready_replicas) * self.spec.per_replica_qps
-
     def observed_metric(self, metrics: MetricsRegistry, now: float, window_s: float) -> float | None:
         """The value the HPA compares against its target for this deployment.
 

@@ -148,11 +148,6 @@ class Bucketizer:
             )
         return lookups
 
-    def lookups_per_shard(self, indices: np.ndarray) -> np.ndarray:
-        """How many of the given lookups land in each shard (load accounting)."""
-        shard_ids = self.shard_of(indices)
-        return np.bincount(shard_ids, minlength=self.num_shards)
-
 
 def merge_pooled(pooled_per_shard: Sequence[np.ndarray]) -> np.ndarray:
     """Combine per-shard pooled embeddings into the monolithic pooled result.

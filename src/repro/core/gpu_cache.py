@@ -11,7 +11,6 @@ allocation stays coarse-grained, so whole-table duplication remains.
 from __future__ import annotations
 
 from repro.core.baseline import ModelWisePlanner
-from repro.data.distributions import hot_prefix_rows
 from repro.hardware.specs import ClusterSpec
 from repro.model.configs import DLRMConfig
 
@@ -46,26 +45,3 @@ class CachedModelWisePlanner(ModelWisePlanner):
         return self.perf_model.model_wise_qps(
             config, cache_latency_reduction=self.cache_latency_reduction
         )
-
-    def cache_bytes_per_replica(self, config: DLRMConfig) -> float:
-        """GPU HBM the cache occupies per replica (not counted as CPU memory).
-
-        Modelled as the fraction of each table whose hottest rows cover
-        ``cache_hit_rate`` of accesses, capped at 20% of HBM following the
-        sizing reported by the caching literature the paper cites.
-
-        The prefix comes from the shared
-        :func:`repro.data.distributions.hot_prefix_rows` definition (its
-        ``coverage`` form), so this offline sizing and the serve-time
-        :class:`~repro.serving.workload.SkewedCostModel` hot set agree on the
-        same hot-sorted prefix of each table.
-        """
-        emb = config.embedding
-        distribution = emb.access_distribution()
-        # Smallest hot prefix covering the hit rate (shared bisection).
-        hot_rows = hot_prefix_rows(distribution, coverage=self.cache_hit_rate)
-        cache_bytes = float(
-            hot_rows * emb.embedding_dim * emb.dtype_bytes * emb.num_tables
-        )
-        hbm_limit = 0.2 * self.cluster.node.gpu.hbm_gb * 1e9
-        return min(cache_bytes, hbm_limit)

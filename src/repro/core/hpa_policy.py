@@ -3,8 +3,9 @@
 ElasticRec configures Kubernetes HPA differently per shard type:
 
 * **sparse embedding shards** use a throughput-centric target — the shard's
-  stress-tested maximum sustainable QPS (``QPS_max``); exceeding it triggers
-  an additional replica;
+  maximum sustainable QPS (``QPS_max``); exceeding it triggers an additional
+  replica.  The paper stress-tests each shard for it; here the planner
+  derives it from the replica's analytic per-replica QPS;
 * **dense DNN shards** use a latency-centric target set to 65% of the SLA so
   that replicas are added before tail latency approaches the SLA;
 * the **model-wise baseline** scales the whole monolithic replica on its
@@ -42,20 +43,6 @@ class HPATarget:
         """True for QPS-based (sparse-shard style) targets."""
         return self.metric == "qps"
 
-    def desired_replicas(self, current_replicas: int, observed_value: float) -> int:
-        """Kubernetes HPA scaling rule: ``ceil(current * observed / target)``.
-
-        For throughput targets ``observed_value`` is the average QPS *per
-        replica*; for latency targets it is the observed tail latency.
-        """
-        if current_replicas <= 0:
-            raise ValueError("current_replicas must be positive")
-        if observed_value < 0:
-            raise ValueError("observed_value must be non-negative")
-        ratio = observed_value / self.target_value
-        desired = int(-(-current_replicas * ratio // 1))  # ceil without math import
-        return max(desired, 1)
-
 
 def build_hpa_target(
     role: str,
@@ -66,8 +53,9 @@ def build_hpa_target(
     """Construct the HPA target for a shard of the given role.
 
     ``role`` is ``"sparse"``, ``"dense"`` or ``"monolithic"``.  Sparse and
-    monolithic deployments need ``shard_max_qps`` (the stress-tested
-    ``QPS_max``); dense deployments need the cluster ``sla_s``.
+    monolithic deployments need ``shard_max_qps`` (``QPS_max``); dense
+    deployments need the cluster ``sla_s``.  The scaling rule itself lives in
+    :class:`repro.cluster.autoscaler.HorizontalPodAutoscaler`.
     """
     role = role.lower()
     if role in ("sparse", "embedding", "monolithic", "model-wise"):

@@ -9,7 +9,7 @@ exactly the same accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.hpa_policy import HPATarget
 from repro.core.sharding import EmbeddingShardSpec, ShardingPlan
@@ -77,15 +77,6 @@ class ShardDeployment:
     def total_gpus(self) -> int:
         """GPUs requested across every replica."""
         return self.replicas * self.gpus
-
-    @property
-    def aggregate_qps(self) -> float:
-        """Throughput capacity of all replicas combined."""
-        return self.replicas * self.per_replica_qps
-
-    def with_replicas(self, replicas: int) -> "ShardDeployment":
-        """Copy of this deployment at a different replica count."""
-        return replace(self, replicas=replicas)
 
 
 @dataclass(frozen=True)

@@ -245,8 +245,9 @@ class ElasticRecPlanner:
         )
         replicas = max(1, math.ceil(target_qps / (per_replica_qps * headroom)))
         memory_bytes = shard.capacity_bytes + policy.min_mem_alloc_gb * 1e9
-        # The HPA target is the stress-tested QPS_max knee, which sits a bit
-        # below the replica's saturation throughput (Section IV-D).
+        # The HPA target stands in for the paper's stress-tested QPS_max knee,
+        # which sits a bit below the replica's saturation throughput
+        # (Section IV-D).
         max_qps = per_replica_qps * policy.hpa_target_fraction
         return ShardDeployment(
             name=shard.name,

@@ -93,19 +93,6 @@ class SortedTable:
         probability = self.distribution.coverage_range(start_row, end_row)
         return probability * self.pooling
 
-    def sorted_to_original(self, sorted_ranks: np.ndarray) -> np.ndarray:
-        """Map sorted ranks back to original row ids (identity if unsorted input)."""
-        sorted_ranks = np.asarray(sorted_ranks, dtype=np.int64)
-        if self.permutation is None:
-            return sorted_ranks
-        return self.permutation[sorted_ranks]
-
-    def estimated_sort_seconds(self, rows_per_second: float = 7_000_000.0) -> float:
-        """Rough one-time sorting cost (the paper reports ~3 s for 20M rows)."""
-        if rows_per_second <= 0:
-            raise ValueError("rows_per_second must be positive")
-        return self.rows / rows_per_second
-
 
 def preprocess_table(
     spec: EmbeddingTableSpec,

@@ -8,15 +8,15 @@ ElasticRec partitions a DLRM model into two shard types (Section IV-A):
   contiguous range of hot-sorted rows, produced by the Algorithm-2
   partitioner.
 
-A :class:`ShardingPlan` collects all shard specifications for one workload
-and provides the bucketizers that route lookups onto the embedding shards.
+A :class:`ShardingPlan` collects all shard specifications for one workload,
+including each table's shard boundaries (what a
+:class:`~repro.core.bucketization.Bucketizer` routes lookups by).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bucketization import Bucketizer
 from repro.model.analytics import ModelAnalytics
 from repro.model.configs import DLRMConfig
 
@@ -94,11 +94,6 @@ class EmbeddingShardSpec:
         """Bytes of embedding vectors stored by this shard."""
         return self.rows * self.embedding_dim * self.dtype_bytes
 
-    @property
-    def is_hottest(self) -> bool:
-        """Whether this is the hottest shard of its table."""
-        return self.shard_index == 0
-
 
 @dataclass(frozen=True)
 class ShardingPlan:
@@ -144,12 +139,6 @@ class ShardingPlan:
     def shards_per_table(self) -> dict[int, int]:
         """Shard count per table."""
         return {t: len(self.shards_for_table(t)) for t in range(self.num_tables)}
-
-    def bucketizer_for_table(self, table_id: int) -> Bucketizer:
-        """The index router matching this table's partitioning."""
-        if not 0 <= table_id < self.num_tables:
-            raise KeyError(f"unknown table id {table_id}")
-        return Bucketizer(self.table_boundaries[table_id])
 
     def single_copy_embedding_bytes(self) -> int:
         """Bytes of one copy of every embedding shard (no replication)."""

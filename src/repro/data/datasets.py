@@ -86,11 +86,6 @@ class SyntheticDataset:
             freqs = dist.probabilities()[ranks - 1]
         return ranks - 1, freqs * 100.0
 
-    def sample_trace(self, num_accesses: int, seed: int = 0) -> np.ndarray:
-        """Draw a synthetic access trace of hot-sorted vector ids."""
-        rng = np.random.default_rng(seed)
-        return self.distribution().sample(num_accesses, rng)
-
 
 def amazon_books(num_items: int = 2_000_000) -> SyntheticDataset:
     """Synthetic equivalent of the Amazon Books review trace (Figure 6(a))."""

@@ -291,17 +291,6 @@ class EmpiricalDistribution(AccessDistribution):
         # Guard against floating point drift at the end of the CDF.
         self._cdf[-1] = 1.0
 
-    @classmethod
-    def from_trace(cls, trace: Sequence[int] | np.ndarray, num_items: int) -> "EmpiricalDistribution":
-        """Build from a raw access trace of item ids in ``[0, num_items)``."""
-        trace = np.asarray(trace, dtype=np.int64)
-        if trace.size == 0:
-            raise ValueError("trace must be non-empty")
-        if trace.min() < 0 or trace.max() >= num_items:
-            raise ValueError("trace contains ids outside [0, num_items)")
-        counts = np.bincount(trace, minlength=num_items).astype(np.float64)
-        return cls(counts)
-
     def coverage(self, k: int) -> float:
         k = int(k)
         if k <= 0:

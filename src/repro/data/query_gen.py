@@ -56,14 +56,6 @@ class SparseLookup:
         """Total number of embedding vectors gathered from this table."""
         return int(self.indices.size)
 
-    def lookups_for_sample(self, sample: int) -> np.ndarray:
-        """Index ids gathered for one batch element."""
-        if not 0 <= sample < self.batch_size:
-            raise IndexError(f"sample {sample} out of range for batch {self.batch_size}")
-        start = int(self.offsets[sample])
-        stop = int(self.offsets[sample + 1]) if sample + 1 < self.batch_size else self.num_lookups
-        return self.indices[start:stop]
-
 
 @dataclass(frozen=True)
 class Query:
@@ -96,17 +88,6 @@ class Query:
     def num_tables(self) -> int:
         """Number of embedding tables the query touches."""
         return len(self.sparse_lookups)
-
-    def lookup_for_table(self, table_id: int) -> SparseLookup:
-        """The sparse lookup addressing ``table_id``."""
-        for lookup in self.sparse_lookups:
-            if lookup.table_id == table_id:
-                return lookup
-        raise KeyError(f"query {self.query_id} has no lookup for table {table_id}")
-
-    def total_lookups(self) -> int:
-        """Total embedding gathers across all tables."""
-        return sum(lookup.num_lookups for lookup in self.sparse_lookups)
 
 
 @dataclass(frozen=True)
@@ -196,12 +177,6 @@ class QueryGenerator:
         )
         self._next_query_id += 1
         return query
-
-    def generate_many(self, count: int, start_time: float = 0.0) -> list[Query]:
-        """Generate ``count`` queries stamped with the same arrival time."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.generate(arrival_time=start_time) for _ in range(count)]
 
     def stream(self) -> Iterator[Query]:
         """Infinite stream of queries (arrival times left at zero)."""

@@ -416,9 +416,3 @@ class PerfModel:
         if self._cluster.is_gpu_system:
             return self._calibration.rpc_overhead_gpu_s
         return self._calibration.rpc_overhead_cpu_s
-
-    def elastic_query_latency(self, config: DLRMConfig) -> float:
-        """Average end-to-end latency of one query under ElasticRec sharding."""
-        dense = self.dense_query_latency(config)
-        sparse = self.sparse_layer_latency(config)
-        return dense + sparse + self.rpc_overhead_s()

@@ -77,14 +77,6 @@ class GatherProfiler:
             )
         return points
 
-    def profile_dimensions(
-        self,
-        embedding_dims: Sequence[int] = (32, 128, 512),
-        gather_counts: Sequence[float] = DEFAULT_GATHER_SWEEP,
-    ) -> dict[int, list[ProfilePoint]]:
-        """Figure 9: sweep gather counts for several embedding dimensions."""
-        return {dim: self.profile(dim, gather_counts) for dim in embedding_dims}
-
 
 class LayerProfiler:
     """Measures per-layer throughput and latency shares for whole workloads."""
@@ -98,11 +90,3 @@ class LayerProfiler:
         dense = self._perf_model.dense_qps(config, cores=policy.model_wise_cores)
         sparse = self._perf_model.sparse_layer_qps(config)
         return {"dense": dense, "sparse": sparse}
-
-    def latency_shares(self, config: DLRMConfig) -> dict[str, float]:
-        """Figure 3(b): percentage of end-to-end latency per layer type."""
-        breakdown = self._perf_model.latency_breakdown(config)
-        return {
-            "dense_pct": 100.0 * breakdown.dense_fraction,
-            "sparse_pct": 100.0 * breakdown.sparse_fraction,
-        }

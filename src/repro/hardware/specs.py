@@ -100,7 +100,8 @@ class ContainerPolicy:
     startup_base_s: float = 8.0
     startup_per_gb_s: float = 5.0
     #: Fraction of a replica's measured capacity used as its throughput-HPA
-    #: target (the stress-tested QPS_max knee sits below the saturation rate).
+    #: target (the paper's stress-tested QPS_max knee sits below the saturation
+    #: rate).
     hpa_target_fraction: float = 0.75
 
     def __post_init__(self) -> None:
@@ -225,11 +226,6 @@ class ClusterSpec:
     def total_cores(self) -> int:
         """Aggregate logical cores across compute nodes."""
         return self.node.cores * self.num_nodes
-
-    @property
-    def total_dram_gb(self) -> float:
-        """Aggregate DRAM across compute nodes."""
-        return self.node.dram_gb * self.num_nodes
 
     def with_nodes(self, num_nodes: int) -> "ClusterSpec":
         """Copy of this spec with a different fleet size."""

@@ -60,15 +60,6 @@ class MLPConfig:
         if any(s <= 0 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
 
-    @classmethod
-    def from_string(cls, spec: str) -> "MLPConfig":
-        """Parse the paper's ``256-128-32`` notation."""
-        try:
-            sizes = tuple(int(part) for part in spec.split("-"))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse MLP spec {spec!r}") from exc
-        return cls(sizes)
-
     @property
     def output_dim(self) -> int:
         """Width of the final layer."""

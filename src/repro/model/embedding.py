@@ -48,11 +48,6 @@ class EmbeddingTableSpec:
         """Total table size in bytes."""
         return self.rows * self.row_bytes
 
-    @property
-    def size_gb(self) -> float:
-        """Total table size in GB (decimal)."""
-        return self.size_bytes / 1e9
-
     def slice_bytes(self, start_row: int, end_row: int) -> int:
         """Bytes of the row range ``[start_row, end_row)`` (a shard's capacity)."""
         if not 0 <= start_row <= end_row <= self.rows:

@@ -7,10 +7,12 @@ tail latency over time.  This subpackage provides that serving loop as a
 discrete-event engine with pluggable policies:
 
 * :mod:`repro.serving.engine` — the event core: a heap of typed events
-  (arrival, completion, autoscaler tick, reconcile, sample) driving the
-  cluster, plus vectorised series post-processing.  :class:`MultiTenantEngine`
-  drives N tenants (each a :class:`TenantSpec` with its own traffic,
-  routing, SLA, autoscaler and seed) competing for one shared node pool,
+  (arrivals; one control tick that runs the autoscaler, reconcile and
+  sampling in that order; faults, recoveries, re-plans, watchdog actions,
+  attempt timeouts and retries) driving the cluster, plus vectorised series
+  post-processing.  :class:`MultiTenantEngine` drives N tenants (each a
+  :class:`TenantSpec` with its own traffic, routing, SLA, autoscaler and
+  seed) competing for one shared node pool,
   returning a :class:`MultiTenantResult` with per-tenant
   :class:`SimulationResult` series plus cluster-wide
   memory/utilization/pending-placement series.  :class:`ServingEngine` is
@@ -18,8 +20,8 @@ discrete-event engine with pluggable policies:
   takes a traffic pattern per run.
 * :mod:`repro.serving.routing` — pluggable per-deployment routing policies
   (``least-work``, ``round-robin``, ``power-of-two``, ``ready-only``,
-  ``least-outstanding``), built on the generic balancers in
-  :mod:`repro.cluster.loadbalancer`.  See :data:`ROUTING_POLICIES` /
+  ``least-outstanding``, ``cost-weighted``, ``recovery-aware``) over
+  numpy replica pools.  See :data:`ROUTING_POLICIES` /
   :func:`make_routing_policy`.
 * :mod:`repro.serving.scenarios` — a library of named traffic scenarios
   (diurnal, flash crowd, sinusoidal, ramp-and-hold, composable noise)
@@ -57,10 +59,7 @@ discrete-event engine with pluggable policies:
 * :mod:`repro.serving.streaming` — the append-only series spool backing
   memory-bounded streamed runs (``StreamConfig``, chunk readers/writers,
   crash-recovery semantics).
-* :mod:`repro.serving.rpc` — the cross-shard RPC latency model.
 * :mod:`repro.serving.latency` — latency bookkeeping and percentiles.
-* :mod:`repro.serving.stress` — stress testing a single replica to find its
-  ``QPS_max`` (used to derive the sparse shards' HPA targets).
 
 Quick tour::
 
@@ -75,7 +74,6 @@ Quick tour::
 
 from repro.serving.traffic import TrafficPattern, TrafficPhase, paper_dynamic_pattern
 from repro.serving.replica_server import ReplicaServer
-from repro.serving.rpc import RPCModel
 from repro.serving.latency import LatencyTracker
 from repro.serving.engine import (
     ClusterSeries,
@@ -133,7 +131,6 @@ from repro.serving.streaming import (
     SpoolTruncatedError,
     StreamConfig,
 )
-from repro.serving.stress import StressTestResult, find_qps_max
 from repro.serving.workload import (
     COST_MODELS,
     DriftSpec,
@@ -151,7 +148,6 @@ __all__ = [
     "TrafficPhase",
     "paper_dynamic_pattern",
     "ReplicaServer",
-    "RPCModel",
     "LatencyTracker",
     "EventKind",
     "ServingEngine",
@@ -180,8 +176,6 @@ __all__ = [
     "sinusoidal",
     "ramp_and_hold",
     "with_noise",
-    "find_qps_max",
-    "StressTestResult",
     "FaultModel",
     "ReplicaCrash",
     "NodeDrain",

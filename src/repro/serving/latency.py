@@ -1,4 +1,4 @@
-"""Latency bookkeeping: percentiles and windowed time series.
+"""Latency bookkeeping: samples, percentiles and SLA-violation counts.
 
 :class:`LatencyTracker` is on the serving engine's per-query hot path, so it
 stores samples in pre-allocated numpy buffers with amortized doubling growth
@@ -39,26 +39,12 @@ every aggregate runs the same numpy computation over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["LatencyTracker", "LatencyWindowPoint"]
+__all__ = ["LatencyTracker"]
 
 #: Initial per-buffer capacity; doubles whenever the buffer fills.
 _INITIAL_CAPACITY = 512
-
-
-@dataclass(frozen=True)
-class LatencyWindowPoint:
-    """Aggregated latency statistics of one time bucket."""
-
-    time_s: float
-    completions: int
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    mean_ms: float
 
 
 class LatencyTracker:
@@ -291,39 +277,3 @@ class LatencyTracker:
         if not self._size:
             return 0.0
         return self.count_exceeding(sla_s) / self._size
-
-    def windowed(self, duration_s: float, bucket_s: float = 60.0) -> list[LatencyWindowPoint]:
-        """Per-bucket percentiles over ``[0, duration_s)`` (empty buckets report zeros)."""
-        if bucket_s <= 0 or duration_s <= 0:
-            raise ValueError("duration_s and bucket_s must be positive")
-        self._require_unspilled("windowed")
-        times = self._times[: self._size]
-        latencies = self._lats[: self._size] * 1000.0
-        points = []
-        edges = np.arange(0.0, duration_s + bucket_s, bucket_s)
-        for start, end in zip(edges[:-1], edges[1:]):
-            mask = (times >= start) & (times < end)
-            bucket = latencies[mask]
-            if bucket.size:
-                points.append(
-                    LatencyWindowPoint(
-                        time_s=float(start),
-                        completions=int(bucket.size),
-                        p50_ms=float(np.percentile(bucket, 50)),
-                        p95_ms=float(np.percentile(bucket, 95)),
-                        p99_ms=float(np.percentile(bucket, 99)),
-                        mean_ms=float(bucket.mean()),
-                    )
-                )
-            else:
-                points.append(
-                    LatencyWindowPoint(
-                        time_s=float(start),
-                        completions=0,
-                        p50_ms=0.0,
-                        p95_ms=0.0,
-                        p99_ms=0.0,
-                        mean_ms=0.0,
-                    )
-                )
-        return points

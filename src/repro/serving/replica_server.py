@@ -328,10 +328,6 @@ class ReplicaServer:
         """Whether the replica can accept traffic at ``now``."""
         return now >= self._ready_at
 
-    def pending_work(self, now: float) -> float:
-        """Seconds of queued work ahead of a query submitted at ``now``."""
-        return max(0.0, self._busy_until - now)
-
     # ------------------------------------------------------------------
     # Batch mechanics
     # ------------------------------------------------------------------

@@ -6,11 +6,6 @@ Policies are stateful (round-robin cursors, in-flight completion times,
 private RNG) and are reset by the engine at the start of every run, so one
 policy instance can be reused across runs deterministically.
 
-The selection mechanics are shared with :mod:`repro.cluster.loadbalancer`
-(the generic Linkerd stand-in): the policies here adapt those balancers to
-the :class:`~repro.serving.replica_server.ReplicaServer` queue model, adding
-readiness filtering and the engine's tie-breaking conventions.
-
 Policies receive an optional *cost hint* — the query's mean service seconds
 on the deployment plus its sampled cost multiplier — so cost-aware policies
 can weigh expensive queries differently from cheap ones.  Policies that do
@@ -63,7 +58,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.serving.replica_server import CacheSpec, ReplicaServer
 
 __all__ = [
@@ -454,10 +448,10 @@ class RoundRobinPolicy(RoutingPolicy):
     name = "round-robin"
 
     def __init__(self) -> None:
-        self._balancer = RoundRobinBalancer()
+        self._cursors: dict[str, int] = {}
 
     def reset(self, rng: np.random.Generator) -> None:
-        self._balancer.reset()
+        self._cursors.clear()
 
     def select_index(
         self,
@@ -469,13 +463,17 @@ class RoundRobinPolicy(RoutingPolicy):
         pool.refresh()
         if not pool.size:
             return None
-        if pool.all_ready(now):
-            return self._balancer.pick_index(deployment_name, pool.size)
-        mask = pool.routable_mask(now)
-        if mask is None:
-            return None
-        candidates = np.flatnonzero(mask)
-        return int(candidates[self._balancer.pick_index(deployment_name, candidates.size)])
+        candidates = None
+        size = pool.size
+        if not pool.all_ready(now):
+            mask = pool.routable_mask(now)
+            if mask is None:
+                return None
+            candidates = np.flatnonzero(mask)
+            size = candidates.size
+        cursor = self._cursors.get(deployment_name, 0) % size
+        self._cursors[deployment_name] = cursor + 1
+        return cursor if candidates is None else int(candidates[cursor])
 
 
 class PowerOfTwoPolicy(RoutingPolicy):
@@ -484,10 +482,10 @@ class PowerOfTwoPolicy(RoutingPolicy):
     name = "power-of-two"
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._balancer = PowerOfTwoBalancer(rng=rng)
+        self._rng = rng or np.random.default_rng()
 
     def reset(self, rng: np.random.Generator) -> None:
-        self._balancer.reset(rng)
+        self._rng = rng
 
     def select_index(
         self,
@@ -503,15 +501,15 @@ class PowerOfTwoPolicy(RoutingPolicy):
         if pool.all_ready(now):
             if pool.size == 1:
                 return 0
-            first, second = self._balancer.pick_pair(pool.size)
-            return first if busy[first] <= busy[second] else second
+            first, second = self._rng.choice(pool.size, size=2, replace=False)
+            return int(first) if busy[first] <= busy[second] else int(second)
         mask = pool.routable_mask(now)
         if mask is None:
             return None
         candidates = np.flatnonzero(mask)
         if candidates.size == 1:
             return int(candidates[0])
-        first, second = self._balancer.pick_pair(candidates.size)
+        first, second = self._rng.choice(candidates.size, size=2, replace=False)
         a, b = int(candidates[first]), int(candidates[second])
         return a if busy[a] <= busy[b] else b
 

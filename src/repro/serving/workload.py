@@ -253,16 +253,6 @@ class SkewedCostModel(QueryCostModel):
         cold_gathers = np.sum(distinct & ~hot, axis=1, dtype=np.float64)
         return hot_gathers, cold_gathers
 
-    def profile_gathers(self, rng: np.random.Generator) -> np.ndarray:
-        """Per-profile effective gather counts (before normalisation).
-
-        One row of the result is one query profile's cost in cold-gather
-        units: distinct cold rows plus ``hot_cost_fraction`` per distinct hot
-        row.
-        """
-        hot_gathers, cold_gathers = self.profile_splits(rng)
-        return cold_gathers + self._hot_cost_fraction * hot_gathers
-
     def _raw_pool(
         self, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,10 +26,6 @@ class TestMemoryBreakdown:
         breakdown = memory_breakdown(small_elastic_plan)
         assert breakdown.embedding_gb > breakdown.dense_gb
 
-    def test_as_dict(self, small_elastic_plan):
-        data = memory_breakdown(small_elastic_plan).as_dict()
-        assert set(data) == {"dense_gb", "embedding_gb", "monolithic_gb", "total_gb"}
-
     def test_consumption_helper(self, small_elastic_plan):
         assert memory_consumption_gb(small_elastic_plan) == pytest.approx(
             small_elastic_plan.total_memory_gb

@@ -39,14 +39,16 @@ class TestClusterBasics:
         with pytest.raises(ValueError):
             cluster.create_deployment(small_spec(), desired_replicas=1)
 
-    def test_from_plan_builds_all_deployments(self, small_elastic_plan):
-        cluster = Cluster.from_plan(small_elastic_plan)
+    def test_add_plan_builds_all_deployments(self, small_elastic_plan):
+        cluster = Cluster(small_elastic_plan.cluster)
+        cluster.add_plan(small_elastic_plan)
         assert len(cluster.deployments) == len(small_elastic_plan.deployments)
         cluster.reconcile(0.0)
         assert cluster.allocated_memory_gb > 0
 
-    def test_from_plan_initial_replicas_override(self, small_elastic_plan):
-        cluster = Cluster.from_plan(small_elastic_plan, initial_replicas=1)
+    def test_add_plan_initial_replicas_override(self, small_elastic_plan):
+        cluster = Cluster(small_elastic_plan.cluster)
+        cluster.add_plan(small_elastic_plan, initial_replicas=1)
         cluster.reconcile(0.0)
         for deployment in cluster.deployments:
             assert len(deployment.active_replicas) <= 1
@@ -101,13 +103,14 @@ class TestFaultHandling:
         with pytest.raises(KeyError):
             cluster.node("nonexistent")
 
-    def test_drain_node_cordons_and_evicts(self, cluster):
+    def test_cordon_and_evict_node(self, cluster):
         # Best-fit packing puts both small replicas on one node; drain it.
         deployment = cluster.create_deployment(small_spec(cores=16), desired_replicas=2)
         cluster.reconcile(0.0)
         victim_node = cluster.node(deployment.active_replicas[0].node_name)
         before = {c.name for c in victim_node.containers}
-        evicted = cluster.drain_node(victim_node.name, 5.0)
+        victim_node.cordon()
+        evicted = cluster.evict_node(victim_node.name, 5.0)
         assert set(evicted) == before and evicted
         assert not victim_node.schedulable
         assert not victim_node.containers
@@ -117,7 +120,7 @@ class TestFaultHandling:
         assert all(c.node_name != victim_node.name for c in deployment.active_replicas)
 
     def test_uncordon_reopens_the_node(self, cluster):
-        cluster.drain_node(0, 0.0)
+        cluster.node(0).cordon()
         assert not cluster.node(0).schedulable
         cluster.uncordon_node(0)
         assert cluster.node(0).schedulable

@@ -1,14 +1,12 @@
-"""Tests for deployments, the autoscaler and the load balancers."""
+"""Tests for deployments and the autoscaler."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster.autoscaler import HorizontalPodAutoscaler
 from repro.cluster.container import Container, ContainerSpec
 from repro.cluster.deployment import Deployment
-from repro.cluster.loadbalancer import PowerOfTwoBalancer, RoundRobinBalancer
 from repro.cluster.metrics import MetricsRegistry
 from repro.cluster.resources import ResourceRequest
 from repro.core.hpa_policy import build_hpa_target
@@ -24,9 +22,13 @@ def make_spec(name="shard", qps=20.0):
     )
 
 
-def make_deployment(name="shard", hpa=None, desired=2, max_replicas=16):
+def make_deployment(name="shard", hpa=None, desired=2, min_replicas=1, max_replicas=16):
     return Deployment(
-        make_spec(name), desired_replicas=desired, hpa=hpa, max_replicas=max_replicas
+        make_spec(name),
+        desired_replicas=desired,
+        hpa=hpa,
+        min_replicas=min_replicas,
+        max_replicas=max_replicas,
     )
 
 
@@ -50,7 +52,6 @@ class TestDeployment:
         assert deployment.active_replicas == [running, starting]
         assert deployment.pending_replicas == [pending]
         assert deployment.allocated_memory_bytes == pytest.approx(2e9)
-        assert deployment.ready_capacity_qps == pytest.approx(20.0)
 
     def test_desired_replicas_clamped(self):
         deployment = make_deployment(desired=2, max_replicas=4)
@@ -92,13 +93,27 @@ class TestDeployment:
 
 
 class TestAutoscaler:
-    def _deployment_with_traffic(self, per_replica_rate, target_qps, replicas=2):
-        hpa = build_hpa_target("sparse", shard_max_qps=target_qps)
-        deployment = make_deployment(hpa=hpa, desired=replicas)
+    def _deployment_with_traffic(
+        self, per_replica_rate, target_qps, replicas=2, min_replicas=1, p95_load=None
+    ):
+        """A deployment of ``replicas`` ready replicas with one window of traffic.
+
+        By default the deployment has a throughput target of ``target_qps``.
+        With ``p95_load`` it has the dense shard's latency target instead,
+        and the window's p95 latency is ``p95_load`` times that target.
+        """
+        if p95_load is None:
+            hpa = build_hpa_target("sparse", shard_max_qps=target_qps)
+        else:
+            hpa = build_hpa_target("dense", sla_s=0.4)
+        deployment = make_deployment(hpa=hpa, desired=replicas, min_replicas=min_replicas)
         deployment.replicas = [ready_container(deployment.spec) for _ in range(replicas)]
         metrics = MetricsRegistry()
         total = per_replica_rate * replicas * 30.0
         metrics.record(f"{deployment.name}/queries", total, timestamp=60.0)
+        if p95_load is not None:
+            latency = p95_load * hpa.target_value
+            metrics.record(f"{deployment.name}/latency_s", latency, timestamp=60.0)
         return deployment, metrics
 
     def test_scale_up_when_overloaded(self):
@@ -107,6 +122,32 @@ class TestAutoscaler:
         decisions = autoscaler.evaluate([deployment], metrics, now=60.0)
         assert decisions[0].desired_replicas == 4
         assert decisions[0].changed
+
+    @pytest.mark.parametrize(
+        "replicas, load, p95_load, expected",
+        [(4, 2.0, None, 8), (2, 1.0, 2.0, 4), (4, 1.0, None, 4), (2, 1.0, 1.0, 2)],
+        ids=["throughput-4-to-8", "dense-p95-2-to-4", "throughput-holds", "dense-p95-holds"],
+    )
+    def test_scale_by_observed_over_target(self, replicas, load, p95_load, expected):
+        """``ceil(current * observed / target)``: double at 2x, hold at 1x."""
+        deployment, metrics = self._deployment_with_traffic(
+            per_replica_rate=15.0 * load, target_qps=15.0, replicas=replicas, p95_load=p95_load
+        )
+        decisions = HorizontalPodAutoscaler().evaluate([deployment], metrics, now=60.0)
+        assert decisions[0].observed is not None
+        assert decisions[0].desired_replicas == expected
+        assert deployment.desired_replicas == expected
+
+    @pytest.mark.parametrize("min_replicas", [1, 3])
+    def test_quiet_traffic_scales_to_the_floor(self, min_replicas):
+        deployment, metrics = self._deployment_with_traffic(
+            per_replica_rate=0.0, target_qps=15.0, replicas=4, min_replicas=min_replicas
+        )
+        autoscaler = HorizontalPodAutoscaler(downscale_stabilization_s=0.0)
+        decisions = autoscaler.evaluate([deployment], metrics, now=60.0)
+        assert decisions[0].observed == 0.0
+        assert decisions[0].desired_replicas == min_replicas
+        assert deployment.desired_replicas == min_replicas
 
     def test_hold_within_tolerance(self):
         deployment, metrics = self._deployment_with_traffic(per_replica_rate=15.2, target_qps=15.0)
@@ -148,36 +189,3 @@ class TestAutoscaler:
             HorizontalPodAutoscaler(evaluation_interval_s=0)
         with pytest.raises(ValueError):
             HorizontalPodAutoscaler(tolerance=1.5)
-
-
-class TestLoadBalancers:
-    def test_round_robin_cycles(self):
-        balancer = RoundRobinBalancer()
-        picks = [balancer.pick_index("d", 3) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_round_robin_separate_cursors_per_deployment(self):
-        balancer = RoundRobinBalancer()
-        assert balancer.pick_index("d1", 2) == 0
-        assert balancer.pick_index("d2", 2) == 0
-        assert balancer.pick_index("d1", 2) == 1
-
-    def test_round_robin_reset_forgets_cursors(self):
-        balancer = RoundRobinBalancer()
-        balancer.pick_index("d", 3)
-        balancer.reset()
-        assert balancer.pick_index("d", 3) == 0
-
-    def test_power_of_two_draws_two_distinct_indices(self):
-        balancer = PowerOfTwoBalancer(rng=np.random.default_rng(7))
-        pairs = [balancer.pick_pair(4) for _ in range(50)]
-        assert all(a != b and 0 <= a < 4 and 0 <= b < 4 for a, b in pairs)
-        assert len(set(pairs)) > 1
-        balancer.reset(np.random.default_rng(7))
-        assert [balancer.pick_pair(4) for _ in range(50)] == pairs
-
-    def test_empty_replica_list_rejected(self):
-        with pytest.raises(ValueError, match="'d' has no ready replicas"):
-            RoundRobinBalancer().pick_index("d", 0)
-        with pytest.raises(ValueError):
-            PowerOfTwoBalancer(rng=np.random.default_rng(0)).pick_pair(1)

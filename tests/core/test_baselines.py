@@ -86,12 +86,6 @@ class TestCachedModelWisePlanner:
         assert cached.cache_hit_rate == pytest.approx(0.90)
         assert cached.cache_latency_reduction == pytest.approx(0.47)
 
-    def test_cache_bytes_bounded_by_hbm(self, gpu_cluster, small_config):
-        cached = CachedModelWisePlanner(gpu_cluster)
-        cache_bytes = cached.cache_bytes_per_replica(small_config)
-        hbm_limit = 0.2 * gpu_cluster.node.gpu.hbm_gb * 1e9
-        assert 0 < cache_bytes <= hbm_limit
-
     def test_strategy_label(self, gpu_cluster, small_config):
         plan = CachedModelWisePlanner(gpu_cluster).plan(small_config, 100)
         assert plan.strategy == "model-wise-cache"

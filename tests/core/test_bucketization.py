@@ -28,10 +28,6 @@ class TestPaperExample:
         assert shard_b.indices.tolist() == [7 - 6, 8 - 6]
         assert shard_b.offsets.tolist() == [0, 1]
 
-    def test_lookups_per_shard(self):
-        counts = self.bucketizer.lookups_per_shard(self.indices)
-        assert counts.tolist() == [3, 2]
-
     def test_shard_of(self):
         assert self.bucketizer.shard_of(self.indices).tolist() == [0, 1, 0, 0, 1]
 

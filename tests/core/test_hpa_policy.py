@@ -9,31 +9,16 @@ from repro.core.hpa_policy import DENSE_LATENCY_SLA_FRACTION, HPATarget, build_h
 
 class TestHPATarget:
     def test_throughput_target(self):
-        target = HPATarget(metric="qps", target_value=25.0)
-        assert target.is_throughput_target
-        assert target.desired_replicas(current_replicas=4, observed_value=25.0) == 4
-        assert target.desired_replicas(current_replicas=4, observed_value=50.0) == 8
-        assert target.desired_replicas(current_replicas=4, observed_value=5.0) == 1
+        assert HPATarget(metric="qps", target_value=25.0).is_throughput_target
 
     def test_latency_target(self):
-        target = HPATarget(metric="p95_latency", target_value=0.26)
-        assert not target.is_throughput_target
-        assert target.desired_replicas(current_replicas=2, observed_value=0.52) == 4
-
-    def test_desired_replicas_never_below_one(self):
-        target = HPATarget(metric="qps", target_value=10.0)
-        assert target.desired_replicas(current_replicas=1, observed_value=0.0) == 1
+        assert not HPATarget(metric="p95_latency", target_value=0.26).is_throughput_target
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HPATarget(metric="cpu", target_value=1.0)
         with pytest.raises(ValueError):
             HPATarget(metric="qps", target_value=0.0)
-        target = HPATarget(metric="qps", target_value=10.0)
-        with pytest.raises(ValueError):
-            target.desired_replicas(0, 1.0)
-        with pytest.raises(ValueError):
-            target.desired_replicas(1, -1.0)
 
 
 class TestBuildHPATarget:

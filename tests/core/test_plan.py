@@ -29,11 +29,6 @@ class TestShardDeployment:
         assert deployment.total_memory_bytes == pytest.approx(6e9)
         assert deployment.total_memory_gb == pytest.approx(6.0)
         assert deployment.total_cores == 12
-        assert deployment.aggregate_qps == pytest.approx(30.0)
-
-    def test_with_replicas(self):
-        deployment = make_deployment(replicas=1)
-        assert deployment.with_replicas(5).replicas == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.core.baseline import ModelWisePlanner
+from repro.core.gpu_cache import CachedModelWisePlanner
+from repro.core.hpa_policy import DENSE_LATENCY_SLA_FRACTION
 from repro.core.plan import ROLE_DENSE
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.perf_model import PerfModel
@@ -115,3 +119,92 @@ class TestPlannerOptions:
         cpu_plan = ElasticRecPlanner(cpu_cluster).plan(small_config, target_qps=100)
         gpu_plan = ElasticRecPlanner(gpu_cluster).plan(small_config, target_qps=100)
         assert gpu_plan.dense_deployments[0].replicas <= cpu_plan.dense_deployments[0].replicas
+
+
+def _with_hpa_fraction(cluster, fraction):
+    policy = dataclasses.replace(cluster.container_policy, hpa_target_fraction=fraction)
+    return dataclasses.replace(cluster, container_policy=policy)
+
+
+class TestQPSMax:
+    """The HPA targets come from the planner's analytic per-replica QPS.
+
+    The paper stress-tests each sparse shard for its latency knee, QPS_max
+    (Section IV-D); the planner stands in ``hpa_target_fraction`` of the
+    shard's modelled saturation throughput.
+    """
+
+    @pytest.mark.parametrize("cluster_name", ["cpu_cluster", "gpu_cluster"])
+    def test_sparse_targets_sit_below_saturation(self, request, cluster_name, small_config):
+        cluster = request.getfixturevalue(cluster_name)
+        plan = ElasticRecPlanner(cluster).plan(small_config, target_qps=100)
+        fraction = cluster.container_policy.hpa_target_fraction
+        assert fraction < 1.0
+        for deployment in plan.embedding_deployments:
+            assert deployment.hpa.is_throughput_target
+            qps_max = deployment.hpa.target_value
+            assert qps_max == pytest.approx(deployment.per_replica_qps * fraction)
+            assert 0.0 < qps_max < deployment.per_replica_qps
+        dense = plan.dense_deployments[0]
+        assert dense.hpa.target_value == pytest.approx(cluster.sla_s * DENSE_LATENCY_SLA_FRACTION)
+
+    def test_saturation_is_the_perf_models_shard_qps(self, small_elastic_plan, cpu_cluster):
+        perf = PerfModel(cpu_cluster)
+        batch_size = small_elastic_plan.workload.batch_size
+        for deployment in small_elastic_plan.embedding_deployments:
+            shard = deployment.embedding_shard
+            assert deployment.per_replica_qps == perf.sparse_shard_qps(
+                gathers_per_item=shard.expected_gathers_per_item,
+                embedding_dim=shard.embedding_dim,
+                batch_size=batch_size,
+                dtype_bytes=shard.dtype_bytes,
+                cores=cpu_cluster.container_policy.sparse_shard_cores,
+            )
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 1.0])
+    def test_targets_follow_the_policy_fraction(self, cpu_cluster, small_config, fraction):
+        default = ElasticRecPlanner(cpu_cluster).plan(small_config, target_qps=100)
+        cluster = _with_hpa_fraction(cpu_cluster, fraction)
+        plan = ElasticRecPlanner(cluster).plan(small_config, target_qps=100)
+        for ours, theirs in zip(plan.embedding_deployments, default.embedding_deployments):
+            assert ours.hpa.target_value == pytest.approx(ours.per_replica_qps * fraction)
+            # The fraction sets when the HPA reacts, not the initial sizing.
+            assert ours.replicas == theirs.replicas
+            assert ours.per_replica_qps == theirs.per_replica_qps
+
+    def test_shards_with_more_gathers_get_lower_targets(self, small_elastic_plan):
+        for table in range(small_elastic_plan.workload.embedding.num_tables):
+            shards = [
+                d
+                for d in small_elastic_plan.embedding_deployments
+                if d.embedding_shard.table_id == table
+            ]
+            assert len(shards) > 1
+            shards.sort(key=lambda d: d.embedding_shard.expected_gathers_per_item)
+            targets = [d.hpa.target_value for d in shards]
+            assert targets == sorted(targets, reverse=True)
+
+    def test_planning_twice_gives_the_same_targets(self, cpu_cluster, small_config):
+        first, second = (
+            ElasticRecPlanner(cpu_cluster).plan(small_config, target_qps=100) for _ in range(2)
+        )
+        assert [d.hpa for d in first.deployments] == [d.hpa for d in second.deployments]
+
+    @pytest.mark.parametrize(
+        "planner_cls, cluster_name",
+        [
+            (ModelWisePlanner, "cpu_cluster"),
+            (ModelWisePlanner, "gpu_cluster"),
+            (CachedModelWisePlanner, "gpu_cluster"),
+        ],
+    )
+    def test_monolithic_target_sits_below_saturation(
+        self, request, planner_cls, cluster_name, small_config
+    ):
+        cluster = request.getfixturevalue(cluster_name)
+        planner = planner_cls(cluster)
+        (deployment,) = planner.plan(small_config, target_qps=100).deployments
+        fraction = cluster.container_policy.hpa_target_fraction
+        assert deployment.per_replica_qps == planner.replica_qps(small_config)
+        assert deployment.hpa.target_value == pytest.approx(deployment.per_replica_qps * fraction)
+        assert deployment.hpa.target_value < deployment.per_replica_qps

@@ -55,22 +55,6 @@ class TestSortedTable:
         with pytest.raises(ValueError):
             SortedTable(spec=self._spec(1000), distribution=dist, pooling=4)
 
-    def test_sorted_to_original_identity_without_permutation(self):
-        dist = ZipfDistribution(10, 1.0)
-        table = SortedTable(spec=self._spec(10), distribution=dist, pooling=1)
-        ranks = np.array([0, 5, 9])
-        assert np.array_equal(table.sorted_to_original(ranks), ranks)
-
-    def test_estimated_sort_seconds(self):
-        dist = ZipfDistribution(20_000_000, 1.0)
-        table = SortedTable(
-            spec=EmbeddingTableSpec(table_id=0, rows=20_000_000, dim=32),
-            distribution=dist,
-            pooling=128,
-        )
-        # The paper reports roughly three seconds for its largest table.
-        assert 1.0 < table.estimated_sort_seconds() < 10.0
-
 
 class TestPreprocessTable:
     def test_from_counts(self):
@@ -80,7 +64,6 @@ class TestPreprocessTable:
         # Rank 0 must be the hottest original row (row 1).
         assert table.permutation[0] == 1
         assert table.coverage(1) == pytest.approx(50.0 / counts.sum())
-        assert np.array_equal(table.sorted_to_original(np.array([0])), np.array([1]))
 
     def test_from_distribution(self):
         spec = EmbeddingTableSpec(table_id=0, rows=100, dim=2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.bucketization import Bucketizer
 from repro.core.sharding import DenseShardSpec, EmbeddingShardSpec, ShardingPlan
 from repro.model.analytics import ModelAnalytics
 from repro.model.configs import microbenchmark
@@ -62,8 +63,6 @@ class TestEmbeddingShardSpec:
         assert shard.rows == 300
         assert shard.capacity_bytes == 300 * 32 * 4
         assert shard.name == f"{config.name}-table0-shard1"
-        assert not shard.is_hottest
-        assert make_shard(config, 0, 0, 0, 10, 0.5).is_hottest
 
     def test_validation(self, config):
         with pytest.raises(ValueError):
@@ -87,11 +86,9 @@ class TestShardingPlan:
         assert plan.single_copy_embedding_bytes() == expected
 
     def test_bucketizer_matches_boundaries(self, plan):
-        bucketizer = plan.bucketizer_for_table(0)
+        bucketizer = Bucketizer(plan.table_boundaries[0])
         assert bucketizer.num_shards == 2
         assert bucketizer.num_rows == plan.config.embedding.rows_per_table
-        with pytest.raises(KeyError):
-            plan.bucketizer_for_table(5)
 
     def test_summary(self, plan):
         summary = plan.summary()

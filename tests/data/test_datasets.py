@@ -51,16 +51,17 @@ class TestAccessFrequencyCurve:
 
 
 class TestSampleTrace:
-    def test_trace_is_deterministic_per_seed(self):
-        dataset = movielens()
-        a = dataset.sample_trace(1000, seed=7)
-        b = dataset.sample_trace(1000, seed=7)
-        c = dataset.sample_trace(1000, seed=8)
+    @pytest.mark.parametrize("name", sorted(dataset_presets()))
+    def test_trace_is_deterministic_per_seed(self, name):
+        distribution = dataset_presets()[name].distribution()
+        a, b, c = (
+            distribution.sample(1000, np.random.default_rng(seed)) for seed in (7, 7, 8)
+        )
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_trace_respects_skew(self):
         dataset = movielens()
-        trace = dataset.sample_trace(20_000, seed=0)
+        trace = dataset.distribution().sample(20_000, np.random.default_rng(0))
         hot_fraction = np.mean(trace < dataset.num_items // 10)
         assert hot_fraction == pytest.approx(0.94, abs=0.03)

@@ -149,18 +149,6 @@ class TestEmpiricalDistribution:
         assert values[-1] == pytest.approx(1.0)
         assert np.all(np.diff(values) >= 0)
 
-    def test_from_trace(self):
-        trace = np.array([0, 0, 0, 1, 1, 2])
-        dist = EmpiricalDistribution.from_trace(trace, num_items=4)
-        assert dist.num_items == 4
-        assert dist.coverage(1) == pytest.approx(0.5)
-
-    def test_from_trace_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.from_trace(np.array([5]), num_items=3)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution.from_trace(np.array([], dtype=int), num_items=3)
-
     def test_sampling_matches_probabilities(self, rng):
         dist = EmpiricalDistribution([8.0, 4.0, 2.0, 1.0, 1.0])
         samples = dist.sample(40_000, rng)
@@ -203,27 +191,14 @@ class TestHotPrefixRows:
             with pytest.raises(ValueError):
                 hot_prefix_rows(dist, coverage=bad)
 
-    def test_gpu_cache_and_cost_model_share_the_prefix(self):
-        # Cross-check: the planning-time GPU cache (coverage form) and the
-        # serve-time skewed cost model (row-fraction form) both resolve their
-        # hot set through this helper, so the two tiers agree on the same
-        # hot-sorted prefix definition.
-        from repro.core.gpu_cache import CachedModelWisePlanner
-        from repro.hardware.specs import cpu_gpu_cluster
+    def test_cost_model_hot_set_is_the_shared_prefix(self):
+        # The serve-time skewed cost model resolves its hot set through this
+        # helper (row-fraction form), as the embedding cache does.
         from repro.model.configs import rm1
         from repro.serving.workload import SkewedCostModel
 
-        planner = CachedModelWisePlanner(cpu_gpu_cluster())
-        config = rm1()
-        emb = config.embedding
+        emb = rm1().embedding
         distribution = emb.access_distribution()
-        expected_rows = hot_prefix_rows(
-            distribution, coverage=planner.cache_hit_rate
-        )
-        cache_bytes = expected_rows * emb.embedding_dim * emb.dtype_bytes * emb.num_tables
-        hbm_limit = 0.2 * planner.cluster.node.gpu.hbm_gb * 1e9
-        assert planner.cache_bytes_per_replica(config) == min(cache_bytes, hbm_limit)
-
         model = SkewedCostModel(distribution, emb.pooling)
         assert model.hot_rank_limit == hot_prefix_rows(
             distribution, row_fraction=model.hot_fraction

@@ -19,8 +19,6 @@ class TestSparseLookup:
         lookup = SparseLookup(table_id=0, indices=np.array([1, 7, 3, 4, 8]), offsets=np.array([0, 2]))
         assert lookup.batch_size == 2
         assert lookup.num_lookups == 5
-        assert lookup.lookups_for_sample(0).tolist() == [1, 7]
-        assert lookup.lookups_for_sample(1).tolist() == [3, 4, 8]
 
     def test_offsets_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -34,11 +32,6 @@ class TestSparseLookup:
         with pytest.raises(ValueError):
             SparseLookup(table_id=0, indices=np.arange(4), offsets=np.array([0, 9]))
 
-    def test_sample_index_out_of_range(self):
-        lookup = SparseLookup(table_id=0, indices=np.arange(4), offsets=np.array([0, 2]))
-        with pytest.raises(IndexError):
-            lookup.lookups_for_sample(5)
-
 
 class TestQuery:
     def test_query_validation(self):
@@ -46,19 +39,11 @@ class TestQuery:
         query = Query(query_id=0, dense_input=np.zeros((2, 4)), sparse_lookups=(lookup,))
         assert query.batch_size == 2
         assert query.num_tables == 1
-        assert query.total_lookups() == 6
-        assert query.lookup_for_table(0) is query.sparse_lookups[0]
 
     def test_mismatched_batch_rejected(self):
         lookup = SparseLookup(table_id=0, indices=np.arange(6), offsets=np.array([0, 2, 4]))
         with pytest.raises(ValueError):
             Query(query_id=0, dense_input=np.zeros((2, 4)), sparse_lookups=(lookup,))
-
-    def test_unknown_table_lookup(self):
-        lookup = SparseLookup(table_id=3, indices=np.arange(2), offsets=np.array([0]))
-        query = Query(query_id=0, dense_input=np.zeros((1, 4)), sparse_lookups=(lookup,))
-        with pytest.raises(KeyError):
-            query.lookup_for_table(0)
 
 
 class TestQueryGenerator:
@@ -87,7 +72,7 @@ class TestQueryGenerator:
 
     def test_query_ids_increment(self):
         generator = QueryGenerator(_workloads(), seed=0)
-        queries = generator.generate_many(3)
+        queries = [generator.generate() for _ in range(3)]
         assert [q.query_id for q in queries] == [0, 1, 2]
 
     def test_stream_is_infinite_iterator(self):
@@ -105,5 +90,3 @@ class TestQueryGenerator:
             QueryGenerator(_workloads(), num_dense_features=0)
         with pytest.raises(ValueError):
             TableWorkload(table_id=0, distribution=ZipfDistribution(10, 1.0), pooling=0)
-        with pytest.raises(ValueError):
-            QueryGenerator(_workloads(), seed=0).generate_many(-1)

@@ -138,7 +138,12 @@ class TestLayerLevelRelations:
     def test_elastic_latency_within_sla(self, cpu_perf):
         """The paper keeps ElasticRec's average latency well inside the 400 ms SLA."""
         for config in (rm1(), rm2()):
-            assert cpu_perf.elastic_query_latency(config) < cpu_perf.cluster.sla_s
+            latency = (
+                cpu_perf.dense_query_latency(config)
+                + cpu_perf.sparse_layer_latency(config)
+                + cpu_perf.rpc_overhead_s()
+            )
+            assert latency < cpu_perf.cluster.sla_s
 
 
 class TestBatchLatencyModel:

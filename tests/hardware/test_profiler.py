@@ -30,7 +30,7 @@ class TestGatherProfiler:
             assert point.qps == pytest.approx(1.0 / point.latency_s)
 
     def test_dimension_sweep(self, profiler):
-        curves = profiler.profile_dimensions((32, 128, 512), (1, 100))
+        curves = {dim: profiler.profile(dim, (1, 100)) for dim in (32, 128, 512)}
         assert set(curves) == {32, 128, 512}
         # Larger dimensions are uniformly slower at the same gather count.
         assert curves[32][-1].qps > curves[128][-1].qps > curves[512][-1].qps
@@ -61,6 +61,5 @@ class TestLayerProfiler:
         assert gpu["dense"] > 10 * cpu["dense"]
 
     def test_latency_shares_sum_to_100(self):
-        layer = LayerProfiler(PerfModel(cpu_only_cluster()))
-        shares = layer.latency_shares(rm1())
-        assert shares["dense_pct"] + shares["sparse_pct"] == pytest.approx(100.0)
+        breakdown = PerfModel(cpu_only_cluster()).latency_breakdown(rm1())
+        assert breakdown.dense_fraction + breakdown.sparse_fraction == pytest.approx(1.0)

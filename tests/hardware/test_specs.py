@@ -88,7 +88,6 @@ class TestClusterPresets:
         assert not cluster.is_gpu_system
         assert cluster.sla_ms == 400.0
         assert cluster.total_cores == 11 * 64
-        assert cluster.total_dram_gb == pytest.approx(11 * 384.0)
 
     def test_cpu_gpu_cluster(self):
         cluster = cpu_gpu_cluster()

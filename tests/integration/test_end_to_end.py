@@ -123,7 +123,8 @@ class TestPlanningOutcomes:
     def test_aggregate_capacity_meets_target(self, elastic_plan, cluster):
         headroom = cluster.utilization_headroom
         for deployment in elastic_plan.deployments:
-            assert deployment.aggregate_qps * headroom >= elastic_plan.target_qps - 1e-9
+            capacity = deployment.replicas * deployment.per_replica_qps
+            assert capacity * headroom >= elastic_plan.target_qps - 1e-9
 
 
 class TestServingBothStrategies:

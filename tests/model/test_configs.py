@@ -21,13 +21,6 @@ from repro.model.configs import (
 
 
 class TestMLPConfig:
-    def test_from_string(self):
-        assert MLPConfig.from_string("256-128-32").layer_sizes == (256, 128, 32)
-
-    def test_from_string_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            MLPConfig.from_string("256-abc")
-
     def test_rejects_empty_or_nonpositive(self):
         with pytest.raises(ValueError):
             MLPConfig(())

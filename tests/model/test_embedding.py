@@ -13,11 +13,10 @@ class TestEmbeddingTableSpec:
         spec = EmbeddingTableSpec(table_id=0, rows=1000, dim=32)
         assert spec.row_bytes == 128
         assert spec.size_bytes == 128_000
-        assert spec.size_gb == pytest.approx(1.28e-4)
 
     def test_paper_scale_table_size(self):
         spec = EmbeddingTableSpec(table_id=0, rows=20_000_000, dim=32)
-        assert spec.size_gb == pytest.approx(2.56, rel=1e-6)
+        assert spec.size_bytes == pytest.approx(2.56e9, rel=1e-6)
 
     def test_slice_bytes(self):
         spec = EmbeddingTableSpec(table_id=0, rows=100, dim=4)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.serving.engine import _metric_series
 from repro.serving.latency import LatencyTracker
 
 
@@ -25,12 +26,6 @@ class TestEmptyTracker:
     def test_sla_violation_fraction_is_zero(self):
         assert LatencyTracker().sla_violation_fraction(0.4) == 0.0
 
-    def test_windowed_reports_empty_buckets(self):
-        points = LatencyTracker().windowed(duration_s=120.0, bucket_s=60.0)
-        assert [p.time_s for p in points] == [0.0, 60.0]
-        assert all(p.completions == 0 for p in points)
-        assert all(p.p50_ms == p.p95_ms == p.p99_ms == p.mean_ms == 0.0 for p in points)
-
 
 class TestSingleSample:
     def test_every_percentile_is_the_sample(self):
@@ -40,15 +35,6 @@ class TestSingleSample:
             assert tracker.percentile(percentile) == pytest.approx(0.25)
         assert tracker.mean() == pytest.approx(0.25)
 
-    def test_windowed_single_sample(self):
-        tracker = LatencyTracker()
-        tracker.record(completion_time=30.0, latency_s=0.1)
-        points = tracker.windowed(duration_s=60.0, bucket_s=60.0)
-        assert len(points) == 1
-        assert points[0].completions == 1
-        assert points[0].p50_ms == pytest.approx(100.0)
-        assert points[0].p95_ms == pytest.approx(100.0)
-
     def test_sla_boundary_is_not_a_violation(self):
         tracker = LatencyTracker()
         tracker.record(completion_time=1.0, latency_s=0.4)
@@ -57,43 +43,21 @@ class TestSingleSample:
         assert tracker.sla_violation_fraction(0.39999) == 1.0
 
 
-class TestWindowBoundaries:
-    def test_completion_exactly_on_bucket_edge_lands_in_next_bucket(self):
+class TestRecordedSamples:
+    def test_percentiles_and_mean(self):
         tracker = LatencyTracker()
-        tracker.record(completion_time=60.0, latency_s=0.2)
-        points = tracker.windowed(duration_s=120.0, bucket_s=60.0)
-        # Buckets are [start, end): a completion at exactly 60.0 belongs to
-        # the second bucket, not the first.
-        assert points[0].completions == 0
-        assert points[1].completions == 1
+        for value in np.linspace(0.01, 1.0, 100):
+            tracker.record(completion_time=float(value * 10), latency_s=float(value))
+        assert tracker.num_samples == 100
+        assert tracker.mean() == pytest.approx(0.505, rel=0.01)
+        assert tracker.percentile(50) == pytest.approx(0.505, rel=0.05)
+        assert tracker.percentile(95) > tracker.percentile(50)
 
-    def test_completion_at_time_zero_lands_in_first_bucket(self):
+    def test_sla_violation_fraction(self):
         tracker = LatencyTracker()
-        tracker.record(completion_time=0.0, latency_s=0.05)
-        points = tracker.windowed(duration_s=60.0, bucket_s=60.0)
-        assert points[0].completions == 1
-
-    def test_completion_at_duration_end_falls_outside_every_bucket(self):
-        tracker = LatencyTracker()
-        tracker.record(completion_time=120.0, latency_s=0.05)
-        points = tracker.windowed(duration_s=120.0, bucket_s=60.0)
-        assert sum(p.completions for p in points) == 0
-
-    def test_mixed_boundary_and_interior_samples(self):
-        tracker = LatencyTracker()
-        for completion, latency in [(0.0, 0.1), (59.999, 0.2), (60.0, 0.3), (119.0, 0.4)]:
-            tracker.record(completion, latency)
-        points = tracker.windowed(duration_s=120.0, bucket_s=60.0)
-        assert points[0].completions == 2
-        assert points[1].completions == 2
-        assert points[1].mean_ms == pytest.approx(350.0)
-
-    def test_windowed_rejects_non_positive_buckets(self):
-        tracker = LatencyTracker()
-        with pytest.raises(ValueError):
-            tracker.windowed(duration_s=0.0)
-        with pytest.raises(ValueError):
-            tracker.windowed(duration_s=60.0, bucket_s=0.0)
+        for latency in (0.1, 0.2, 0.5, 0.6):
+            tracker.record(0.0, latency)
+        assert tracker.sla_violation_fraction(0.4) == pytest.approx(0.5)
 
     def test_record_rejects_negative_latency(self):
         with pytest.raises(ValueError):
@@ -111,6 +75,66 @@ class TestWindowBoundaries:
         tracker.record(3.0, 0.1)
         assert np.array_equal(tracker.completion_times, np.array([5.0, 3.0]))
         assert np.array_equal(tracker.latencies_s, np.array([0.2, 0.1]))
+
+
+class TestMetricSeries:
+    """The engine's per-sample achieved-QPS and rolling-p95 series.
+
+    Achieved QPS counts completions in ``[t - interval, t)``; the p95 reads
+    the latencies completed in ``(t - window, t]``, ``window`` being the
+    interval but at least 30 s.
+    """
+
+    @staticmethod
+    def _series(samples, sample_times, interval_s):
+        tracker = LatencyTracker()
+        for completion, latency in samples:
+            tracker.record(completion, latency)
+        return _metric_series(tracker, np.asarray(sample_times, dtype=float), interval_s)
+
+    def test_empty_tracker_reads_zero(self):
+        qps, p95 = self._series([], [60.0, 120.0], 60.0)
+        assert qps.tolist() == [0.0, 0.0]
+        assert p95.tolist() == [0.0, 0.0]
+
+    def test_single_sample(self):
+        qps, p95 = self._series([(30.0, 0.1)], [15.0, 30.0, 45.0, 60.0, 75.0], 15.0)
+        assert qps.tolist() == pytest.approx([0.0, 0.0, 1 / 15, 0.0, 0.0])
+        assert p95.tolist() == pytest.approx([0.0, 100.0, 100.0, 0.0, 0.0])
+
+    def test_qps_window_includes_its_start_and_excludes_its_end(self):
+        # At t=0, exactly on the edge t=60, and at the last sample time t=120.
+        samples = [(0.0, 0.05), (60.0, 0.2), (120.0, 0.05)]
+        qps, _ = self._series(samples, [60.0, 120.0], 60.0)
+        assert qps.tolist() == pytest.approx([1 / 60, 1 / 60])
+
+    def test_p95_window_excludes_its_start_and_includes_its_end(self):
+        _, p95 = self._series([(60.0, 0.2)], [60.0, 90.0, 120.0], 60.0)
+        assert p95.tolist() == pytest.approx([200.0, 200.0, 0.0])
+
+    def test_p95_window_is_at_least_30_seconds(self):
+        qps, p95 = self._series([(5.0, 0.3)], [10.0, 20.0, 30.0, 40.0], 10.0)
+        assert qps.tolist() == pytest.approx([0.1, 0.0, 0.0, 0.0])
+        assert p95.tolist() == pytest.approx([300.0, 300.0, 300.0, 0.0])
+
+    @pytest.mark.parametrize("interval_s", [10.0, 15.0, 60.0])
+    def test_matches_per_window_masks(self, interval_s):
+        rng = np.random.default_rng(int(interval_s))
+        # Whole-second completions put many samples exactly on window edges.
+        completions = rng.integers(0, 300, 2_000).astype(float)
+        latencies = rng.uniform(0.0, 1.0, completions.size)
+        sample_times = np.arange(interval_s, 300.0 + interval_s, interval_s)
+        qps, p95 = self._series(zip(completions, latencies), sample_times, interval_s)
+        window = max(interval_s, 30.0)
+        for index, end in enumerate(sample_times):
+            counted = (completions >= end - interval_s) & (completions < end)
+            assert qps[index] == counted.sum() / interval_s
+            in_window = (completions > end - window) & (completions <= end)
+            if in_window.any():
+                expected = np.percentile(latencies[in_window] * 1000.0, 95)
+                assert p95[index] == pytest.approx(expected)
+            else:
+                assert p95[index] == 0.0
 
 
 class TestExtend:

@@ -39,12 +39,6 @@ class TestReplicaServer:
         completion = server.submit(arrival=50.0, service_time=1.0)
         assert completion == pytest.approx(101.0)
 
-    def test_pending_work(self):
-        server = ReplicaServer("r0")
-        server.submit(0.0, 2.0)
-        assert server.pending_work(1.0) == pytest.approx(1.0)
-        assert server.pending_work(5.0) == 0.0
-
     def test_utilization(self):
         server = ReplicaServer("r0")
         server.submit(0.0, 2.0)

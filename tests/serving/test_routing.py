@@ -136,11 +136,23 @@ class TestCostWeighted:
 
 
 class TestRoundRobin:
-    def test_cycles_per_deployment(self):
-        servers = _servers(3)
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_cycles_per_deployment(self, size):
+        servers = _servers(size)
         policy = RoundRobinPolicy()
-        picks = [_pick(policy, "d", servers, 0.0) for _ in range(4)]
-        assert picks == [servers[0], servers[1], servers[2], servers[0]]
+        picks = [_pick(policy, "d", servers, 0.0) for _ in range(2 * size)]
+        assert picks == servers + servers
+
+    def test_cycles_over_ready_replicas_only(self):
+        ready = _servers(2)
+        starting = ReplicaServer("s", ready_at=100.0)
+        policy = RoundRobinPolicy()
+        pool = [ready[0], starting, ready[1]]
+        picks = [_pick(policy, "d", pool, 1.0) for _ in range(4)]
+        assert picks == ready + ready
+
+    def test_empty_pool(self):
+        assert _pick(RoundRobinPolicy(), "d", [], 0.0) is None
 
     def test_independent_cursors(self):
         a, b = _servers(2)
@@ -171,14 +183,39 @@ class TestPowerOfTwo:
         for _ in range(10):
             assert _pick(policy, "d", servers, 0.0) is servers[1]
 
-    def test_deterministic_after_reset(self):
+    @pytest.mark.parametrize("size", [3, 4, 8])
+    def test_pair_is_two_distinct_replicas(self, size):
+        servers = _servers(size)
+        for index, server in enumerate(servers):
+            server.submit(0.0, 1.0 + index)
+        policy = PowerOfTwoPolicy(rng=np.random.default_rng(7))
+        picks = {_pick(policy, "d", servers, 0.0).name for _ in range(50)}
+        # A pair drawn with replacement could be the most loaded replica
+        # twice; two distinct replicas never let it win.
+        assert f"r{size - 1}" not in picks and len(picks) > 1
+
+    def test_samples_ready_replicas_only(self):
+        ready = _servers(3)
+        # Idle, so least-loaded of any pair, but not routable before t=100.
+        starting = [ReplicaServer(f"s{i}", ready_at=100.0) for i in range(3)]
+        for server in ready:
+            server.submit(0.0, 5.0)
+        policy = PowerOfTwoPolicy(rng=np.random.default_rng(3))
+        pool = [starting[0], ready[0], starting[1], ready[1], starting[2], ready[2]]
+        picks = {_pick(policy, "d", pool, 1.0).name for _ in range(30)}
+        assert picks <= {"r0", "r1", "r2"} and len(picks) > 1
+
+    def test_empty_pool(self):
+        assert _pick(PowerOfTwoPolicy(rng=np.random.default_rng(0)), "d", [], 0.0) is None
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_deterministic_after_reset(self, seed):
         servers = _servers(8)
-        policy = PowerOfTwoPolicy()
-        policy.reset(np.random.default_rng(42))
+        policy = PowerOfTwoPolicy(rng=np.random.default_rng(seed))
         first = [_pick(policy, "d", servers, 0.0).name for _ in range(20)]
-        policy.reset(np.random.default_rng(42))
-        second = [_pick(policy, "d", servers, 0.0).name for _ in range(20)]
-        assert first == second
+        assert len(set(first)) > 1
+        policy.reset(np.random.default_rng(seed))
+        assert [_pick(policy, "d", servers, 0.0).name for _ in range(20)] == first
 
 
 class TestReadyOnly:

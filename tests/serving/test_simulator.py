@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.baseline import ModelWisePlanner
 from repro.core.planner import ElasticRecPlanner
-from repro.hardware.specs import cpu_only_cluster
+from repro.hardware.perf_model import PerfModel
+from repro.hardware.specs import cpu_gpu_cluster, cpu_only_cluster
 from repro.model.configs import microbenchmark
 from repro.serving.engine import ServingEngine
+from repro.serving.routing import routing_policy_names
 from repro.serving.traffic import TrafficPattern
 
 
@@ -48,6 +50,17 @@ class TestSteadyState:
         # Even unloaded, latency >= dense + sparse + RPC overhead (~100+ ms).
         assert result.mean_latency_ms > 31.0
 
+    def test_latency_knee_past_the_planned_rate(self, elastic_plan, sim_cluster):
+        # Latency grows with offered load: inside the SLA up to the 30 QPS
+        # the plan was sized for, far past it once the shards saturate.
+        p95_ms = []
+        for rate in (5.0, 20.0, 30.0, 60.0):
+            pattern = TrafficPattern.constant(rate, duration_s=120.0)
+            result = ServingEngine(elastic_plan, seed=0, autoscale=False).run(pattern)
+            p95_ms.append(result.summary()["p95_latency_ms"])
+        assert p95_ms == sorted(p95_ms)
+        assert p95_ms[2] < sim_cluster.sla_ms < p95_ms[3]
+
     def test_monolithic_plan_single_queue(self, baseline_plan):
         pattern = TrafficPattern.constant(20.0, duration_s=120.0)
         result = ServingEngine(baseline_plan, seed=0, autoscale=False).run(pattern)
@@ -76,6 +89,54 @@ class TestSteadyState:
             "sla_violation_fraction",
             "total_queries",
         }
+
+
+class TestRPCOverhead:
+    """Every sharded query pays ``PerfModel.rpc_overhead_s()`` once, on top.
+
+    The overhead is added after the slowest shard answers, so it moves no
+    routing or queueing decision: zeroing it must shift each recorded
+    latency by exactly the calibrated 31 ms (CPU) or 60 ms (CPU-GPU).
+    """
+
+    @staticmethod
+    def _latency_shift(plan, monkeypatch, rate=8.0, **options):
+        pattern = TrafficPattern.constant(rate, duration_s=120.0)
+        charged = ServingEngine(plan, seed=0, autoscale=False, **options).run(pattern)
+        with monkeypatch.context() as patch:
+            patch.setattr(PerfModel, "rpc_overhead_s", lambda self: 0.0)
+            free = ServingEngine(plan, seed=0, autoscale=False, **options).run(pattern)
+        assert charged.tracker.num_samples == free.tracker.num_samples > 0
+        return charged, charged.tracker.latencies_s - free.tracker.latencies_s
+
+    @pytest.mark.parametrize("routing", routing_policy_names())
+    def test_every_routing_policy_charges_it_once(self, elastic_plan, monkeypatch, routing):
+        _, shift = self._latency_shift(elastic_plan, monkeypatch, routing=routing)
+        assert shift == pytest.approx(np.full(shift.size, 0.031), abs=1e-9)
+
+    def test_gpu_cluster_charges_60_ms(self, sim_config, monkeypatch):
+        plan = ElasticRecPlanner(cpu_gpu_cluster(num_nodes=4)).plan(sim_config, target_qps=30.0)
+        _, shift = self._latency_shift(plan, monkeypatch)
+        assert shift == pytest.approx(np.full(shift.size, 0.060), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"faults": "crash-storm", "routing": "recovery-aware"},
+            {"max_batch": 4, "batch_window_s": 0.01},
+            {"cost_model": "skewed", "cache_mb": 64.0},
+        ],
+        ids=["requeued-by-crashes", "batched", "skewed-cached"],
+    )
+    def test_every_serving_path_charges_it_once(self, elastic_plan, monkeypatch, options):
+        result, shift = self._latency_shift(elastic_plan, monkeypatch, rate=25.0, **options)
+        if "faults" in options:
+            assert result.requeued_queries > 0
+        assert shift == pytest.approx(np.full(shift.size, 0.031), abs=1e-9)
+
+    def test_monolithic_plan_pays_no_rpc(self, baseline_plan, monkeypatch):
+        _, shift = self._latency_shift(baseline_plan, monkeypatch)
+        assert not shift.any()
 
 
 class TestAutoscaling:

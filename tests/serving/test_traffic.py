@@ -63,6 +63,7 @@ class TestTrafficPattern:
     def test_zero_rate_phase_produces_no_arrivals(self, rng):
         pattern = TrafficPattern.from_steps([(0, 0.0)], duration_s=100)
         assert pattern.arrivals(rng).size == 0
+        assert TrafficPattern.constant(0.0, 60.0).arrivals(rng).size == 0
 
 
 class TestPaperDynamicPattern:

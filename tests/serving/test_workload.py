@@ -86,7 +86,8 @@ class TestSkewed:
         assert _skewed(0.9, pooling_spread=0.3).pooling_spread == 0.3
 
     def test_profile_gathers_bounded_by_pooling(self):
-        gathers = _skewed(0.5).profile_gathers(np.random.default_rng(0))
+        model = _skewed(0.5, pooling_spread=0.0)
+        gathers, _, _ = model._raw_pool(np.random.default_rng(0))
         assert gathers.shape == (2048,)
         assert np.all(gathers > 0)
         assert np.all(gathers <= POOLING)
@@ -122,9 +123,11 @@ class TestSkewed:
         assert total.tobytes() == (hot + cold).tobytes()
 
     def test_gather_splits_sum_to_profile_gathers(self):
-        model = _skewed(0.5)
+        model = _skewed(0.5, pooling_spread=0.0)
         hot, cold = model.profile_splits(np.random.default_rng(0))
-        gathers = model.profile_gathers(np.random.default_rng(0))
+        gathers, pool_hot, pool_cold = model._raw_pool(np.random.default_rng(0))
+        assert pool_hot.tobytes() == hot.tobytes()
+        assert pool_cold.tobytes() == cold.tobytes()
         np.testing.assert_allclose(
             cold + model.hot_cost_fraction * hot, gathers, rtol=1e-12
         )
