@@ -58,7 +58,7 @@ from repro.core.baseline import ModelWisePlanner
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import ClusterSpec, cpu_gpu_cluster, cpu_only_cluster
 from repro.model.configs import DLRMConfig, workload_presets
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import MultiTenantEngine, TenantSpec
 from repro.serving.faults import fault_scenario_names
 from repro.serving.routing import resolve_routing_names, routing_policy_names
 from repro.serving.scenarios import build_scenario, resolve_scenario_names, scenario_names
@@ -505,22 +505,13 @@ def _command_simulate(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
     rows = []
     for strategy in strategies:
-        engine = ServingEngine(
-            planners[strategy](),
-            routing=args.routing,
-            seed=args.seed,
-            cost_model=args.cost_model,
-            max_batch=args.max_batch,
-            faults=args.faults,
-            cache_mb=args.cache_mb,
-            drift=args.drift,
-            replan=args.replan,
-            slo=args.slo,
-        )
+        (tenant,) = _tenant_specs(args, planners[strategy](), pattern)
+        engine = MultiTenantEngine([tenant])
         if profiler is not None:
-            result = profiler.runcall(engine.run, pattern)
+            fleet = profiler.runcall(engine.run)
         else:
-            result = engine.run(pattern)
+            fleet = engine.run()
+        result = fleet.tenants[tenant.name]
         summary = result.summary()
         row = {
             "strategy": strategy,
@@ -557,6 +548,36 @@ def _command_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _tenant_specs(args: argparse.Namespace, plan, pattern) -> list[TenantSpec]:
+    """``simulate``'s tenants, built here for every execution mode.
+
+    A lone tenant is seeded with ``--seed`` itself, so streaming or sharding
+    it changes nothing; only a fleet fans ``--seed`` out into one
+    independent seed per tenant.
+    """
+    from repro.parallel import spawn_seeds
+
+    seeds = spawn_seeds(args.seed, args.tenants) if args.tenants > 1 else [args.seed]
+    return [
+        TenantSpec(
+            name=f"tenant-{index:02d}" if args.tenants > 1 else plan.name,
+            plan=plan,
+            pattern=pattern,
+            routing=args.routing,
+            seed=seed,
+            max_replicas=args.max_replicas,
+            cost_model=args.cost_model,
+            max_batch=args.max_batch,
+            faults=args.faults,
+            cache_mb=args.cache_mb,
+            drift=args.drift,
+            replan=args.replan,
+            slo=args.slo,
+        )
+        for index, seed in enumerate(seeds)
+    ]
+
+
 def _simulate_sharded(
     args: argparse.Namespace,
     workload: DLRMConfig,
@@ -566,8 +587,6 @@ def _simulate_sharded(
     pattern,
 ) -> int:
     """The multi-tenant / sharded / streamed variant of ``simulate``."""
-    from repro.parallel import spawn_seeds
-    from repro.serving.engine import TenantSpec
     from repro.serving.sharding import run_sharded
 
     if getattr(args, "profile", False):
@@ -580,29 +599,10 @@ def _simulate_sharded(
             file=sys.stderr,
         )
         workers = args.tenants
-    seeds = spawn_seeds(args.seed, args.tenants)
     rows = []
     stats = None
     for strategy in strategies:
-        plan = planners[strategy]()
-        tenants = [
-            TenantSpec(
-                name=f"tenant-{index:02d}" if args.tenants > 1 else plan.name,
-                plan=plan,
-                pattern=pattern,
-                routing=args.routing,
-                seed=seeds[index],
-                max_replicas=args.max_replicas,
-                cost_model=args.cost_model,
-                max_batch=args.max_batch,
-                faults=args.faults,
-                cache_mb=args.cache_mb,
-                drift=args.drift,
-                replan=args.replan,
-                slo=args.slo,
-            )
-            for index in range(args.tenants)
-        ]
+        tenants = _tenant_specs(args, planners[strategy](), pattern)
         stream_dir = None
         if args.stream_dir is not None:
             stream_dir = args.stream_dir

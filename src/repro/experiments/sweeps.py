@@ -218,9 +218,7 @@ def run_cell(config: SweepConfig, cell: SweepCell) -> dict[str, float | int | st
         else 0.0
     )
     violations = float(sum(r.sla_violation_count() for r in per_tenant))
-    failed = float(
-        sum(r.rejected_queries + r.dropped_queries for r in per_tenant)
-    )
+    completed = float(sum(r.completed_queries for r in per_tenant))
     series = result.cluster_series
     return {
         "scenario": cell.scenario,
@@ -231,7 +229,7 @@ def run_cell(config: SweepConfig, cell: SweepCell) -> dict[str, float | int | st
         "mean_latency_ms": weighted_mean,
         "worst_p95_ms": max(r.overall_p95_latency_ms for r in per_tenant),
         "sla_violation_fraction": violations / queries if queries else 0.0,
-        "availability": 1.0 - failed / queries if queries else 1.0,
+        "availability": completed / queries if queries else 1.0,
         "requeued": float(sum(r.requeued_queries for r in per_tenant)),
         "peak_memory_gb": series.peak_memory_gb,
         "mean_utilization": series.mean_memory_utilization,

@@ -14,23 +14,30 @@ and ``least-outstanding`` routing counts in-flight attempts from those):
   heap event (a control tick, a fault, another tenant's arrival, or a
   timeout the drain itself scheduled), so a 100k-query run costs
   thousands — not hundreds of thousands — of heap operations;
-* ``AUTOSCALE`` — the coalesced control tick: every control phase that lands
-  on one boundary timestamp — per-tenant interval-metric flushes and HPA
-  evaluations, the shared cluster ``RECONCILE``, per-tenant ``SAMPLE``
-  points — runs from a single heap event, in exactly the order the
-  historical per-phase events popped at that timestamp (``on_event``
-  observers still see the individual phases);
-* ``RECONCILE`` — drive the cluster toward the desired replica counts and
-  mirror the active containers into replica queue servers (runs inside the
-  coalesced control tick);
-* ``SAMPLE`` — append one point to every recorded time series and reset the
-  per-interval accumulators (runs inside the coalesced control tick);
+* ``AUTOSCALE`` — the coalesced control tick: one heap event per boundary
+  timestamp runs every control phase landing there, in the order separate
+  per-phase events would pop: each resident tenant's interval-metric flush
+  and HPA evaluation, then the shared cluster ``RECONCILE`` (drive the
+  cluster toward the desired replica counts and mirror the active
+  containers into replica queue servers), then each resident tenant's
+  ``SAMPLE`` (append one point to every recorded time series, feed the
+  drift detector and the SLO watchdog, reset the per-interval
+  accumulators).  ``RECONCILE`` and ``SAMPLE`` are phases of this event,
+  never pushed themselves; ``on_event`` observers still see each phase;
 * ``FAULT`` — inject one failure from the run's fault timeline (replica
   crash, node drain, straggler window, transient degradation — see
   :mod:`repro.serving.faults`);
 * ``RECOVERY`` — a fault's scheduled transition: the end of a drain's grace
   period (evict the node's containers and settle their in-flight queries),
-  a node uncordon, or the end of a slowdown window.
+  a node uncordon, or the end of a slowdown window;
+* ``REPLAN`` — online re-planning: a ``"fire"`` (pushed by a sample whose
+  drift detector fired, or by a watchdog escalation) starts the shard-copy
+  migration, and its ``"cutover"`` swaps the successor plan in;
+* ``WATCHDOG`` — one SLO-ladder action, pushed by the sample that decided
+  it and applied after the control tick;
+* ``TIMEOUT`` — an attempt outlived its timeout under armed deadlines:
+  retry within budget or give up;
+* ``RETRY`` — a scheduled client retry re-issuing a query across all lanes.
 
 Fault timelines are materialised at the start of each run from the tenant's
 fault model (scripted events verbatim, stochastic processes sampled from the
@@ -43,8 +50,11 @@ N tenants, each a validated :class:`TenantSpec` with its own traffic
 pattern, routing policy, SLA target, autoscaler and random seed, competing
 for one shared capacity-constrained node pool.  Every tenant is a
 :class:`_TenantRuntime` holding its slice of the cluster's deployments plus
-its per-run accumulators; tenant events carry the tenant index, so events
-from different tenants interleave on one heap in timestamp order.
+its per-run accumulators.  Each run binds every runtime to the run's heap,
+sequence counter and tenant index, and a runtime pushes its own events
+through :meth:`_TenantRuntime.push` as ``(time, kind, seq, (tenant_index,
+payload))``, so events from different tenants interleave on one heap in
+timestamp order.
 :class:`ServingEngine` is the one-tenant fleet with the traffic pattern
 supplied per run, so the single-plan and fleet paths share one constructor,
 one start-up sequence and one event loop.
@@ -178,17 +188,18 @@ class EventKind(IntEnum):
     COMPLETION = 0
     ARRIVAL = 1
     AUTOSCALE = 2
+    #: Phases of the AUTOSCALE tick, reported to ``on_event``; never pushed.
     RECONCILE = 3
     SAMPLE = 4
     FAULT = 5
     RECOVERY = 6
-    #: Online re-planning: a ``("fire", ...)`` event starts the shard-copy
-    #: migration toward a successor plan; its ``("cutover", ...)`` twin lands
+    #: Online re-planning: a ``"fire"`` event starts the shard-copy
+    #: migration toward a successor plan; its ``"cutover"`` twin lands
     #: when the copies complete and swaps the plan in (invalidating caches).
     REPLAN = 7
     #: SLO watchdog actuation: a typed ladder action — ``("degrade", level)``,
-    #: ``("recover", level)`` or ``("escalate",)`` — relayed from the sample
-    #: tick onto the heap so it applies in deterministic event order.
+    #: ``("recover", level)`` or ``("escalate",)`` — pushed by the sample that
+    #: decided it, so it applies after the control tick in event order.
     WATCHDOG = 8
     #: A per-query attempt timeout under armed deadlines: decide between a
     #: budgeted retry (backoff + jitter, storm-guarded) and a final timeout.
@@ -799,15 +810,14 @@ class _TenantRuntime:
                 multipliers = self.cost_model.sample(self.arrivals.size, cost_rng)
                 columns = (multipliers, None, None, None)
         self.query_multipliers, self.query_hot, self.query_cold, self.query_total = columns
-        # Re-plan state: the detector is re-armed per run; fires are relayed
-        # through the event loop as REPLAN heap events so migrations keep the
+        # Re-plan state: the detector is re-armed per run; fires go through
+        # the event loop as REPLAN heap events so migrations keep the
         # typed-event timeline (and its monotonicity invariant).
         self.detector = (
             DriftDetector(self.replan_policy, self.sla_s)
             if self.replan_policy is not None
             else None
         )
-        self.replan_requested = False
         self.replan_in_progress = False
         self.pending_successor = None
         self.replans_applied = 0
@@ -831,8 +841,6 @@ class _TenantRuntime:
         self.shed_armed = False
         self.deadline_armed = False
         self.fallback_armed = False
-        #: Ladder actions pending relay onto the heap as WATCHDOG events.
-        self.watchdog_actions: list[tuple] = []
         self.timeout_indices: set[int] = set()
         self.degraded_indices: set[int] = set()
         self.shed_count = 0
@@ -918,6 +926,22 @@ class _TenantRuntime:
         #: Sample points accumulated since the last streamed series flush.
         self._pending_series_samples = 0
 
+    def bind(self, heap: list, seq: itertools.count, tenant_index: int) -> None:
+        """Attach the run's shared event heap, its sequence counter and this tenant's index."""
+        self._heap = heap
+        self._seq = seq
+        self.tenant_index = tenant_index
+
+    def push(self, at: float, kind: EventKind, payload) -> int:
+        """Push one of this tenant's events onto the run's heap; return its sequence number.
+
+        The event is ``(at, kind, seq, (tenant_index, payload))``: equal times
+        pop in kind order, then push order.
+        """
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (at, kind, seq, (self.tenant_index, payload)))
+        return seq
+
     def arrival_at(self, index: int) -> float:
         """The ``index``-th arrival time as a Python float."""
         return float(self.arrivals[index])
@@ -930,20 +954,11 @@ class _TenantRuntime:
             batches += server.completed_batches
         return queries, batches
 
-    def serve_query(
-        self,
-        arrival: float,
-        query_index: int,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def serve_query(self, arrival: float, query_index: int) -> None:
         """Route one query through every deployment the tenant needs.
 
         Every arrival records exactly one tracker sample, in arrival order,
         so a query's tracker index is its arrival index ``query_index``.
-        Its TIMEOUT event (armed deadlines) goes onto the run's ``heap``,
-        stamped from ``seq``.
         The drain serves each popped arrival here and, when it can,
         hands the rest of the drain to :meth:`serve_chunk`, which records
         the same samples lane by lane.
@@ -959,9 +974,7 @@ class _TenantRuntime:
                 self._shed_query(arrival)
                 return
         fallback_on = self.fallback_armed
-        worst_completion, rejected = self._dispatch(
-            self._lanes, arrival, query_index, _FIRST, heap
-        )
+        worst_completion, rejected = self._dispatch(self._lanes, arrival, query_index, _FIRST)
         query_completion = worst_completion + self.rpc_overhead_s
         latency = query_completion - arrival
         self.interval_latencies.append(latency)
@@ -980,9 +993,7 @@ class _TenantRuntime:
             heapq.heappush(self._live_completions, query_completion)
             attempt_deadline = arrival + self.attempt_timeout_s
             if query_completion > attempt_deadline:
-                self._schedule(
-                    attempt_deadline, EventKind.TIMEOUT, tenant_index, query_index, heap, seq
-                )
+                self._schedule(attempt_deadline, EventKind.TIMEOUT, query_index)
 
     def chunk_eligible(self) -> bool:
         """Whether the rest of a drain may go through :meth:`serve_chunk`.
@@ -1006,14 +1017,7 @@ class _TenantRuntime:
                 return False
         return True
 
-    def serve_chunk(
-        self,
-        begin: int,
-        stop: int,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def serve_chunk(self, begin: int, stop: int) -> None:
         """Serve arrivals ``[begin, stop)`` of an eligible drain, lane by lane.
 
         Each lane is one call to
@@ -1103,6 +1107,7 @@ class _TenantRuntime:
         dispatch = self._dispatch
         ranking = self.policy.least_work_ranking
         inflight = self.inflight if self.track_inflight else None
+        heap = self._heap
         settled = heap[0][0] if heap else -np.inf
         first = arrivals[0] if arrivals else np.inf
         worst = None
@@ -1115,7 +1120,7 @@ class _TenantRuntime:
             twin = None
             if rank is None:
                 completions = [
-                    dispatch((lane,), arrival, query, _FIRST, heap)[0]
+                    dispatch((lane,), arrival, query, _FIRST)[0]
                     for query, arrival in zip(indices, arrivals)
                 ]
             else:
@@ -1227,9 +1232,7 @@ class _TenantRuntime:
                 heapq.heappush(live, completion)
                 attempt_deadline = arrival + timeout_s
                 if completion > attempt_deadline:
-                    self._schedule(
-                        attempt_deadline, EventKind.TIMEOUT, tenant_index, query, heap, seq
-                    )
+                    self._schedule(attempt_deadline, EventKind.TIMEOUT, query)
 
     def _dispatch(
         self,
@@ -1237,7 +1240,6 @@ class _TenantRuntime:
         now: float,
         query_index: int,
         mode: int,
-        heap: list,
     ) -> tuple[float, bool]:
         """Send one attempt of a query to each lane: route, price, submit, register.
 
@@ -1274,6 +1276,7 @@ class _TenantRuntime:
         inflight = self.inflight if self.track_inflight else None
         # No crash or eviction lands before the heap top, and settling skips
         # attempts complete by then: the registry takes only the rest.
+        heap = self._heap
         settled = heap[0][0] if heap else -np.inf
         if self.caches_on:
             # One query's gather split is shared by every cached lane: read
@@ -1381,10 +1384,10 @@ class _TenantRuntime:
 
         Runs inside the SAMPLE phase *before* ``interval_latencies`` clears,
         and hands the watchdog that list itself: exactly the interval's
-        end-to-end latencies (shed queries excluded).  Ladder decisions are
-        buffered in ``watchdog_actions``; the driver relays them onto the
-        heap as typed WATCHDOG events so they apply in deterministic event
-        order in every execution mode.
+        end-to-end latencies (shed queries excluded).  Each ladder decision
+        is pushed as a typed WATCHDOG event at ``now``, after the control
+        tick, so it applies in deterministic event order in every execution
+        mode.
         """
         if not self.watchdog_on:
             return
@@ -1400,8 +1403,8 @@ class _TenantRuntime:
         actions = self.watchdog.observe(
             now, self.interval_latencies, availability, reject_rate
         )
-        if actions:
-            self.watchdog_actions.extend(actions)
+        for action in actions:
+            self.push(now, EventKind.WATCHDOG, action)
         series = self.watchdog_series
         series["level"].append(float(self.watchdog.level))
         series["shed"].append(self.interval_shed / arrivals if arrivals else 0.0)
@@ -1413,14 +1416,7 @@ class _TenantRuntime:
         self.interval_timeouts = 0
         self.interval_degraded = 0
 
-    def apply_watchdog(
-        self,
-        now: float,
-        action: tuple,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def apply_watchdog(self, now: float, action: tuple) -> None:
         """Apply one ladder action popped from the heap as a WATCHDOG event."""
         kind = action[0]
         if kind in ("degrade", "recover"):
@@ -1435,23 +1431,11 @@ class _TenantRuntime:
         ):
             # Escalation: hand the incident to the re-planner, which still
             # enforces its own fire budget and cooldown.
-            heapq.heappush(
-                heap, (now, EventKind.REPLAN, next(seq), (tenant_index, "fire"))
-            )
+            self.push(now, EventKind.REPLAN, "fire")
 
-    def _schedule(
-        self,
-        at: float,
-        kind: EventKind,
-        tenant_index: int,
-        query_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
-        """Push a query's one live TIMEOUT or RETRY event."""
-        token = next(seq)
-        self.pending_event[query_index] = token
-        heapq.heappush(heap, (at, kind, token, (tenant_index, query_index, token)))
+    def _schedule(self, at: float, kind: EventKind, query_index: int) -> None:
+        """Push a query's one live TIMEOUT or RETRY event; its token is its sequence number."""
+        self.pending_event[query_index] = self.push(at, kind, query_index)
 
     def _claim(self, query_index: int, token: int) -> bool:
         """Whether a popped TIMEOUT/RETRY event is the query's live one.
@@ -1468,11 +1452,8 @@ class _TenantRuntime:
             or query_index in self.timeout_indices
         )
 
-    def handle_timeout(
-        self, now: float, payload: tuple, heap: list, seq: itertools.count
-    ) -> None:
+    def handle_timeout(self, now: float, query_index: int, token: int) -> None:
         """One attempt's timeout fired: retry within budget or finalize."""
-        tenant_index, query_index, token = payload
         if not self._claim(query_index, token):
             return
         completion, _ = self.tracker.sample(query_index)
@@ -1481,16 +1462,9 @@ class _TenantRuntime:
             # completion in); nothing to do.
             self.retry_attempts.pop(query_index, None)
             return
-        self._try_retry(now, tenant_index, query_index, heap, seq)
+        self._try_retry(now, query_index)
 
-    def _try_retry(
-        self,
-        now: float,
-        tenant_index: int,
-        query_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> bool:
+    def _try_retry(self, now: float, query_index: int) -> bool:
         """Schedule a budgeted backoff retry, or finalize the timeout.
 
         Returns ``True`` when a RETRY event was scheduled.  A retry launches
@@ -1519,7 +1493,7 @@ class _TenantRuntime:
             return False
         self.retry_attempts[query_index] = attempts + 1
         self._retries_scheduled += 1
-        self._schedule(retry_at, EventKind.RETRY, tenant_index, query_index, heap, seq)
+        self._schedule(retry_at, EventKind.RETRY, query_index)
         return True
 
     def _finalize_timeout(self, now: float, query_index: int) -> None:
@@ -1539,11 +1513,8 @@ class _TenantRuntime:
         self.retry_attempts.pop(query_index, None)
         self.tracker.update(query_index, give_up, give_up - arrival)
 
-    def handle_retry(
-        self, now: float, payload: tuple, heap: list, seq: itertools.count
-    ) -> None:
+    def handle_retry(self, now: float, query_index: int, token: int) -> None:
         """Re-issue one query across all lanes (a scheduled client retry)."""
-        tenant_index, query_index, token = payload
         self._retries_scheduled -= 1
         if not self._claim(query_index, token):
             return
@@ -1551,11 +1522,11 @@ class _TenantRuntime:
         arrival = self.arrival_at(query_index)
         attempt_deadline = min(now + self.attempt_timeout_s, arrival + self.deadline_s)
         fallback = self.fallback_armed
-        worst, failed = self._dispatch(self._lanes, now, query_index, _RETRY, heap)
+        worst, failed = self._dispatch(self._lanes, now, query_index, _RETRY)
         if failed or worst == -np.inf:
             # The retry itself found no capacity: back off again within the
             # same budget, or finalize.
-            self._try_retry(now, tenant_index, query_index, heap, seq)
+            self._try_retry(now, query_index)
             return
         new_total = worst + self.rpc_overhead_s
         latency = new_total - arrival
@@ -1566,9 +1537,7 @@ class _TenantRuntime:
             self.interval_degraded += 1
         heapq.heappush(self._retry_resolutions, min(new_total, attempt_deadline))
         if new_total > attempt_deadline:
-            self._schedule(
-                attempt_deadline, EventKind.TIMEOUT, tenant_index, query_index, heap, seq
-            )
+            self._schedule(attempt_deadline, EventKind.TIMEOUT, query_index)
         else:
             self.retry_attempts.pop(query_index, None)
 
@@ -1621,21 +1590,13 @@ class _TenantRuntime:
             victim = names[int(self.fault_rng.integers(len(names)))]
         return target, victim
 
-    def crash_replica(
-        self,
-        now: float,
-        event: ReplicaCrash,
-        tenant_index: int,
-        cluster: Cluster,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def crash_replica(self, now: float, event: ReplicaCrash, cluster: Cluster) -> None:
         """Kill one replica: evict its container and settle in-flight work."""
         target = self._pick_target(event.deployment, event.replica)
         if target is None:
             return
         deployment_name, victim = target
-        self._kill_server(now, deployment_name, victim, event.policy, tenant_index, heap, seq)
+        self._kill_server(now, deployment_name, victim, event.policy)
         cluster.fail_replica(victim, now)
         self.faults_injected += 1
 
@@ -1660,35 +1621,16 @@ class _TenantRuntime:
             self.faults_injected += 1
         return struck
 
-    def on_replicas_lost(
-        self,
-        now: float,
-        lost_names: set[str],
-        policy: str,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def on_replicas_lost(self, now: float, lost_names: set[str], policy: str) -> None:
         """Settle the fallout of replicas evicted cluster-side (node drain)."""
         for deployment in self.deployments:
             # Iterate in the servers dict's insertion (creation) order, not
             # name order — see _pick_target for why name order is unstable.
             victims = [n for n in self.servers[deployment.name] if n in lost_names]
             for victim in victims:
-                self._kill_server(
-                    now, deployment.name, victim, policy, tenant_index, heap, seq
-                )
+                self._kill_server(now, deployment.name, victim, policy)
 
-    def _kill_server(
-        self,
-        now: float,
-        deployment_name: str,
-        victim: str,
-        policy: str,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def _kill_server(self, now: float, deployment_name: str, victim: str, policy: str) -> None:
         server = self.servers[deployment_name].pop(victim)
         server.fail()
         self.pools[deployment_name].invalidate()
@@ -1698,17 +1640,10 @@ class _TenantRuntime:
         self.slowdowns.pop((deployment_name, victim), None)
         # Hold the HPA's desired count steady while the replacement starts.
         self.autoscaler.notice_capacity_loss(deployment_name, now)
-        self._reassign_inflight(now, deployment_name, victim, policy, tenant_index, heap, seq)
+        self._reassign_inflight(now, deployment_name, victim, policy)
 
     def _reassign_inflight(
-        self,
-        now: float,
-        deployment_name: str,
-        victim: str,
-        policy: str,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
+        self, now: float, deployment_name: str, victim: str, policy: str
     ) -> None:
         """Re-queue or drop the dead replica's unfinished queries."""
         lane = [self._lane_by_name[deployment_name]]
@@ -1728,9 +1663,7 @@ class _TenantRuntime:
             if policy == "requeue":
                 # Re-sent to a survivor on the same lane, priced there (its
                 # cache, not the victim's warm rows, serves the gathers).
-                new_completion, failed = self._dispatch(
-                    lane, now, query_index, _REQUEUE, heap
-                )
+                new_completion, failed = self._dispatch(lane, now, query_index, _REQUEUE)
             if not failed:
                 self.requeued_count += 1
                 self.interval_requeues[deployment_name] += 1
@@ -1747,7 +1680,7 @@ class _TenantRuntime:
                 # Armed deadlines convert the drop into a client retry when
                 # budget and storm guard allow: the client sees its
                 # connection die and re-issues the whole query.
-                if not self._try_retry(now, tenant_index, query_index, heap, seq):
+                if not self._try_retry(now, query_index):
                     # _try_retry finalized it as a timeout instead of a drop.
                     self.interval_failures[deployment_name] += 1
                 continue
@@ -1761,14 +1694,7 @@ class _TenantRuntime:
             latency = max(old_latency, 2.0 * self.sla_s)
             self.tracker.update(query_index, self.arrival_at(query_index) + latency, latency)
 
-    def start_straggler(
-        self,
-        now: float,
-        event: StragglerSlowdown,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def start_straggler(self, now: float, event: StragglerSlowdown) -> None:
         """Slow one replica down for the event's window."""
         target = self._pick_target(event.deployment, event.replica)
         if target is None:
@@ -1778,24 +1704,13 @@ class _TenantRuntime:
             float(event.factor)
         )
         self.faults_injected += 1
-        heapq.heappush(
-            heap,
-            (
-                now + event.duration_s,
-                EventKind.RECOVERY,
-                next(seq),
-                (tenant_index, ("straggler-end", deployment_name, victim, float(event.factor))),
-            ),
+        self.push(
+            now + event.duration_s,
+            EventKind.RECOVERY,
+            ("straggler-end", deployment_name, victim, float(event.factor)),
         )
 
-    def start_degradation(
-        self,
-        now: float,
-        event: TransientDegradation,
-        tenant_index: int,
-        heap: list,
-        seq: itertools.count,
-    ) -> None:
+    def start_degradation(self, now: float, event: TransientDegradation) -> None:
         """Slow every replica of the matched deployments down for a window."""
         names = tuple(
             d.name
@@ -1807,14 +1722,8 @@ class _TenantRuntime:
         for name in names:
             self.degradations.setdefault(name, []).append(float(event.factor))
         self.faults_injected += 1
-        heapq.heappush(
-            heap,
-            (
-                now + event.duration_s,
-                EventKind.RECOVERY,
-                next(seq),
-                (tenant_index, ("degrade-end", names, float(event.factor))),
-            ),
+        self.push(
+            now + event.duration_s, EventKind.RECOVERY, ("degrade-end", names, float(event.factor))
         )
 
     @staticmethod
@@ -1844,16 +1753,16 @@ class _TenantRuntime:
 
         Called from :meth:`sample` before ``interval_latencies`` is cleared;
         the p95 is taken over that one buffer (``None`` for an interval that
-        served nothing).  A fire only raises a flag; the driver turns it
-        into a typed REPLAN heap event so migrations stay on the event
-        timeline.
+        served nothing).  A fire pushes a typed REPLAN event at ``now``, so
+        the migration stays on the event timeline and starts after the
+        control tick, on a settled cluster.
         """
         if self.detector is None or self.replan_in_progress:
             return
         latencies = self.interval_latencies
         p95_s = float(np.percentile(latencies, 95)) if latencies else None
         if self.detector.observe(now, p95_s):
-            self.replan_requested = True
+            self.push(now, EventKind.REPLAN, "fire")
 
     def start_replan(self, now: float) -> float:
         """Plan the successor deployment and schedule the shard-copy migration.
@@ -2192,13 +2101,11 @@ def _apply_fault(
     tenant_index: int,
     runtimes: Sequence[_TenantRuntime],
     cluster: Cluster,
-    heap: list,
-    seq: itertools.count,
 ) -> None:
     """Dispatch one fault event from a tenant's timeline."""
     runtime = runtimes[tenant_index]
     if isinstance(event, ReplicaCrash):
-        runtime.crash_replica(now, event, tenant_index, cluster, heap, seq)
+        runtime.crash_replica(now, event, cluster)
     elif isinstance(event, NodeDrain):
         # Draining hits the shared node pool, so *every* tenant's replicas on
         # the node are affected — not just the tenant whose timeline fired.
@@ -2216,29 +2123,15 @@ def _apply_fault(
         draining = {container.name for container in node.containers}
         for affected in runtimes:
             affected.mark_draining(draining)
-        heapq.heappush(
-            heap,
-            (
-                now + event.grace_s,
-                EventKind.RECOVERY,
-                next(seq),
-                (tenant_index, ("drain-evict", event.node, event.policy)),
-            ),
+        runtime.push(
+            now + event.grace_s, EventKind.RECOVERY, ("drain-evict", event.node, event.policy)
         )
         if event.duration_s > 0:
-            heapq.heappush(
-                heap,
-                (
-                    now + event.duration_s,
-                    EventKind.RECOVERY,
-                    next(seq),
-                    (tenant_index, ("uncordon", event.node)),
-                ),
-            )
+            runtime.push(now + event.duration_s, EventKind.RECOVERY, ("uncordon", event.node))
     elif isinstance(event, StragglerSlowdown):
-        runtime.start_straggler(now, event, tenant_index, heap, seq)
+        runtime.start_straggler(now, event)
     elif isinstance(event, TransientDegradation):
-        runtime.start_degradation(now, event, tenant_index, heap, seq)
+        runtime.start_degradation(now, event)
     else:  # pragma: no cover - the fault model only emits the types above
         raise TypeError(f"unknown fault event {event!r}")
 
@@ -2310,11 +2203,12 @@ def _drive(
     the historical order; the property-based tests use this to assert
     event-time monotonicity.
     """
-    for runtime, pattern in zip(runtimes, patterns):
-        runtime.begin_run(pattern)
-
     heap: list[tuple[float, int, int, object]] = []
     seq = itertools.count()
+    for tenant_index, (runtime, pattern) in enumerate(zip(runtimes, patterns)):
+        runtime.begin_run(pattern)
+        runtime.bind(heap, seq, tenant_index)
+
     # Coalesced control ticks: one heap event per unique boundary timestamp
     # carries every control phase landing there — each resident tenant's
     # AUTOSCALE evaluation, the shared cluster RECONCILE, each tenant's
@@ -2327,18 +2221,14 @@ def _drive(
             boundary_tenants.setdefault(float(boundary), []).append(tenant_index)
     for boundary, resident_tenants in boundary_tenants.items():
         heapq.heappush(heap, (boundary, EventKind.AUTOSCALE, next(seq), resident_tenants))
-    for tenant_index, runtime in enumerate(runtimes):
+    for runtime in runtimes:
         if runtime.num_served:
-            heapq.heappush(
-                heap, (float(runtime.arrivals[0]), EventKind.ARRIVAL, next(seq), (tenant_index, 0))
-            )
+            runtime.push(float(runtime.arrivals[0]), EventKind.ARRIVAL, 0)
     # Fault timelines are empty unless a tenant configured a fault model, so
     # a healthy run pushes nothing here (and consumes no sequence numbers).
-    for tenant_index, runtime in enumerate(runtimes):
+    for runtime in runtimes:
         for at_s, event in runtime.fault_timeline:
-            heapq.heappush(
-                heap, (float(at_s), EventKind.FAULT, next(seq), (tenant_index, event))
-            )
+            runtime.push(float(at_s), EventKind.FAULT, event)
     if any(runtime.fault_timeline for runtime in runtimes):
         # One tenant's node drain can evict any tenant's replicas, so every
         # tenant must maintain its in-flight registry to settle the fallout.
@@ -2346,12 +2236,53 @@ def _drive(
             runtime.track_inflight = True
 
     while heap:
-        now, kind, _, payload = heapq.heappop(heap)
-        if kind == EventKind.ARRIVAL:
+        now, kind, token, payload = heapq.heappop(heap)
+        if kind == EventKind.AUTOSCALE:
+            # Coalesced control tick: autoscale each resident tenant, run the
+            # shared reconcile, then sample each resident tenant — the exact
+            # order the historical AUTOSCALE/RECONCILE/SAMPLE events popped.
+            # A sample may push the tenant's REPLAN fire and WATCHDOG actions
+            # at ``now``; they pop after this tick, on a settled cluster.
+            for tenant_index in payload:
+                if on_event is not None:
+                    on_event(now, EventKind.AUTOSCALE)
+                runtime = runtimes[tenant_index]
+                runtime.record_interval_metrics(now, cluster.metrics)
+                if runtime.autoscale and runtime.autoscaler.should_evaluate(now):
+                    runtime.autoscaler.evaluate(runtime.deployments, cluster.metrics, now)
             if on_event is not None:
-                on_event(now, kind)
-            tenant_index, index = payload
-            runtime = runtimes[tenant_index]
+                on_event(now, EventKind.RECONCILE)
+            cluster.reconcile(now)
+            for runtime in runtimes:
+                runtime.sync_servers(now)
+            for tenant_index in payload:
+                if on_event is not None:
+                    on_event(now, EventKind.SAMPLE)
+                runtimes[tenant_index].sample(now)
+                if probe is not None:
+                    probe(now)
+            if any(runtime.stream is not None for runtime in runtimes):
+                # Streamed (memory-bounded) runs also cap the HPA metric
+                # history: the autoscalers only ever read trailing windows,
+                # so samples behind every tenant's largest window are dead
+                # weight.  Unstreamed runs keep the full history — tests and
+                # probes may inspect it after the run.
+                retention = max(
+                    (
+                        runtime.autoscaler.metric_window_s
+                        for runtime in runtimes
+                        if runtime.autoscaler is not None
+                    ),
+                    default=30.0,
+                )
+                cluster.metrics.prune(now - 2.0 * retention)
+            continue
+        if on_event is not None:
+            on_event(now, kind)
+        tenant_index, action = payload
+        runtime = runtimes[tenant_index]
+        if kind == EventKind.ARRIVAL:
+            index = action
             arrivals = runtime.arrivals
             serve = runtime.serve_query
             # An arrival at t goes before the heap top at h iff t <= h (no
@@ -2364,7 +2295,7 @@ def _drive(
             stop = index + 1
             while index < stop:
                 for arrival in arrivals[index:stop].tolist():
-                    serve(arrival, index, tenant_index, heap, seq)
+                    serve(arrival, index)
                     index += 1
                     if heap[0] is not top:
                         break
@@ -2388,84 +2319,13 @@ def _drive(
                                 )
                             ),
                         )
-                    runtime.serve_chunk(index, end, tenant_index, heap, seq)
+                    runtime.serve_chunk(index, end)
                     index = end
             if index < runtime.num_served:
-                heapq.heappush(
-                    heap,
-                    (float(arrivals[index]), EventKind.ARRIVAL, next(seq), (tenant_index, index)),
-                )
-        elif kind == EventKind.AUTOSCALE:
-            # Coalesced control tick: autoscale each resident tenant, run the
-            # shared reconcile, then sample each resident tenant — the exact
-            # order the historical AUTOSCALE/RECONCILE/SAMPLE events popped.
-            for tenant_index in payload:
-                if on_event is not None:
-                    on_event(now, EventKind.AUTOSCALE)
-                runtime = runtimes[tenant_index]
-                runtime.record_interval_metrics(now, cluster.metrics)
-                if runtime.autoscale and runtime.autoscaler.should_evaluate(now):
-                    runtime.autoscaler.evaluate(runtime.deployments, cluster.metrics, now)
-            if on_event is not None:
-                on_event(now, EventKind.RECONCILE)
-            cluster.reconcile(now)
-            for runtime in runtimes:
-                runtime.sync_servers(now)
-            for tenant_index in payload:
-                if on_event is not None:
-                    on_event(now, EventKind.SAMPLE)
-                runtime = runtimes[tenant_index]
-                runtime.sample(now)
-                if probe is not None:
-                    probe(now)
-                if runtime.replan_requested:
-                    # Relay the detector's fire as a typed heap event at this
-                    # timestamp; same-time ordering puts it after the control
-                    # tick, so the migration starts on a settled cluster.
-                    runtime.replan_requested = False
-                    heapq.heappush(
-                        heap,
-                        (now, EventKind.REPLAN, next(seq), (tenant_index, "fire")),
-                    )
-                if runtime.watchdog_actions:
-                    # Relay ladder actions the same way: typed WATCHDOG
-                    # events at this timestamp, applied in deterministic
-                    # event order in every execution mode.
-                    for action in runtime.watchdog_actions:
-                        heapq.heappush(
-                            heap,
-                            (
-                                now,
-                                EventKind.WATCHDOG,
-                                next(seq),
-                                (tenant_index, action),
-                            ),
-                        )
-                    runtime.watchdog_actions = []
-            if any(runtime.stream is not None for runtime in runtimes):
-                # Streamed (memory-bounded) runs also cap the HPA metric
-                # history: the autoscalers only ever read trailing windows,
-                # so samples behind every tenant's largest window are dead
-                # weight.  Unstreamed runs keep the full history — tests and
-                # probes may inspect it after the run.
-                retention = max(
-                    (
-                        runtime.autoscaler.metric_window_s
-                        for runtime in runtimes
-                        if runtime.autoscaler is not None
-                    ),
-                    default=30.0,
-                )
-                cluster.metrics.prune(now - 2.0 * retention)
+                runtime.push(float(arrivals[index]), EventKind.ARRIVAL, index)
         elif kind == EventKind.FAULT:
-            if on_event is not None:
-                on_event(now, kind)
-            tenant_index, event = payload
-            _apply_fault(now, event, tenant_index, runtimes, cluster, heap, seq)
+            _apply_fault(now, action, tenant_index, runtimes, cluster)
         elif kind == EventKind.RECOVERY:
-            if on_event is not None:
-                on_event(now, kind)
-            tenant_index, action = payload
             if action[0] == "uncordon":
                 cluster.uncordon_node(action[1])
             elif action[0] == "drain-evict":
@@ -2473,38 +2333,21 @@ def _drive(
                 # the (cordoned) node and settle its in-flight queries.
                 lost = set(cluster.evict_node(action[1], now))
                 if lost:
-                    for index, affected in enumerate(runtimes):
-                        affected.on_replicas_lost(
-                            now, lost, action[2], index, heap, seq
-                        )
+                    for affected in runtimes:
+                        affected.on_replicas_lost(now, lost, action[2])
             else:
-                runtimes[tenant_index].recover(action)
+                runtime.recover(action)
         elif kind == EventKind.REPLAN:
-            if on_event is not None:
-                on_event(now, kind)
-            tenant_index, action = payload
-            runtime = runtimes[tenant_index]
             if action == "fire":
-                cutover_at = runtime.start_replan(now)
-                heapq.heappush(
-                    heap,
-                    (cutover_at, EventKind.REPLAN, next(seq), (tenant_index, "cutover")),
-                )
+                runtime.push(runtime.start_replan(now), EventKind.REPLAN, "cutover")
             else:  # "cutover"
                 runtime.apply_replan(now)
         elif kind == EventKind.WATCHDOG:
-            if on_event is not None:
-                on_event(now, kind)
-            tenant_index, action = payload
-            runtimes[tenant_index].apply_watchdog(now, action, tenant_index, heap, seq)
+            runtime.apply_watchdog(now, action)
         elif kind == EventKind.TIMEOUT:
-            if on_event is not None:
-                on_event(now, kind)
-            runtimes[payload[0]].handle_timeout(now, payload, heap, seq)
+            runtime.handle_timeout(now, action, token)
         else:  # EventKind.RETRY
-            if on_event is not None:
-                on_event(now, kind)
-            runtimes[payload[0]].handle_retry(now, payload, heap, seq)
+            runtime.handle_retry(now, action, token)
 
     return [
         runtime.finish_run_streamed() if runtime.stream is not None else runtime.finish_run()

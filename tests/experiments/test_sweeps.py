@@ -11,6 +11,7 @@ from repro.experiments.sweeps import (
     run_cell,
     run_sweep,
 )
+from repro.serving.engine import MultiTenantEngine
 
 TINY = SweepConfig(
     workload="RM1",
@@ -20,6 +21,11 @@ TINY = SweepConfig(
     peak_qps=24.0,
     duration_s=90.0,
     seed=5,
+)
+#: Deadline-armed watchdog: crashed queries retry, then time out.
+DEADLINE_SLO = (
+    "p95@1.5:p99=8,availability=0.995,reject=0.02,patience=1,"
+    "shed=0.0,deadline=20,timeout=2,retries=3,storm=0.5,recover=2"
 )
 
 
@@ -77,6 +83,26 @@ class TestRunCell:
         # Same arrivals (same cell seed), different service-time distribution.
         assert skewed["total_queries"] == plain["total_queries"]
         assert skewed["worst_p95_ms"] != plain["worst_p95_ms"]
+
+    def test_availability_counts_deadline_timeouts(self, monkeypatch):
+        # A query the watchdog's deadline gave up on was not served: the
+        # cell's availability is the tenants' served share, timeouts included.
+        from dataclasses import replace
+
+        results = []
+        run = MultiTenantEngine.run
+
+        def recording(engine, *args, **kwargs):
+            results.append(run(engine, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(MultiTenantEngine, "run", recording)
+        config = replace(TINY, faults="crash-storm", slo=DEADLINE_SLO)
+        cell = build_grid(["constant"], ["least-work"], [8], base_seed=TINY.seed)[0]
+        row = run_cell(config, cell)
+        (tenant,) = results[0].tenants.values()
+        assert tenant.timeout_queries > 0
+        assert row["availability"] == tenant.availability_fraction
 
     def test_cost_model_validated_at_config_construction(self):
         with pytest.raises(ValueError, match="cost model"):

@@ -7,7 +7,8 @@ least-outstanding fault, batched and replan rows were added later, recorded
 while that policy still counted in-flight queries from COMPLETION events.
 The table spans every routing policy, the fault processes, skewed costs
 with batching, a drift-triggered replan, the embedding cache under crashes,
-and a streamed cached run.
+a streamed cached run, and a two-tenant fleet whose node drain strikes both
+tenants (its value is both tenants' digests).
 
 Rewrite the table after an intended behaviour change with::
 
@@ -65,16 +66,40 @@ def _configs() -> dict[str, dict]:
     configs["streamed-cached"] = dict(
         tenant=True, cost_model="skewed", cache_mb=16.0, faults="single-crash", seed=2
     )
+    # Two tenants on one pool: a's node drain evicts b's replicas too, while
+    # a's watchdog times out, retries and sheds and b's drift fires a replan.
+    configs["fleet/shared-drain"] = dict(
+        fleet=dict(
+            a=dict(
+                routing="recovery-aware",
+                faults="crash@20:policy=requeue;drain@60+30:node=1,policy=requeue",
+                slo="p95@1.5:p99=8,availability=0.995,reject=0.02,patience=1,shed=0.1,"
+                "deadline=20,timeout=2,retries=3,storm=0.5,recover=2",
+            ),
+            b=dict(
+                routing="least-outstanding", cost_model="skewed",
+                drift="linear@10+60:to=0.1", replan="sla@1.2:patience=2",
+                slo="p95@1.5:p99=2.5,shed=0.1,retries=2",
+            ),
+        ),
+        seed=5,
+    )
     return configs
 
 
-def run_digest(options: dict) -> str:
+def run_digest(options: dict) -> str | list[str]:
+    """One run's digest; a ``fleet`` run's value is every tenant's, in order."""
     options = dict(options)
     seed = options.pop("seed", 0)
     pattern = build_scenario(options.pop("scenario", "flash-crowd"), 8.0, 24.0, 120.0, seed=seed)
     plan = ElasticRecPlanner(cpu_only_cluster(num_nodes=4)).plan(
         microbenchmark(num_tables=2), target_qps=30.0
     )
+    if "fleet" in options:
+        fleet = options.pop("fleet")
+        specs = [TenantSpec(name, plan, pattern, seed=seed, **opts) for name, opts in fleet.items()]
+        tenants = MultiTenantEngine(specs).run().tenants
+        return [tenants[name].digest() for name in fleet]
     if options.pop("tenant", False):
         spec = TenantSpec("solo", plan, pattern, seed=seed, **options)
         return MultiTenantEngine([spec]).run().tenants["solo"].digest()

@@ -60,10 +60,10 @@ class Harness:
                 pool = lane.pool.refresh()
                 pool.fill_rows[:] = [pool.cache_capacity] * pool.size
         runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
+        self.heap: list = []
+        runtime.bind(self.heap, itertools.count(), 0)
         runtime.track_inflight = True
         self.charged = charged
-        self.heap: list = []
-        self.seq = itertools.count()
         # An expensive query, so a wrong multiplier cannot pass for it.
         self.query = next(i for i, m in enumerate(runtime.query_multipliers) if m > 1.5)
         self.multiplier = runtime.query_multipliers[self.query]
@@ -80,25 +80,23 @@ class Harness:
         for index in range(self.query + 1):
             arrival = self.runtime.arrival_at(index)
             self.charged.clear()
-            self.runtime.serve_query(arrival, index, 0, self.heap, self.seq)
+            self.runtime.serve_query(arrival, index)
         return arrival
 
     def crash(self, now: float, dense: bool, policy: str) -> None:
         """Kill the replica that holds the last dispatch's shard on a lane."""
         victim = next(name for name, _ in self.charged if self.lane_of(name).dense == dense)
         self.charged.clear()
-        self.runtime._kill_server(
-            now, self.lane_of(victim).name, victim, policy, 0, self.heap, self.seq
-        )
+        self.runtime._kill_server(now, self.lane_of(victim).name, victim, policy)
 
     def replay_retry(self) -> float:
         """Pop the query's scheduled client retry, re-issue it, return its time."""
         while True:
-            at, kind, _, payload = heapq.heappop(self.heap)
-            if kind == EventKind.RETRY and payload[1] == self.query:
+            at, kind, token, (_, query) = heapq.heappop(self.heap)
+            if kind == EventKind.RETRY and query == self.query:
                 break
         self.charged.clear()
-        self.runtime.handle_retry(at, payload, self.heap, self.seq)
+        self.runtime.handle_retry(at, query, token)
         return at
 
     def embedding_charges(self) -> list[float]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -431,10 +429,10 @@ def _kernel_and_per_query(monkeypatch, run):
     chunks = []
     serve_chunk = _TenantRuntime.serve_chunk
 
-    def counted(self, begin, stop, tenant_index, heap, seq):
+    def counted(self, begin, stop):
         armed = {flag for flag in _ARMED if getattr(self, f"{flag}_armed")}
-        chunks.append((begin, stop, armed, heap[0][0]))
-        return serve_chunk(self, begin, stop, tenant_index, heap, seq)
+        chunks.append((begin, stop, armed, self._heap[0][0]))
+        return serve_chunk(self, begin, stop)
 
     with monkeypatch.context() as patch:
         patch.setattr(_TenantRuntime, "serve_chunk", counted)
@@ -909,9 +907,9 @@ class TestTwinLanes:
         kernel, per_query = runtimes
         begin, stop = np.searchsorted(kernel.arrivals, window).tolist()
         assert kernel.chunk_eligible()
-        kernel.serve_chunk(begin, stop, 0, [], itertools.count())
+        kernel.serve_chunk(begin, stop)
         for index in range(begin, stop):
-            per_query.serve_query(per_query.arrival_at(index), index, 0, [], itertools.count())
+            per_query.serve_query(per_query.arrival_at(index), index)
         assert kernel.interval_latencies == per_query.interval_latencies
         for lane, other in zip(kernel._lanes, per_query._lanes):
             assert (lane.count, lane.hit_sum, lane.gather_sum) == (

@@ -432,3 +432,33 @@ class TestSimulateSharded:
             assert tenant_dirs, shard
             for tenant_dir in tenant_dirs:
                 assert (tenant_dir / "meta.json").is_file()
+
+
+class TestSimulatePathsAgree:
+    """The in-memory and the sharded/streamed `simulate` paths run one simulation."""
+
+    _ARGV = [
+        "simulate", "RM1", "--scenario", "constant",
+        "--base-qps", "60", "--peak-qps", "60", "--duration-s", "120",
+    ]
+    _SHARED = ("peak_memory_gb", "mean_latency_ms", "p95_latency_ms",
+               "sla_violations_pct", "queries")
+
+    @staticmethod
+    def _row(argv, capsys) -> dict[str, str]:
+        """The result table's one row, by column."""
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return dict(zip(lines[1].split(), lines[3].split()))
+
+    def test_max_replicas_caps_a_single_tenant_run(self, capsys):
+        capped = self._row(self._ARGV + ["--max-replicas", "2"], capsys)
+        free = self._row(self._ARGV + ["--max-replicas", "256"], capsys)
+        assert float(capped["peak_memory_gb"]) < float(free["peak_memory_gb"])
+
+    def test_streaming_a_single_tenant_keeps_its_seed(self, capsys, tmp_path):
+        in_memory = self._row(self._ARGV, capsys)
+        streamed = self._row(self._ARGV + ["--stream-dir", str(tmp_path / "spool")], capsys)
+        assert {key: streamed[key] for key in self._SHARED} == {
+            key: in_memory[key] for key in self._SHARED
+        }
