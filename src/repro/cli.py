@@ -1,4 +1,4 @@
-"""Command-line interface: plan deployments and export manifests.
+"""Command-line interface: plan deployments, serve them, sweep grids.
 
 Usage (also available as ``python -m repro``):
 
@@ -34,6 +34,16 @@ Usage (also available as ``python -m repro``):
     whenever tenants do not contend for the shared pool (node-drain fault
     scenarios are rejected with a hint).
 
+    Every ``simulate`` run takes one path,
+    :func:`~repro.serving.sharding.run_sharded`; one worker without a spool
+    is the plain in-process engine run.  The table has one row per strategy
+    (and per tenant, with a ``tenant`` column, for a fleet) with the same
+    columns: routing, cost model, peak memory, latency, SLA violations,
+    availability and queries, plus ``replans`` under ``--replan`` and
+    ``timeouts``/``degraded`` under ``--slo``.  A ``sharding:`` line (worker
+    count, wall time, peak worker RSS) follows only when worker processes
+    or a spool were used; ``--profile`` is refused only then.
+
 ``python -m repro sweep RM1 --scenarios constant,flash-crowd --routings all --workers 4``
     Fan a scenario × routing × replica-budget grid across worker processes
     (deterministic per-cell seeding: the merged table is identical for any
@@ -41,11 +51,17 @@ Usage (also available as ``python -m repro``):
 
 ``python -m repro experiments fig13 fig15``
     Shortcut for ``python -m repro.experiments``.
+
+``simulate`` and ``sweep`` declare their shared run flags once
+(:func:`_add_run_flags`), the run options they share are validated once
+(:func:`~repro.serving.engine.check_run_options`), and :func:`main` turns
+every rejected input into a one-line exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -56,87 +72,42 @@ from repro.analysis.report import format_table
 from repro.cluster.manifests import render_manifests
 from repro.core.baseline import ModelWisePlanner
 from repro.core.planner import ElasticRecPlanner
-from repro.hardware.specs import ClusterSpec, cpu_gpu_cluster, cpu_only_cluster
+from repro.experiments.common import cluster_for_system
+from repro.hardware.specs import ClusterSpec
 from repro.model.configs import DLRMConfig, workload_presets
-from repro.serving.engine import MultiTenantEngine, TenantSpec
+from repro.serving.engine import SimulationResult, TenantSpec
 from repro.serving.faults import fault_scenario_names
-from repro.serving.routing import resolve_routing_names, routing_policy_names
-from repro.serving.scenarios import build_scenario, resolve_scenario_names, scenario_names
-from repro.serving.spec import SpecError, is_off
+from repro.serving.routing import routing_policy_names
+from repro.serving.scenarios import build_scenario, scenario_names
 from repro.serving.streaming import SpoolError
 from repro.serving.workload import cost_model_names
 
 __all__ = ["main", "build_parser"]
 
 
-def _resolve_workload(name: str) -> DLRMConfig:
+def _target(args: argparse.Namespace) -> tuple[DLRMConfig, ClusterSpec]:
+    """The workload preset and the cluster (``--num-nodes`` applied) to plan for."""
     presets = workload_presets()
-    try:
-        return presets[name.upper()]
-    except KeyError:
+    if args.workload.upper() not in presets:
         known = ", ".join(sorted(presets))
-        raise SystemExit(f"unknown workload {name!r}; choose from {known}") from None
+        raise ValueError(f"unknown workload {args.workload!r}; choose from {known}")
+    cluster = cluster_for_system(args.system)
+    if args.num_nodes is not None:
+        cluster = cluster.with_nodes(args.num_nodes)
+    return presets[args.workload.upper()], cluster
 
 
-def _check_names(scenarios: str, routings: str, seed: int) -> tuple[list[str], list[str]]:
-    """Validate scenario/routing selections and the seed.
-
-    Exits with a one-line hint (not a traceback) on an unknown name or a
-    negative seed.
-    """
-    if seed < 0:
-        raise SystemExit("seed must be non-negative")
+def _number(cast: type, text: str):
+    """``cast(text)``, or the argparse error naming the bad value."""
     try:
-        return resolve_scenario_names(scenarios), resolve_routing_names(routings)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
-
-def _check_cache(cache_mb: float, cost_model: str) -> None:
-    """Exit with a one-line hint on an unusable --cache-mb setting.
-
-    The engine raises the same complaint, but worker processes would bury it
-    in a traceback; the cache needs per-query gather splits, which only the
-    skewed cost model provides.
-    """
-    if not 0 <= cache_mb < math.inf:
-        raise SystemExit("--cache-mb must be non-negative and finite")
-    if cache_mb > 0 and cost_model == "homogeneous":
-        raise SystemExit(
-            "--cache-mb needs per-query gather splits; use --cost-model skewed"
-        )
-
-
-def _check_drift(spec: str, cost_model: str) -> None:
-    """Exit with a one-line hint on a --drift spec the cost model cannot serve.
-
-    Drift re-prices each query's gather set against the distribution at its
-    arrival time, which only the skewed cost model samples per query.
-    """
-    if not is_off(spec) and cost_model == "homogeneous":
-        raise SystemExit(
-            "--drift needs per-query gather sampling; use --cost-model skewed"
-        )
-
-
-def _resolve_cluster(system: str, num_nodes: int | None) -> ClusterSpec:
-    if system == "cpu":
-        cluster = cpu_only_cluster()
-    elif system == "cpu-gpu":
-        cluster = cpu_gpu_cluster()
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown system {system!r}")
-    if num_nodes is not None:
-        cluster = cluster.with_nodes(num_nodes)
-    return cluster
+        return cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
     """argparse type for integer options that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
@@ -144,13 +115,114 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     """argparse type for float options that must be finite and positive."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _number(float, text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError("must be a finite positive number")
     return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for float options that must be finite and non-negative."""
+    value = _number(float, text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be non-negative and finite")
+    return value
+
+
+def _add_target_flags(sub: argparse.ArgumentParser, num_nodes: int | None) -> None:
+    """The workload, cluster type and pool size every planning command takes."""
+    sub.add_argument("workload", help="Table II workload name: RM1, RM2 or RM3")
+    sub.add_argument(
+        "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
+    )
+    sub.add_argument(
+        "--num-nodes",
+        type=_positive_int,
+        default=num_nodes,
+        help=f"node pool size (default: {num_nodes or 'the cluster preset'})",
+    )
+
+
+def _add_run_flags(
+    sub: argparse.ArgumentParser, *, num_nodes: int | None, duration_s: float
+) -> None:
+    """The run flags ``simulate`` and ``sweep`` share (a sweep applies them
+    to every cell); only the pool size and duration defaults differ."""
+    _add_target_flags(sub, num_nodes)
+    sub.add_argument(
+        "--cost-model",
+        choices=tuple(cost_model_names()),
+        default="homogeneous",
+        help="per-query cost model (homogeneous reproduces the legacy engine exactly)",
+    )
+    sub.add_argument(
+        "--max-batch",
+        type=_positive_int,
+        default=1,
+        help="queries one replica may coalesce into a batch (default: 1, no batching)",
+    )
+    sub.add_argument(
+        "--faults",
+        default="none",
+        help=(
+            "fault scenario or fault script, one of: "
+            f"{', '.join(fault_scenario_names())} — or e.g. "
+            "'crash@120:policy=drop;drain@300+60:node=1' (default: none)"
+        ),
+    )
+    sub.add_argument(
+        "--cache-mb",
+        type=_non_negative_float,
+        default=0.0,
+        help=(
+            "per-replica embedding cache capacity in MB; needs --cost-model "
+            "skewed (default: 0, no cache)"
+        ),
+    )
+    sub.add_argument(
+        "--drift",
+        default="none",
+        help=(
+            "access-skew drift schedule, e.g. 'linear@60+300:to=0.2' "
+            "(schedules: step, linear, oscillate); needs --cost-model skewed "
+            "(default: none)"
+        ),
+    )
+    sub.add_argument(
+        "--replan",
+        default="none",
+        help=(
+            "online re-planning trigger, e.g. 'sla@1.5:patience=3,cooldown=120' "
+            "(default: none)"
+        ),
+    )
+    sub.add_argument(
+        "--slo",
+        default="none",
+        help=(
+            "self-healing SLO watchdog, e.g. 'p95@1.5:p99=2.5,shed=0.1,retries=2' "
+            "(default: none)"
+        ),
+    )
+    sub.add_argument(
+        "--base-qps", type=_positive_float, default=18.0, help="baseline query rate"
+    )
+    sub.add_argument(
+        "--peak-qps", type=_positive_float, default=90.0, help="peak query rate"
+    )
+    sub.add_argument(
+        "--duration-s",
+        type=_positive_float,
+        default=duration_s,
+        help=f"simulated duration in seconds (default: {duration_s:g})",
+    )
+    sub.add_argument("--seed", type=int, default=0, help="base random seed")
+    sub.add_argument(
+        "--tenants",
+        type=_positive_int,
+        default=1,
+        help="co-located tenants sharing the node pool (default: 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,38 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    planning = []
     for command in ("plan", "manifests"):
         sub = subparsers.add_parser(
             command,
             help="plan a deployment" if command == "plan" else "emit Kubernetes manifests",
         )
-        sub.add_argument("workload", help="Table II workload name: RM1, RM2 or RM3")
-        sub.add_argument(
-            "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
-        )
+        _add_target_flags(sub, None)
         sub.add_argument(
             "--target-qps", type=_positive_float, default=100.0, help="throughput target"
         )
-        sub.add_argument(
-            "--num-nodes", type=_positive_int, default=None, help="override fleet size"
-        )
-        sub.add_argument(
-            "--num-shards", type=_positive_int, default=None, help="force a shard count per table"
-        )
+        planning.append(sub)
 
     simulate = subparsers.add_parser(
         "simulate", help="serve a planned deployment under a traffic scenario"
     )
-    simulate.add_argument("workload", help="Table II workload name: RM1, RM2 or RM3")
-    simulate.add_argument(
-        "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
-    )
-    simulate.add_argument(
-        "--num-nodes", type=_positive_int, default=None, help="override fleet size"
-    )
-    simulate.add_argument(
-        "--num-shards", type=_positive_int, default=None, help="force a shard count per table"
-    )
+    _add_run_flags(simulate, num_nodes=None, duration_s=900.0)
     simulate.add_argument(
         "--scenario",
         default="paper",
@@ -214,83 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("elasticrec", "model-wise", "both"),
         default="elasticrec",
         help="deployment strategy to simulate",
-    )
-    simulate.add_argument(
-        "--cost-model",
-        choices=tuple(cost_model_names()),
-        default="homogeneous",
-        help="per-query cost model (homogeneous reproduces the legacy engine exactly)",
-    )
-    simulate.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=1,
-        help="queries one replica may coalesce into a batch (default: 1, no batching)",
-    )
-    simulate.add_argument(
-        "--faults",
-        default="none",
-        help=(
-            "fault scenario or fault script, one of: "
-            f"{', '.join(fault_scenario_names())} — or e.g. "
-            "'crash@120:policy=drop;drain@300+60:node=1' (default: none)"
-        ),
-    )
-    simulate.add_argument(
-        "--cache-mb",
-        type=float,
-        default=0.0,
-        help=(
-            "per-replica embedding cache capacity in MB; needs --cost-model "
-            "skewed (default: 0, no cache)"
-        ),
-    )
-    simulate.add_argument(
-        "--drift",
-        default="none",
-        help=(
-            "access-skew drift schedule, e.g. 'linear@60+300:to=0.2' "
-            "(schedules: step, linear, oscillate); needs --cost-model skewed "
-            "(default: none)"
-        ),
-    )
-    simulate.add_argument(
-        "--replan",
-        default="none",
-        help=(
-            "online re-planning trigger, e.g. 'sla@1.5:patience=3,cooldown=120' "
-            "(default: none)"
-        ),
-    )
-    simulate.add_argument(
-        "--slo",
-        default="none",
-        help=(
-            "self-healing SLO watchdog, e.g. 'p95@1.5:p99=2.5,shed=0.1,retries=2' "
-            "(default: none)"
-        ),
-    )
-    simulate.add_argument(
-        "--base-qps", type=_positive_float, default=18.0, help="baseline query rate"
-    )
-    simulate.add_argument(
-        "--peak-qps", type=_positive_float, default=90.0, help="peak query rate"
-    )
-    simulate.add_argument(
-        "--duration-s",
-        type=_positive_float,
-        default=900.0,
-        help="simulated duration in seconds",
-    )
-    simulate.add_argument("--seed", type=int, default=0, help="random seed")
-    simulate.add_argument(
-        "--tenants",
-        type=_positive_int,
-        default=1,
-        help=(
-            "co-located tenants sharing the node pool (seeds fan out "
-            "deterministically from --seed; default: 1)"
-        ),
     )
     simulate.add_argument(
         "--shard-workers",
@@ -327,18 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="fan a scenario x routing x replica-budget grid over worker processes",
     )
-    sweep.add_argument("workload", help="Table II workload name: RM1, RM2 or RM3")
-    sweep.add_argument(
-        "--system", choices=("cpu", "cpu-gpu"), default="cpu", help="cluster type"
-    )
-    sweep.add_argument(
-        "--num-nodes", type=_positive_int, default=8, help="shared node pool size"
-    )
+    _add_run_flags(sweep, num_nodes=8, duration_s=600.0)
     sweep.add_argument(
         "--num-tables", type=_positive_int, default=4, help="scale the workload's table count"
-    )
-    sweep.add_argument(
-        "--tenants", type=int, default=1, help="co-located tenants per grid cell"
     )
     sweep.add_argument(
         "--scenarios",
@@ -355,70 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="4,16,64",
         help="comma-separated per-deployment replica caps",
     )
-    sweep.add_argument(
-        "--cost-model",
-        choices=tuple(cost_model_names()),
-        default="homogeneous",
-        help="per-query cost model applied to every cell",
-    )
-    sweep.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=1,
-        help="per-replica batch cap applied to every cell (default: 1)",
-    )
-    sweep.add_argument(
-        "--faults",
-        default="none",
-        help=(
-            "fault scenario or fault script applied to every cell "
-            f"({', '.join(fault_scenario_names())} or a script; default: none)"
-        ),
-    )
-    sweep.add_argument(
-        "--cache-mb",
-        type=float,
-        default=0.0,
-        help=(
-            "per-replica embedding cache capacity in MB applied to every "
-            "cell; needs --cost-model skewed (default: 0, no cache)"
-        ),
-    )
-    sweep.add_argument(
-        "--drift",
-        default="none",
-        help=(
-            "access-skew drift schedule applied to every cell, e.g. "
-            "'linear@60+300:to=0.2'; needs --cost-model skewed (default: none)"
-        ),
-    )
-    sweep.add_argument(
-        "--replan",
-        default="none",
-        help=(
-            "online re-planning trigger applied to every cell, e.g. "
-            "'sla@1.5:patience=3' (default: none)"
-        ),
-    )
-    sweep.add_argument(
-        "--slo",
-        default="none",
-        help=(
-            "self-healing SLO watchdog applied to every cell, e.g. "
-            "'p95@1.5:shed=0.1' (default: none)"
-        ),
-    )
     sweep.add_argument("--workers", type=int, default=1, help="worker processes")
-    sweep.add_argument(
-        "--base-qps", type=_positive_float, default=18.0, help="baseline query rate"
-    )
-    sweep.add_argument(
-        "--peak-qps", type=_positive_float, default=90.0, help="peak query rate"
-    )
-    sweep.add_argument(
-        "--duration-s", type=_positive_float, default=600.0, help="simulated duration per cell"
-    )
-    sweep.add_argument("--seed", type=int, default=0, help="base random seed")
+
+    for sub in (*planning, simulate):
+        sub.add_argument(
+            "--num-shards", type=_positive_int, default=None, help="force a shard count per table"
+        )
 
     experiments = subparsers.add_parser("experiments", help="regenerate paper figures")
     experiments.add_argument("ids", nargs="*", help="experiment ids (default: all)")
@@ -427,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_plan(args: argparse.Namespace) -> int:
-    workload = _resolve_workload(args.workload)
-    cluster = _resolve_cluster(args.system, args.num_nodes)
+    workload, cluster = _target(args)
     elastic = ElasticRecPlanner(cluster).plan(
         workload, args.target_qps, num_shards=args.num_shards
     )
@@ -468,8 +379,7 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_manifests(args: argparse.Namespace) -> int:
-    workload = _resolve_workload(args.workload)
-    cluster = _resolve_cluster(args.system, args.num_nodes)
+    workload, cluster = _target(args)
     plan = ElasticRecPlanner(cluster).plan(
         workload, args.target_qps, num_shards=args.num_shards
     )
@@ -478,17 +388,22 @@ def _command_manifests(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    _check_names(args.scenario, args.routing, args.seed)
-    _check_cache(args.cache_mb, args.cost_model)
-    _check_drift(args.drift, args.cost_model)
-    workload = _resolve_workload(args.workload)
-    cluster = _resolve_cluster(args.system, args.num_nodes)
-    try:
-        pattern = build_scenario(
-            args.scenario, args.base_qps, args.peak_qps, args.duration_s, seed=args.seed
+    from repro.serving.sharding import run_sharded
+
+    workers = args.shard_workers
+    if workers > args.tenants:
+        print(
+            f"note: --shard-workers {workers} exceeds the {args.tenants} "
+            f"available tenant(s); running {args.tenants} worker(s)",
+            file=sys.stderr,
         )
-    except ValueError as error:
-        raise SystemExit(f"cannot build scenario {args.scenario!r}: {error}") from None
+        workers = args.tenants
+    if args.profile and workers > 1:
+        raise ValueError("--profile needs a single-process run (--shard-workers 1)")
+    workload, cluster = _target(args)
+    pattern = build_scenario(
+        args.scenario, args.base_qps, args.peak_qps, args.duration_s, seed=args.seed
+    )
     planners = {
         "elasticrec": lambda: ElasticRecPlanner(cluster).plan(
             workload, args.base_qps, num_shards=args.num_shards
@@ -496,40 +411,24 @@ def _command_simulate(args: argparse.Namespace) -> int:
         "model-wise": lambda: ModelWisePlanner(cluster).plan(workload, args.base_qps),
     }
     strategies = list(planners) if args.strategy == "both" else [args.strategy]
-    if args.tenants > 1 or args.shard_workers > 1 or args.stream_dir is not None:
-        return _simulate_sharded(args, workload, cluster, planners, strategies, pattern)
+    # Every strategy's tenants are built (and so validated) before any runs.
+    runs = [(s, _tenant_specs(args, planners[s](), pattern)) for s in strategies]
     profiler = None
-    if getattr(args, "profile", False):
+    if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
     rows = []
-    for strategy in strategies:
-        (tenant,) = _tenant_specs(args, planners[strategy](), pattern)
-        engine = MultiTenantEngine([tenant])
-        if profiler is not None:
-            fleet = profiler.runcall(engine.run)
-        else:
-            fleet = engine.run()
-        result = fleet.tenants[tenant.name]
-        summary = result.summary()
-        row = {
-            "strategy": strategy,
-            "routing": result.routing,
-            "cost_model": result.cost_model,
-            "peak_memory_gb": summary["peak_memory_gb"],
-            "mean_latency_ms": summary["mean_latency_ms"],
-            "p95_latency_ms": summary["p95_latency_ms"],
-            "sla_violations_pct": 100.0 * summary["sla_violation_fraction"],
-            "availability": result.availability_fraction,
-            "queries": summary["total_queries"],
-        }
-        if result.replan != "none":
-            row["replans"] = result.replans_applied
-        if result.slo != "none":
-            row["timeouts"] = result.timeout_queries
-            row["degraded"] = result.degraded_queries
-        rows.append(row)
+    for strategy, tenants in runs:
+        stream_dir = args.stream_dir
+        if stream_dir is not None and len(runs) > 1:
+            stream_dir = f"{stream_dir}/{strategy}"
+        run = functools.partial(
+            run_sharded, tenants, cluster, workers=workers, stream_dir=stream_dir
+        )
+        fleet = profiler.runcall(run) if profiler is not None else run()
+        for name, result in fleet.tenants.items():
+            rows.append(_result_row(strategy, name if args.tenants > 1 else None, result))
     print(
         format_table(
             rows,
@@ -540,6 +439,17 @@ def _command_simulate(args: argparse.Namespace) -> int:
             ),
         )
     )
+    # Wall time is measurement, not simulation output: a plain in-process
+    # run keeps its stdout deterministic.
+    stats = fleet.sharding_stats
+    if stats["workers"] > 1 or stats["streamed"]:
+        line = (
+            f"\nsharding: {stats['workers']} worker(s), wall {stats['wall_s']:.2f}s, "
+            f"peak worker RSS {max(stats['peak_rss_mb']):.0f} MB"
+        )
+        if stats["streamed"]:
+            line += f", spool at {args.stream_dir}"
+        print(line)
     if profiler is not None:
         import pstats
 
@@ -549,7 +459,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _tenant_specs(args: argparse.Namespace, plan, pattern) -> list[TenantSpec]:
-    """``simulate``'s tenants, built here for every execution mode.
+    """``simulate``'s tenants.
 
     A lone tenant is seeded with ``--seed`` itself, so streaming or sharding
     it changes nothing; only a fleet fans ``--seed`` out into one
@@ -578,91 +488,39 @@ def _tenant_specs(args: argparse.Namespace, plan, pattern) -> list[TenantSpec]:
     ]
 
 
-def _simulate_sharded(
-    args: argparse.Namespace,
-    workload: DLRMConfig,
-    cluster: ClusterSpec,
-    planners: dict,
-    strategies: list[str],
-    pattern,
-) -> int:
-    """The multi-tenant / sharded / streamed variant of ``simulate``."""
-    from repro.serving.sharding import run_sharded
-
-    if getattr(args, "profile", False):
-        raise SystemExit("--profile needs a single-process, single-tenant run")
-    workers = args.shard_workers
-    if workers > args.tenants:
-        print(
-            f"note: --shard-workers {workers} exceeds the {args.tenants} "
-            f"available tenant(s); running {args.tenants} worker(s)",
-            file=sys.stderr,
-        )
-        workers = args.tenants
-    rows = []
-    stats = None
-    for strategy in strategies:
-        tenants = _tenant_specs(args, planners[strategy](), pattern)
-        stream_dir = None
-        if args.stream_dir is not None:
-            stream_dir = args.stream_dir
-            if len(strategies) > 1:
-                stream_dir = f"{args.stream_dir}/{strategy}"
-        try:
-            result = run_sharded(
-                tenants, cluster_spec=cluster, workers=workers, stream_dir=stream_dir
-            )
-        except (ValueError, SpoolError, OSError) as error:
-            raise SystemExit(str(error)) from None
-        stats = result.sharding_stats
-        for name, tenant_result in result.tenants.items():
-            summary = tenant_result.summary()
-            rows.append(
-                {
-                    "strategy": strategy,
-                    "tenant": name,
-                    "routing": tenant_result.routing,
-                    "peak_memory_gb": summary["peak_memory_gb"],
-                    "mean_latency_ms": summary["mean_latency_ms"],
-                    "p95_latency_ms": summary["p95_latency_ms"],
-                    "sla_violations_pct": 100.0 * summary["sla_violation_fraction"],
-                    "queries": summary["total_queries"],
-                }
-            )
-    print(
-        format_table(
-            rows,
-            title=(
-                f"{workload.name} under {args.scenario!r} traffic "
-                f"({args.tenants} tenant(s), {workers} worker(s) on {cluster.name})"
-            ),
-        )
+def _result_row(strategy: str, tenant: str | None, result: SimulationResult) -> dict:
+    """One row of ``simulate``'s table; ``tenant`` names a fleet member."""
+    summary = result.summary()
+    row = {"strategy": strategy}
+    if tenant is not None:
+        row["tenant"] = tenant
+    row.update(
+        routing=result.routing,
+        cost_model=result.cost_model,
+        peak_memory_gb=summary["peak_memory_gb"],
+        mean_latency_ms=summary["mean_latency_ms"],
+        p95_latency_ms=summary["p95_latency_ms"],
+        sla_violations_pct=100.0 * summary["sla_violation_fraction"],
+        availability=result.availability_fraction,
+        queries=summary["total_queries"],
     )
-    if stats is not None:
-        rss = max(stats["peak_rss_mb"]) if stats["peak_rss_mb"] else 0.0
-        line = (
-            f"\nsharding: {stats['workers']} worker(s), wall {stats['wall_s']:.2f}s, "
-            f"peak worker RSS {rss:.0f} MB"
-        )
-        if stats["streamed"]:
-            line += f", spool at {args.stream_dir}"
-        print(line)
-    return 0
+    if result.replan != "none":
+        row["replans"] = result.replans_applied
+    if result.slo != "none":
+        row["timeouts"] = result.timeout_queries
+        row["degraded"] = result.degraded_queries
+    return row
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweeps import SweepConfig, run_sweep
 
-    _resolve_workload(args.workload)
-    scenarios, routings = _check_names(args.scenarios, args.routings, args.seed)
-    _check_cache(args.cache_mb, args.cost_model)
-    _check_drift(args.drift, args.cost_model)
     try:
         budgets = [int(b) for b in args.replica_budgets.split(",") if b.strip()]
     except ValueError:
         budgets = []
     if not budgets or any(b <= 0 for b in budgets):
-        raise SystemExit("--replica-budgets needs a comma-separated list of positive ints")
+        raise ValueError("--replica-budgets needs a comma-separated list of positive ints")
     config = SweepConfig(
         workload=args.workload.upper(),
         system=args.system,
@@ -683,8 +541,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     result = run_sweep(
         config,
-        scenarios=scenarios,
-        routings=routings,
+        scenarios=args.scenarios,
+        routings=args.routings,
         replica_budgets=budgets,
         workers=args.workers,
     )
@@ -719,12 +577,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
-    A malformed ``--faults``, ``--drift``, ``--replan`` or ``--slo`` spec
-    raises :class:`~repro.serving.spec.SpecError` where the engine, tenant
-    or sweep config is built; it exits here with its one-line message.
+    The one place a rejected input becomes an exit: a :class:`ValueError`
+    (a malformed ``--faults``/``--drift``/``--replan``/``--slo`` spec's
+    :class:`~repro.serving.spec.SpecError` among them), a
+    :class:`~repro.serving.streaming.SpoolError` or an :class:`OSError` ends
+    the run with its one-line message instead of a traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SpecError as error:
+    except (ValueError, SpoolError, OSError) as error:
         raise SystemExit(str(error)) from None

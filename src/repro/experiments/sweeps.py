@@ -35,14 +35,9 @@ from repro.core.plan import DeploymentPlan
 from repro.experiments.common import cluster_for_system, plan_elasticrec
 from repro.model.configs import DLRMConfig, workload_presets
 from repro.parallel import pool_context, subseed
-from repro.serving.engine import MultiTenantEngine, TenantSpec
-from repro.serving.faults import resolve_fault_spec
-from repro.serving.replanner import make_replan_policy
+from repro.serving.engine import MultiTenantEngine, TenantSpec, check_run_options
 from repro.serving.routing import resolve_routing_names
 from repro.serving.scenarios import build_scenario, resolve_scenario_names
-from repro.serving.spec import is_off
-from repro.serving.watchdog import make_slo_policy
-from repro.serving.workload import parse_drift_spec, resolve_cost_model_name
 
 __all__ = [
     "SweepConfig",
@@ -91,24 +86,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.tenants < 1:
             raise ValueError("tenants must be at least 1")
-        if self.duration_s <= 0 or self.sample_interval_s <= 0:
-            raise ValueError("duration_s and sample_interval_s must be positive")
+        if self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
         if self.base_qps < 0 or self.peak_qps < self.base_qps:
             raise ValueError("need 0 <= base_qps <= peak_qps")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if self.cache_mb < 0:
-            raise ValueError("cache_mb must be non-negative")
-        resolve_cost_model_name(self.cost_model)
-        # Cells run in worker processes: resolve the control specs here so a
-        # malformed one fails once, in the parent, with its SpecError.
-        resolve_fault_spec(self.faults)
-        if not is_off(self.drift):
-            parse_drift_spec(self.drift)
-        make_replan_policy(self.replan)
-        make_slo_policy(self.slo)
+        # Cells run in worker processes: the options every cell's tenants
+        # share fail once, here in the parent, as they would in a TenantSpec.
+        check_run_options(self)
 
 
 @dataclass(frozen=True)

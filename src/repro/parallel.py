@@ -69,6 +69,8 @@ def spawn_seeds(base_seed: int, count: int) -> list[int]:
     """``count`` derived seeds via :func:`subseed` (one per child index)."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    if base_seed < 0:
+        raise ValueError("seed must be non-negative")
     return [subseed(base_seed, index) for index in range(count)]
 
 

@@ -126,7 +126,6 @@ from repro.serving.sharding import (
     run_sharded,
 )
 from repro.serving.streaming import (
-    ShardManifest,
     SpoolError,
     SpoolTruncatedError,
     StreamConfig,
@@ -160,7 +159,6 @@ __all__ = [
     "plan_shards",
     "run_sharded",
     "merge_stream",
-    "ShardManifest",
     "StreamConfig",
     "SpoolError",
     "SpoolTruncatedError",

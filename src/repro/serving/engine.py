@@ -144,10 +144,10 @@ from repro.serving.routing import (
     ReplicaPool,
     RoutingPolicy,
     make_routing_policy,
+    resolve_routing_names,
 )
 from repro.serving.spec import is_off
 from repro.serving.streaming import (
-    ShardManifest,
     SpoolWriter,
     StreamConfig,
     claim_spool,
@@ -161,12 +161,14 @@ from repro.serving.watchdog import (
     retry_allowed,
 )
 from repro.serving.workload import (
+    HomogeneousCostModel,
     QueryCostModel,
     degraded_gather_multiplier,
     drift_endpoint_model,
     make_cost_model,
     make_drift_model,
     parse_drift_spec,
+    resolve_cost_model_name,
     sample_drifting_priced,
 )
 
@@ -568,8 +570,7 @@ class _TenantRuntime:
         deployments: Sequence[Deployment],
         stream: StreamConfig | None = None,
     ) -> None:
-        # ``spec`` is already validated; only checks that need the cost
-        # model or the plan happen here.
+        # ``spec`` is already validated.
         plan = spec.plan
         # Streamed mode: per-interval series and settled tracker samples are
         # flushed to this tenant's spool directory instead of accumulating
@@ -581,7 +582,7 @@ class _TenantRuntime:
         self.deployments = list(deployments)
         self.policy = policy = make_routing_policy(spec.routing)
         self.autoscale = spec.autoscale
-        self.autoscaler = spec.autoscaler or HorizontalPodAutoscaler()
+        self.autoscaler = HorizontalPodAutoscaler()
         self.sla_s = float(spec.sla_s if spec.sla_s is not None else plan.cluster.sla_s)
         self.sample_interval_s = float(spec.sample_interval_s)
         self.seed = spec.seed
@@ -604,11 +605,6 @@ class _TenantRuntime:
         self.cache_mb = float(spec.cache_mb)
         self.cache_spec: CacheSpec | None = None
         if self.cache_mb > 0:
-            if not self.cost_model.supports_gather_splits:
-                raise ValueError(
-                    "the embedding cache needs per-query gather splits; "
-                    "use the skewed cost model (--cost-model skewed)"
-                )
             embedding = plan.workload.embedding
             row_bytes = embedding.embedding_dim * embedding.dtype_bytes
             capacity_rows = int(self.cache_mb * 1e6 // row_bytes)
@@ -633,11 +629,6 @@ class _TenantRuntime:
             self.drift_name = drift if isinstance(drift, str) else "custom"
             if isinstance(drift, str):
                 drift = parse_drift_spec(drift)
-            if not self.cost_model.supports_gather_splits:
-                raise ValueError(
-                    "access-skew drift needs per-query gather sampling; "
-                    "use the skewed cost model (--cost-model skewed)"
-                )
             self.drift_model = make_drift_model(drift, self.cost_model.distribution)
             self.end_cost_model = drift_endpoint_model(
                 self.cost_model, self.drift_model.end
@@ -647,11 +638,6 @@ class _TenantRuntime:
         self.replan_name = "none"
         if self.replan_policy is not None:
             self.replan_name = replan if isinstance(replan, str) else "custom"
-            if plan.strategy != "elasticrec" or plan.sharding is None:
-                raise ValueError(
-                    "online re-planning needs an elasticrec plan with a "
-                    "sharding layout to re-partition (strategy 'elasticrec')"
-                )
         # SLO watchdog control plane; the per-run state lives in begin_run.
         self.slo_policy = make_slo_policy(slo)
         self.slo_name = "none"
@@ -2068,26 +2054,17 @@ class _TenantRuntime:
             "num_samples": self.tracker.num_samples,
         }
 
-    def finish_run_streamed(self) -> dict:
-        """Flush everything left, commit the tenant manifest, return a summary.
+    def finish_run_streamed(self) -> None:
+        """Flush everything left and commit the tenant manifest.
 
-        The merged :class:`SimulationResult` is rebuilt from the spool by
-        :func:`repro.serving.sharding.merge_stream`; what returns here is
-        deliberately tiny (it crosses a process boundary).
+        The :class:`SimulationResult` is rebuilt from the spool by
+        :func:`repro.serving.sharding.merge_stream`.
         """
         self._flush_series_chunk()
         self.tracker.spill(self.tracker.num_samples, self._write_query_chunk)
-        meta = self.manifest()
-        self.stream_writer.write_meta({"schema": 1, "status": "complete", **meta})
-        summary = {"tenant": self.name, "queries": meta["num_samples"]}
-        for key in (
-            "rejected_queries",
-            "dropped_queries",
-            "requeued_queries",
-            "faults_injected",
-        ):
-            summary[key] = meta[key]
-        return summary
+        self.stream_writer.write_meta(
+            {"schema": 1, "status": "complete", **self.manifest()}
+        )
 
     def finish_run(self) -> SimulationResult:
         return result_from_chunks(
@@ -2174,9 +2151,7 @@ def _drive(
     """Run every tenant's traffic through one shared event heap.
 
     Returns one entry per runtime: a :class:`SimulationResult` for in-memory
-    runtimes, or the small summary dict of
-    :meth:`_TenantRuntime.finish_run_streamed` for streamed ones (their full
-    result lives in the spool).
+    runtimes, ``None`` for streamed ones (their result lives in the spool).
 
     A tenant's one ARRIVAL event starts a drain that serves its arrivals in
     order until one must wait for the heap top, exactly the order one ARRIVAL
@@ -2268,12 +2243,7 @@ def _drive(
                 # weight.  Unstreamed runs keep the full history — tests and
                 # probes may inspect it after the run.
                 retention = max(
-                    (
-                        runtime.autoscaler.metric_window_s
-                        for runtime in runtimes
-                        if runtime.autoscaler is not None
-                    ),
-                    default=30.0,
+                    runtime.autoscaler.metric_window_s for runtime in runtimes
                 )
                 cluster.metrics.prune(now - 2.0 * retention)
             continue
@@ -2358,6 +2328,49 @@ def _drive(
 # ----------------------------------------------------------------------
 # Multi-tenant cluster simulation
 # ----------------------------------------------------------------------
+def check_run_options(options) -> None:
+    """Validate the run options a :class:`TenantSpec` and a sweep share.
+
+    ``options`` is either config: both carry ``seed``,
+    ``sample_interval_s``, ``cost_model``, ``max_batch``, ``cache_mb``,
+    ``faults``, ``drift``, ``replan`` and ``slo``.  Raises a one-line
+    :class:`ValueError` (a :class:`~repro.serving.spec.SpecError` for a
+    malformed control spec), so bad input fails in the parent process before
+    any worker starts.  The cache and drift need per-query gather splits;
+    that is read from the cost-model name or an instance's
+    ``supports_gather_splits``, without building a model.
+    """
+    if options.seed < 0:
+        raise ValueError("seed must be non-negative")
+    if options.sample_interval_s <= 0:
+        raise ValueError("sample_interval_s must be positive")
+    if options.max_batch < 1:
+        raise ValueError("max_batch must be at least 1")
+    if not 0 <= options.cache_mb < float("inf"):
+        raise ValueError("cache_mb must be non-negative and finite")
+    cost_model = options.cost_model
+    if isinstance(cost_model, QueryCostModel):
+        gather_splits = cost_model.supports_gather_splits
+    else:
+        gather_splits = resolve_cost_model_name(cost_model) != HomogeneousCostModel.name
+    if options.cache_mb > 0 and not gather_splits:
+        raise ValueError(
+            "the embedding cache needs per-query gather splits; "
+            "use the skewed cost model (--cost-model skewed)"
+        )
+    resolve_fault_spec(options.faults)
+    if not is_off(options.drift):
+        if isinstance(options.drift, str):
+            parse_drift_spec(options.drift)
+        if not gather_splits:
+            raise ValueError(
+                "access-skew drift needs per-query gather sampling; "
+                "use the skewed cost model (--cost-model skewed)"
+            )
+    make_replan_policy(options.replan)
+    make_slo_policy(options.slo)
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant of a multi-tenant cluster simulation.
@@ -2368,7 +2381,8 @@ class TenantSpec:
     placement; ``max_replicas`` is the tenant's replica budget (the cap each
     of its deployments may scale to).  Every tenant option is validated here
     and nowhere else: :class:`MultiTenantEngine` and :class:`ServingEngine`
-    both build their tenants from a spec.
+    both build their tenants from a spec, and the options a sweep shares go
+    through the same :func:`check_run_options`.
     """
 
     name: str
@@ -2379,7 +2393,6 @@ class TenantSpec:
     routing: str | RoutingPolicy = "least-work"
     seed: int = 0
     autoscale: bool = True
-    autoscaler: HorizontalPodAutoscaler | None = None
     sla_s: float | None = None
     sample_interval_s: float = 15.0
     initial_replicas: int | None = None
@@ -2404,25 +2417,22 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a tenant needs a name")
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
         if self.sla_s is not None and self.sla_s <= 0:
             raise ValueError("sla_s must be positive")
         if self.max_replicas <= 0:
             raise ValueError("max_replicas must be positive")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         if self.batch_window_s < 0:
             raise ValueError("batch_window_s must be non-negative")
-        if not 0 <= self.cache_mb < float("inf"):
-            raise ValueError("cache_mb must be non-negative and finite")
-        # Resolve the control specs here, so a malformed one fails with its
-        # one-line SpecError in the parent process, before any worker starts.
-        resolve_fault_spec(self.faults)
-        if isinstance(self.drift, str) and not is_off(self.drift):
-            parse_drift_spec(self.drift)
-        make_replan_policy(self.replan)
-        make_slo_policy(self.slo)
+        if isinstance(self.routing, str):
+            resolve_routing_names([self.routing])
+        check_run_options(self)
+        if not is_off(self.replan) and (
+            self.plan.strategy != "elasticrec" or self.plan.sharding is None
+        ):
+            raise ValueError(
+                "online re-planning needs an elasticrec plan with a "
+                "sharding layout to re-partition (strategy 'elasticrec')"
+            )
 
 
 def _tenant_patterns(tenants: Sequence[TenantSpec]) -> list[TrafficPattern]:
@@ -2641,14 +2651,14 @@ class MultiTenantEngine:
 
     def run(
         self, on_event: Callable[[float, int], None] | None = None
-    ) -> "MultiTenantResult | ShardManifest":
+    ) -> MultiTenantResult | None:
         """Drive every tenant's traffic pattern through the shared event heap.
 
-        In streamed mode the per-tenant results live in the spool (each
-        tenant's runtime flushed them as the run progressed); what returns is
-        a :class:`ShardManifest` pointing at the spool directory, which
-        :func:`repro.serving.sharding.merge_stream` turns back into a
-        :class:`MultiTenantResult`.
+        In streamed mode the results live in the spool (each tenant's runtime
+        flushed them as the run progressed, and the cluster series and shard
+        manifest are written here) and ``None`` returns;
+        :func:`repro.serving.sharding.merge_stream` turns the spool back into
+        a :class:`MultiTenantResult`.
         """
         self._claim_run()
         probe = _ClusterProbe(self._cluster)
@@ -2674,24 +2684,18 @@ class MultiTenantEngine:
             pending_placements=series.pending_placements,
             nodes_in_use=series.nodes_in_use,
         )
-        tenant_dirs = [f"tenant-{index:03d}" for index in range(len(self._specs))]
-        capacity_gb = self._cluster.memory_capacity_gb
         writer.write_meta(
             {
                 "schema": 1,
                 "status": "complete",
-                "tenants": [tenant.name for tenant in self._specs],
-                "tenant_dirs": tenant_dirs,
-                "capacity_gb": capacity_gb,
+                "tenants": self.tenant_names,
+                "tenant_dirs": [
+                    f"tenant-{index:03d}" for index in range(len(self._specs))
+                ],
+                "capacity_gb": self._cluster.memory_capacity_gb,
             }
         )
-        return ShardManifest(
-            directory=self._stream.directory,
-            tenant_names=[tenant.name for tenant in self._specs],
-            tenant_dirs=tenant_dirs,
-            capacity_gb=capacity_gb,
-            summaries=results,
-        )
+        return None
 
 
 class ServingEngine(MultiTenantEngine):

@@ -64,7 +64,6 @@ from repro.serving.engine import (
 from repro.serving.faults import NodeDrain, make_fault_model
 from repro.serving.latency import LatencyTracker
 from repro.serving.streaming import (
-    ShardManifest,
     SpoolError,
     SpoolWriter,
     StreamConfig,
@@ -175,15 +174,15 @@ def _run_shard(args: tuple) -> tuple:
     """Worker entrypoint: simulate one shard's tenants on its pool slice.
 
     Module-level (not a closure) so it pickles under both fork and spawn.
-    Returns ``(shard_index, MultiTenantResult | ShardManifest, capacity_gb,
-    peak_rss_mb)`` — the RSS is sampled here, inside the worker, so each
-    shard reports its own high-water mark rather than the parent's.
+    Returns ``(shard_index, MultiTenantResult | None, capacity_gb,
+    peak_rss_mb)``, ``None`` for a streamed shard — the RSS is sampled here,
+    inside the worker, so each shard reports its own high-water mark rather
+    than the parent's.
     """
     (
         shard_index,
         tenants,
         shard_spec,
-        warm_start,
         namespace,
         stream_dir,
         spill_threshold,
@@ -199,18 +198,11 @@ def _run_shard(args: tuple) -> tuple:
         else None
     )
     engine = MultiTenantEngine(
-        tenants,
-        cluster_spec=shard_spec,
-        warm_start=warm_start,
-        namespace=namespace,
-        stream=stream,
+        tenants, cluster_spec=shard_spec, namespace=namespace, stream=stream
     )
     capacity_gb = engine.cluster.memory_capacity_gb
     outcome = engine.run()
-    rss_mb = peak_rss_mb()
-    if isinstance(outcome, ShardManifest):
-        outcome.peak_rss_mb = rss_mb
-    return shard_index, outcome, capacity_gb, rss_mb
+    return shard_index, outcome, capacity_gb, peak_rss_mb()
 
 
 def _merge_cluster_series(
@@ -255,7 +247,6 @@ def run_sharded(
     *,
     workers: int = 1,
     stream_dir: str | Path | None = None,
-    warm_start: bool = True,
     spill_threshold: int = StreamConfig.spill_threshold,
     flush_series_every: int = StreamConfig.flush_series_every,
 ) -> MultiTenantResult:
@@ -288,7 +279,6 @@ def run_sharded(
                 shard_index,
                 [tenants[i] for i in indices],
                 spec.with_nodes(plan.node_counts[shard_index]),
-                warm_start,
                 namespace,
                 str(stream_root / shard_names[shard_index]) if stream_root else None,
                 spill_threshold,

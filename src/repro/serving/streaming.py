@@ -17,7 +17,7 @@ Spool layout (one directory per sharded run)::
     <stream_dir>/
       meta.json                  # run manifest: shard count, tenant names
       shard-000/
-        meta.json                # shard manifest: status, capacity, peak RSS
+        meta.json                # shard manifest: status, tenants, capacity
         cluster-000000.npz       # cluster-probe point chunks
         tenant-000/
           meta.json              # tenant scalars (written last: commit marker)
@@ -41,7 +41,7 @@ import json
 import os
 import re
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -52,7 +52,6 @@ __all__ = [
     "SpoolTruncatedError",
     "StreamConfig",
     "SpoolWriter",
-    "ShardManifest",
     "claim_spool",
     "iter_chunks",
     "chunk_paths",
@@ -95,18 +94,6 @@ class StreamConfig:
             raise ValueError("spill_threshold must be at least 1")
         if self.flush_series_every < 1:
             raise ValueError("flush_series_every must be at least 1")
-
-
-@dataclass
-class ShardManifest:
-    """What a streamed worker hands back to the merging parent."""
-
-    directory: Path
-    tenant_names: list[str]
-    tenant_dirs: list[str]
-    capacity_gb: float
-    peak_rss_mb: float = 0.0
-    summaries: list[dict] = field(default_factory=list)
 
 
 class SpoolWriter:

@@ -545,46 +545,18 @@ def resolve_cost_model_name(name: str) -> str:
 
 
 def make_cost_model(
-    model: str | QueryCostModel,
-    workload: DLRMConfig | None = None,
-    *,
-    num_profiles: int | None = None,
-    hot_fraction: float | None = None,
-    hot_cost_fraction: float | None = None,
-    pooling_spread: float | None = None,
+    model: str | QueryCostModel, workload: DLRMConfig | None = None
 ) -> QueryCostModel:
     """Resolve a cost-model name against a workload (or pass an instance through).
 
     ``"homogeneous"`` needs no workload; ``"skewed"`` derives its access
-    distribution and pooling factor from ``workload.embedding``.  The keyword
-    overrides forward to :class:`SkewedCostModel`'s matching tuning knobs and
-    are rejected for models that have none.
+    distribution and pooling factor from ``workload.embedding``.  To tune the
+    skewed model's knobs, build :class:`SkewedCostModel` directly.
     """
-    overrides = {
-        name: value
-        for name, value in (
-            ("num_profiles", num_profiles),
-            ("hot_fraction", hot_fraction),
-            ("hot_cost_fraction", hot_cost_fraction),
-            ("pooling_spread", pooling_spread),
-        )
-        if value is not None
-    }
     if isinstance(model, QueryCostModel):
-        if overrides:
-            raise ValueError(
-                "cost-model overrides only apply when building from a name; "
-                "pass the knobs to the model's constructor instead"
-            )
         return model
     resolve_cost_model_name(model)
     if model == HomogeneousCostModel.name:
-        if overrides:
-            raise ValueError(
-                "the homogeneous cost model has no skew knobs; "
-                "use --cost-model skewed to tune "
-                + ", ".join(sorted(overrides))
-            )
         return HomogeneousCostModel()
     if workload is None:
         raise ValueError("the skewed cost model needs a workload to derive its skew from")
@@ -592,5 +564,4 @@ def make_cost_model(
     return SkewedCostModel(
         distribution=embedding.access_distribution(),
         pooling=embedding.pooling,
-        **overrides,
     )

@@ -221,12 +221,26 @@ class TestValidation:
             (dict(cache_mb=float("inf")), "cache_mb must be non-negative and finite"),
             (dict(faults="tsunami"), "unknown fault scenario"),
             (dict(slo="p95@nan"), "malformed slo spec"),
+            (dict(seed=-1), "seed must be non-negative"),
+            (dict(routing="random-walk"), "unknown routing policy"),
+            (dict(cost_model="zipfian"), "unknown cost model"),
+            # Checked from the cost-model name, before any model is built.
+            (dict(cache_mb=64.0), "cache needs per-query gather splits"),
+            (dict(drift="linear@10+60:to=0.1"), "drift needs per-query gather"),
         ]
         for options, message in rows:
             with pytest.raises(ValueError, match=message):
                 TenantSpec("t", plan, pattern, **options)
             with pytest.raises(ValueError, match=message):
                 ServingEngine(plan, **options)
+
+    def test_replan_needs_an_elasticrec_plan(self, pattern):
+        from repro.core.baseline import ModelWisePlanner
+
+        cluster = cpu_only_cluster(num_nodes=4)
+        monolithic = ModelWisePlanner(cluster).plan(microbenchmark(num_tables=2), 30.0)
+        with pytest.raises(ValueError, match="needs an elasticrec plan"):
+            TenantSpec("t", monolithic, pattern, replan="sla@1.2")
 
     def test_tenant_without_pattern_is_rejected_at_run(self, plan):
         tenants = [TenantSpec("idle", plan)]

@@ -177,29 +177,6 @@ class TestRegistry:
         model = _skewed(0.5)
         assert make_cost_model(model) is model
 
-    def test_make_skewed_forwards_tuning_knobs(self):
-        workload = microbenchmark(num_tables=2)
-        model = make_cost_model(
-            "skewed",
-            workload,
-            num_profiles=64,
-            hot_fraction=0.02,
-            hot_cost_fraction=0.5,
-            pooling_spread=0.1,
-        )
-        assert model.num_profiles == 64
-        assert model.hot_fraction == 0.02
-        assert model.hot_cost_fraction == 0.5
-        assert model.pooling_spread == 0.1
-
-    def test_homogeneous_rejects_skew_knobs(self):
-        with pytest.raises(ValueError, match="--cost-model skewed"):
-            make_cost_model("homogeneous", hot_fraction=0.02)
-
-    def test_instance_rejects_overrides(self):
-        with pytest.raises(ValueError, match="constructor"):
-            make_cost_model(_skewed(0.5), num_profiles=64)
-
     def test_base_class_sample_not_implemented(self):
         with pytest.raises(NotImplementedError):
             QueryCostModel().sample(1, np.random.default_rng(0))
