@@ -24,6 +24,10 @@ hot path itself:
   configuration per chunk, where serving each lane would make one per lane;
 * no routing policy keeps a per-server ``select`` loop beside the pool-array
   ``select_index``;
+* a fleet's drains run to the next control event: a tenant's arrivals
+  start at most one ARRIVAL event per distinct control-event time (plus
+  one), however the other tenants' arrivals interleave, and the control
+  tick's windowed statistics never call ``np.percentile``;
 * the *cached* run must stay on the same shape: pricing happens against the
   pool's array-backed fills, so neither the spec's ``hit_fractions`` nor
   the ``cache_adjusted_multiplier`` helper may appear in the profile at all
@@ -40,8 +44,15 @@ import numpy as np
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import rm1
-from repro.serving.engine import ServingEngine, _TenantRuntime
+from repro.serving.engine import (
+    EventKind,
+    MultiTenantEngine,
+    ServingEngine,
+    TenantSpec,
+    _TenantRuntime,
+)
 from repro.serving.routing import ROUTING_POLICIES, RoutingPolicy
+from repro.serving.scenarios import build_scenario
 from repro.serving.traffic import paper_dynamic_pattern
 
 
@@ -284,5 +295,68 @@ def test_bench_profile_cached_hot_path(benchmark):
     top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
     benchmark.extra_info["queries"] = queries
     benchmark.extra_info["deployments"] = deployments
+    for rank, (name, (calls, cumulative)) in enumerate(top[:8]):
+        benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"
+
+
+def test_bench_profile_fleet_drains(benchmark, monkeypatch):
+    """Profile a reduced fleet; each drain runs to the next control event.
+
+    Four tenants on one pool, each on its own seed (so their arrivals
+    interleave) and on one of four routing policies, as ``fleet_streamed``
+    rotates them.  A drain used to end at the next tenant's arrival, about
+    one query per ARRIVAL event; now only control ticks, faults, replans,
+    watchdog actions, timeouts and retries end it.
+    """
+    plan = _reduced_plan()
+    routings = ("least-work", "least-outstanding", "power-of-two", "round-robin")
+    tenants = [
+        TenantSpec(
+            f"tenant-{index}", plan,
+            build_scenario("diurnal", 4.0, 12.0, 600.0, seed=index),
+            routing=routing, seed=index, max_replicas=4,
+        )
+        for index, routing in enumerate(routings)
+    ]
+    percentile_calls = [0]
+    percentile = np.percentile
+
+    def counted(*args, **kwargs):
+        percentile_calls[0] += 1
+        return percentile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "percentile", counted)
+    arrivals = [0]
+    control_times = set()
+
+    def observe(now, kind):
+        if kind == EventKind.ARRIVAL:
+            arrivals[0] += 1
+        else:
+            control_times.add(now)
+
+    profiler = cProfile.Profile()
+
+    def run():
+        profiler.enable()
+        result = MultiTenantEngine(tenants).run(on_event=observe)
+        profiler.disable()
+        return result
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    queries = result.total_queries
+    assert queries > 10_000
+    bound = len(tenants) * (len(control_times) + 1)
+    assert arrivals[0] <= bound, (
+        f"{arrivals[0]} ARRIVAL events for {queries} queries; drains must run "
+        f"to the next of {len(control_times)} control-event times (bound {bound})"
+    )
+    assert percentile_calls[0] == 0, f"the run called np.percentile {percentile_calls[0]} times"
+
+    table = _stats_by_name(pstats.Stats(profiler))
+    top = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
+    benchmark.extra_info["queries"] = queries
+    benchmark.extra_info["arrival_events"] = arrivals[0]
+    benchmark.extra_info["queries_per_arrival_event"] = round(queries / arrivals[0], 1)
     for rank, (name, (calls, cumulative)) in enumerate(top[:8]):
         benchmark.extra_info[f"hot_{rank}"] = f"{name} calls={calls} cum={cumulative:.3f}s"

@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="4,16,64",
         help="comma-separated per-deployment replica caps",
     )
-    sweep.add_argument("--workers", type=int, default=1, help="worker processes")
+    sweep.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
 
     for sub in (*planning, simulate):
         sub.add_argument(
@@ -502,7 +502,7 @@ def _result_row(strategy: str, tenant: str | None, result: SimulationResult) -> 
         p95_latency_ms=summary["p95_latency_ms"],
         sla_violations_pct=100.0 * summary["sla_violation_fraction"],
         availability=result.availability_fraction,
-        queries=summary["total_queries"],
+        queries=result.tracker.num_samples,
     )
     if result.replan != "none":
         row["replans"] = result.replans_applied

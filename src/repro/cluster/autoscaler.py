@@ -91,7 +91,8 @@ class HorizontalPodAutoscaler:
     def _evaluate_one(
         self, deployment: Deployment, metrics: MetricsRegistry, now: float
     ) -> ScalingDecision:
-        current = max(len(deployment.active_replicas), deployment.min_replicas)
+        active = len(deployment.active_replicas)
+        current = max(active, deployment.min_replicas)
         observed = deployment.observed_metric(metrics, now, self.metric_window_s)
         if now < self.metric_window_s:
             # The metric window has not filled yet; rates computed over it
@@ -110,7 +111,7 @@ class HorizontalPodAutoscaler:
 
         flagged_at = self._capacity_loss.get(deployment.name)
         if flagged_at is not None:
-            caught_up = len(deployment.active_replicas) >= deployment.desired_replicas
+            caught_up = active >= deployment.desired_replicas
             expired = now - flagged_at > self.downscale_stabilization_s
             if caught_up or expired:
                 self._capacity_loss.pop(deployment.name, None)

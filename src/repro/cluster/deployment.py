@@ -86,7 +86,9 @@ class Deployment:
             # Divide by every non-terminated replica (as Kubernetes does), not
             # just the ready ones, so replicas that are still starting do not
             # inflate the per-replica rate and cause scale-up overshoot.
-            replicas = max(len(self.active_replicas) + len(self.pending_replicas), 1)
+            replicas = max(
+                sum(c.state is not ContainerState.TERMINATED for c in self.replicas), 1
+            )
             return queries / window_s / replicas
         return metrics.percentile(
             f"{self.name}/latency_s", percentile=95.0, now=now, window_s=window_s

@@ -9,11 +9,14 @@ are not events: a replica's ``submit`` returns the attempt's completion time,
 and ``least-outstanding`` routing counts in-flight attempts from those):
 
 * ``ARRIVAL`` — the next pending query arrival.  Arrivals are pre-generated
-  as one sorted vector per tenant per run and consumed in *drains*: one heap
-  event serves every arrival up to the first one that must wait for another
-  heap event (a control tick, a fault, another tenant's arrival, or a
-  timeout the drain itself scheduled), so a 100k-query run costs
-  thousands — not hundreds of thousands — of heap operations;
+  as one sorted vector per tenant per run and consumed in *drains*: one
+  ARRIVAL event serves every arrival of its tenant up to the first one that
+  must wait for a non-ARRIVAL event (a control tick, a fault, a replan, a
+  watchdog action, or a timeout or retry), so a 100k-query run costs
+  thousands — not hundreds of thousands — of heap operations.  Each
+  tenant's one pending ARRIVAL waits on a heap of its own, so other
+  tenants' arrivals never end a drain: tenants share only the cluster, and
+  only non-ARRIVAL events change it;
 * ``AUTOSCALE`` — the coalesced control tick: one heap event per boundary
   timestamp runs every control phase landing there, in the order separate
   per-phase events would pop: each resident tenant's interval-metric flush
@@ -50,11 +53,12 @@ N tenants, each a validated :class:`TenantSpec` with its own traffic
 pattern, routing policy, SLA target, autoscaler and random seed, competing
 for one shared capacity-constrained node pool.  Every tenant is a
 :class:`_TenantRuntime` holding its slice of the cluster's deployments plus
-its per-run accumulators.  Each run binds every runtime to the run's heap,
-sequence counter and tenant index, and a runtime pushes its own events
-through :meth:`_TenantRuntime.push` as ``(time, kind, seq, (tenant_index,
-payload))``, so events from different tenants interleave on one heap in
-timestamp order.
+its per-run accumulators.  Each run binds every runtime to the run's two
+heaps, sequence counter and tenant index, and a runtime pushes its own
+events through :meth:`_TenantRuntime.push` (and its next drain through
+:meth:`_TenantRuntime.push_arrival`) as ``(time, kind, seq, (tenant_index,
+payload))``; the loop pops the smaller of the two heap tops, so events
+from different tenants interleave in the order one merged heap would pop.
 :class:`ServingEngine` is the one-tenant fleet with the traffic pattern
 supplied per run, so the single-plan and fleet paths share one constructor,
 one start-up sequence and one event loop.
@@ -114,6 +118,7 @@ from repro.cluster.autoscaler import HorizontalPodAutoscaler
 from repro.cluster.cluster import Cluster
 from repro.cluster.container import ContainerState
 from repro.cluster.deployment import Deployment
+from repro.cluster.metrics import linear_percentile, pairwise_mean
 from repro.core.plan import DeploymentPlan, ROLE_DENSE, ROLE_MONOLITHIC
 from repro.hardware.perf_model import PerfModel
 from repro.hardware.specs import ClusterSpec
@@ -491,9 +496,7 @@ def _metric_series(
     p95_series = np.zeros_like(sample_times)
     for index in range(sample_times.size):
         if hi[index] > lo[index]:
-            p95_series[index] = float(
-                np.percentile(sorted_latencies[lo[index] : hi[index]], 95)
-            )
+            p95_series[index] = linear_percentile(sorted_latencies[lo[index] : hi[index]], 95)
     return achieved_qps, p95_series
 
 
@@ -912,14 +915,22 @@ class _TenantRuntime:
         #: Sample points accumulated since the last streamed series flush.
         self._pending_series_samples = 0
 
-    def bind(self, heap: list, seq: itertools.count, tenant_index: int) -> None:
-        """Attach the run's shared event heap, its sequence counter and this tenant's index."""
+    def bind(
+        self, heap: list, arrival_heap: list, seq: itertools.count, tenant_index: int
+    ) -> None:
+        """Attach the run's two shared heaps, its sequence counter and this tenant's index.
+
+        ``heap`` holds every event but arrivals; ``arrival_heap`` holds each
+        tenant's one pending ARRIVAL.  Only ``heap`` bounds a drain, so a
+        drain runs past other tenants' arrivals to the next control event.
+        """
         self._heap = heap
+        self._arrival_heap = arrival_heap
         self._seq = seq
         self.tenant_index = tenant_index
 
     def push(self, at: float, kind: EventKind, payload) -> int:
-        """Push one of this tenant's events onto the run's heap; return its sequence number.
+        """Push one of this tenant's non-ARRIVAL events; return its sequence number.
 
         The event is ``(at, kind, seq, (tenant_index, payload))``: equal times
         pop in kind order, then push order.
@@ -927,6 +938,12 @@ class _TenantRuntime:
         seq = next(self._seq)
         heapq.heappush(self._heap, (at, kind, seq, (self.tenant_index, payload)))
         return seq
+
+    def push_arrival(self, index: int) -> None:
+        """Queue the drain that starts at arrival ``index``, ordered as :meth:`push` orders."""
+        at = self.arrival_at(index)
+        seq = next(self._seq)
+        heapq.heappush(self._arrival_heap, (at, EventKind.ARRIVAL, seq, (self.tenant_index, index)))
 
     def arrival_at(self, index: int) -> float:
         """The ``index``-th arrival time as a Python float."""
@@ -1746,7 +1763,7 @@ class _TenantRuntime:
         if self.detector is None or self.replan_in_progress:
             return
         latencies = self.interval_latencies
-        p95_s = float(np.percentile(latencies, 95)) if latencies else None
+        p95_s = linear_percentile(latencies, 95) if latencies else None
         if self.detector.observe(now, p95_s):
             self.push(now, EventKind.REPLAN, "fire")
 
@@ -1845,7 +1862,7 @@ class _TenantRuntime:
         for lane in self._lanes:
             metrics.record(f"{lane.name}/queries", float(lane.count), now)
         if self.interval_latencies:
-            p95_s = float(np.percentile(self.interval_latencies, 95))
+            p95_s = linear_percentile(self.interval_latencies, 95)
             for lane in self._dense_lanes:
                 metrics.record(f"{lane.name}/latency_s", p95_s, now)
 
@@ -1864,8 +1881,8 @@ class _TenantRuntime:
             self.replica_series[name].append(len(deployment.active_replicas))
             servers = self.servers[name].values()
             if servers:
-                utilization = float(
-                    np.mean([s.utilization(now, window_start=window_start) for s in servers])
+                utilization = pairwise_mean(
+                    [s.utilization(now, window_start=window_start) for s in servers]
                 )
                 # Utilization windows only move forward, so busy runs behind
                 # this window can never be read again — drop them, or a long
@@ -2148,16 +2165,21 @@ def _drive(
     probe=None,
     on_event: Callable[[float, int], None] | None = None,
 ) -> list:
-    """Run every tenant's traffic through one shared event heap.
+    """Run every tenant's traffic through the run's shared event heaps.
 
     Returns one entry per runtime: a :class:`SimulationResult` for in-memory
     runtimes, ``None`` for streamed ones (their result lives in the spool).
 
-    A tenant's one ARRIVAL event starts a drain that serves its arrivals in
-    order until one must wait for the heap top, exactly the order one ARRIVAL
-    event per arrival would pop in.  Equal arrival times across tenants go to
-    the draining tenant: tenants share no state between control ticks, so
-    that order changes no result.  The popped arrival always goes through
+    Events other than arrivals share one heap; each tenant's one pending
+    ARRIVAL waits in a second heap, and the loop pops the smaller top.  A
+    tenant's ARRIVAL event starts a drain that serves its arrivals in order
+    until one must wait for the event-heap top, exactly the order one
+    ARRIVAL event per arrival would pop in for that tenant.  Other tenants'
+    arrivals, earlier or equal, wait for their own drains: tenants share
+    only the cluster, and only non-ARRIVAL events change it, so that order
+    changes no result.  On ``fleet_streamed`` (seed 0) a run pops 1,920
+    ARRIVAL events for 35,976 queries: one per tenant per control tick.
+    The popped arrival always goes through
     :meth:`_TenantRuntime.serve_query`; when the tenant's observed state
     allows it (:meth:`_TenantRuntime.chunk_eligible`), the rest of the drain
     is served lane by lane by :meth:`_TenantRuntime.serve_chunk`, otherwise
@@ -2179,10 +2201,11 @@ def _drive(
     event-time monotonicity.
     """
     heap: list[tuple[float, int, int, object]] = []
+    arrival_heap: list[tuple[float, int, int, object]] = []
     seq = itertools.count()
     for tenant_index, (runtime, pattern) in enumerate(zip(runtimes, patterns)):
         runtime.begin_run(pattern)
-        runtime.bind(heap, seq, tenant_index)
+        runtime.bind(heap, arrival_heap, seq, tenant_index)
 
     # Coalesced control ticks: one heap event per unique boundary timestamp
     # carries every control phase landing there — each resident tenant's
@@ -2198,7 +2221,7 @@ def _drive(
         heapq.heappush(heap, (boundary, EventKind.AUTOSCALE, next(seq), resident_tenants))
     for runtime in runtimes:
         if runtime.num_served:
-            runtime.push(float(runtime.arrivals[0]), EventKind.ARRIVAL, 0)
+            runtime.push_arrival(0)
     # Fault timelines are empty unless a tenant configured a fault model, so
     # a healthy run pushes nothing here (and consumes no sequence numbers).
     for runtime in runtimes:
@@ -2210,8 +2233,15 @@ def _drive(
         for runtime in runtimes:
             runtime.track_inflight = True
 
+    # Both heaps order by (time, kind, seq), so popping the smaller top is
+    # the order one merged heap would pop in.  A tenant's last control tick
+    # is queued after every arrival it serves, so while an arrival is
+    # pending the event heap is never empty.
     while heap:
-        now, kind, token, payload = heapq.heappop(heap)
+        if arrival_heap and arrival_heap[0] < heap[0]:
+            now, kind, token, payload = heapq.heappop(arrival_heap)
+        else:
+            now, kind, token, payload = heapq.heappop(heap)
         if kind == EventKind.AUTOSCALE:
             # Coalesced control tick: autoscale each resident tenant, run the
             # shared reconcile, then sample each resident tenant — the exact
@@ -2292,7 +2322,7 @@ def _drive(
                     runtime.serve_chunk(index, end)
                     index = end
             if index < runtime.num_served:
-                runtime.push(float(arrivals[index]), EventKind.ARRIVAL, index)
+                runtime.push_arrival(index)
         elif kind == EventKind.FAULT:
             _apply_fault(now, action, tenant_index, runtimes, cluster)
         elif kind == EventKind.RECOVERY:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.metrics import linear_percentile
 from repro.serving.spec import Grammar, is_off
 
 __all__ = [
@@ -408,12 +409,12 @@ class SloWatchdog:
         sla = self.sla_s
         breaches: list[str] = []
         if tick.size:
-            p95 = float(np.percentile(tick, 95))
+            p95 = linear_percentile(tick, 95)
             if p95 > policy.p95_beta * sla:
                 breaches.append(
                     f"p95 {p95 * 1e3:.0f}ms > {policy.p95_beta:g}x SLA"
                 )
-            p99 = float(np.percentile(tick, 99))
+            p99 = linear_percentile(tick, 99)
             if p99 > policy.p99_beta * sla:
                 breaches.append(
                     f"p99 {p99 * 1e3:.0f}ms > {policy.p99_beta:g}x SLA"

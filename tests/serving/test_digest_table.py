@@ -7,8 +7,9 @@ least-outstanding fault, batched and replan rows were added later, recorded
 while that policy still counted in-flight queries from COMPLETION events.
 The table spans every routing policy, the fault processes, skewed costs
 with batching, a drift-triggered replan, the embedding cache under crashes,
-a streamed cached run, and a two-tenant fleet whose node drain strikes both
-tenants (its value is both tenants' digests).
+a streamed cached run, a two-tenant fleet whose node drain strikes both
+tenants, and a four-tenant fleet with interleaved arrivals (a fleet row's
+value is every tenant's digest).
 
 Rewrite the table after an intended behaviour change with::
 
@@ -84,6 +85,23 @@ def _configs() -> dict[str, dict]:
         ),
         seed=5,
     )
+    # Four tenants with their own seeds, so their arrivals interleave, on
+    # four routing policies; one crash requeues d's in-flight queries.  A
+    # drain runs past the other tenants' arrivals to the next control
+    # event, which must leave every tenant's digest unchanged.
+    configs["fleet/interleaved-drains"] = dict(
+        fleet=dict(
+            a=dict(routing="least-work", seed=11),
+            b=dict(routing="power-of-two", seed=12),
+            c=dict(routing="round-robin", seed=13),
+            d=dict(
+                routing="least-outstanding",
+                faults="crash@60:deployment=dense,policy=requeue",
+                seed=14,
+            ),
+        ),
+        seed=5,
+    )
     return configs
 
 
@@ -97,7 +115,10 @@ def run_digest(options: dict) -> str | list[str]:
     )
     if "fleet" in options:
         fleet = options.pop("fleet")
-        specs = [TenantSpec(name, plan, pattern, seed=seed, **opts) for name, opts in fleet.items()]
+        specs = [
+            TenantSpec(name, plan, pattern, **{"seed": seed, **opts})
+            for name, opts in fleet.items()
+        ]
         tenants = MultiTenantEngine(specs).run().tenants
         return [tenants[name].digest() for name in fleet]
     if options.pop("tenant", False):

@@ -61,7 +61,7 @@ class Harness:
                 pool.fill_rows[:] = [pool.cache_capacity] * pool.size
         runtime.begin_run(TrafficPattern.constant(20.0, duration_s=60.0))
         self.heap: list = []
-        runtime.bind(self.heap, itertools.count(), 0)
+        runtime.bind(self.heap, [], itertools.count(), 0)
         runtime.track_inflight = True
         self.charged = charged
         # An expensive query, so a wrong multiplier cannot pass for it.

@@ -8,7 +8,7 @@ import pytest
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.specs import cpu_only_cluster
 from repro.model.configs import microbenchmark
-from repro.serving.engine import MultiTenantEngine, ServingEngine, TenantSpec
+from repro.serving.engine import EventKind, MultiTenantEngine, ServingEngine, TenantSpec
 from repro.serving.scenarios import build_scenario
 from repro.serving.sharding import run_sharded
 from repro.serving.traffic import TrafficPattern
@@ -113,6 +113,51 @@ class TestMultiTenantRun:
             three_tenants(plan), cluster_spec=cpu_only_cluster(num_nodes=3)
         ).run()
         assert repr(again.summary()) == repr(result.summary())
+
+
+class TestFleetDrains:
+    """A drain runs to the next control event, not to another tenant's arrival."""
+
+    def test_one_arrival_event_per_tenant_per_control_event(self, plan):
+        # Four tenants with their own seeds interleave their arrivals on
+        # four routing policies; a crash of d's dense replica requeues its
+        # in-flight queries.
+        pattern = build_scenario("flash-crowd", 8.0, 24.0, 120.0, seed=5)
+        tenants = [
+            TenantSpec("a", plan, pattern, routing="least-work", seed=11),
+            TenantSpec("b", plan, pattern, routing="power-of-two", seed=12),
+            TenantSpec("c", plan, pattern, routing="round-robin", seed=13),
+            TenantSpec(
+                "d", plan, pattern, routing="least-outstanding",
+                faults="crash@60:deployment=dense,policy=requeue", seed=14,
+            ),
+        ]
+        arrivals = 0
+        control_times = set()
+        kinds = set()
+        last = -np.inf
+
+        def observe(now, kind):
+            nonlocal arrivals, last
+            assert now >= last
+            last = now
+            kinds.add(kind)
+            if kind == EventKind.ARRIVAL:
+                arrivals += 1
+            else:
+                control_times.add(now)
+
+        result = MultiTenantEngine(tenants).run(on_event=observe)
+        assert EventKind.FAULT in kinds and len(control_times) >= 8
+        assert result.tenant("d").requeued_queries > 0, "the crash requeued nothing"
+        queries = result.total_queries
+        assert queries > 20 * len(tenants) * len(control_times)
+        # A tenant's drain ends only at a non-ARRIVAL event, so each tenant
+        # starts at most one drain per distinct control-event time, plus one.
+        assert arrivals <= len(tenants) * (len(control_times) + 1), (
+            f"{arrivals} ARRIVAL events for {queries} queries and "
+            f"{len(control_times)} control-event times"
+        )
 
 
 class TestSharedPoolContention:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -213,6 +215,8 @@ class TestCommands:
             ["sweep", "RM1", "--num-nodes", "0"],
             ["sweep", "RM1", "--duration-s", "nan"],
             ["sweep", "RM1", "--num-tables", "0"],
+            ["sweep", "RM1", "--workers", "0"],
+            ["sweep", "RM1", "--workers", "-3"],
         ],
     )
     def test_malformed_numeric_flag_rejected(self, argv, capsys):
@@ -466,6 +470,36 @@ class TestSimulateSharded:
             assert tenant_dirs, shard
             for tenant_dir in tenant_dirs:
                 assert (tenant_dir / "meta.json").is_file()
+
+
+class TestFleetStdout:
+    """A four-tenant fleet's table, pinned byte for byte.
+
+    Tenants draw their own seeds, so their arrivals interleave; each drain
+    runs past the other tenants' arrivals to the next control event, and
+    each tenant's dense-replica crash requeues its in-flight queries.  CI's
+    fast job diffs the same command's stdout against the same file.
+    """
+
+    ARGV = [
+        "simulate", "RM1", "--tenants", "4", "--num-shards", "2", "--num-nodes", "8",
+        "--max-replicas", "4", "--routing", "least-outstanding",
+        "--scenario", "flash-crowd", "--base-qps", "4", "--peak-qps", "10",
+        "--duration-s", "180", "--faults", "crash@90:deployment=dense,policy=requeue",
+    ]
+    EXPECTED = Path(__file__).with_name("simulate_fleet.stdout")
+
+    def test_stdout_matches_the_recorded_table(self, capsys):
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == self.EXPECTED.read_text()
+
+    def test_query_counts_print_as_integers(self, capsys):
+        # A short run serves under 1,000 queries: ``376``, not ``376.0``.
+        assert main(["simulate", "RM1", "--scenario", "constant", "--base-qps", "6",
+                     "--peak-qps", "6", "--duration-s", "60"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        count = dict(zip(lines[1].split(), lines[3].split()))["queries"]
+        assert count.isdigit() and 0 < int(count) < 1000
 
 
 class TestSimulatePathsAgree:
