@@ -219,6 +219,12 @@ class EventKind(IntEnum):
 #: client retry, and a crash re-queue onto a surviving replica.
 _FIRST, _RETRY, _REQUEUE = 0, 1, 2
 
+#: Most arrivals, and most sample ticks, one tenant's run may expect: each
+#: is drawn as one array up front, so an absurd horizon would otherwise end
+#: in a numpy allocation error.  A streamed 24-hour diurnal tenant at 2-6
+#: QPS expects about 346k arrivals and 5,760 ticks.
+MAX_HORIZON = 100_000_000
+
 
 @dataclass
 class SimulationResult:
@@ -500,71 +506,153 @@ def _metric_series(
     return achieved_qps, p95_series
 
 
-def _force_ready(cluster: Cluster, now: float) -> None:
-    """Promote every placed-but-starting container to RUNNING (warm start)."""
-    for deployment in cluster.deployments:
-        for container in deployment.replicas:
-            if container.state is ContainerState.STARTING:
-                container.ready_at = now
-                container.maybe_become_ready(now)
-
-
 class _DeploymentLane:
-    """Hot per-deployment state walked by ``serve_query`` and ``serve_chunk``.
+    """One deployment's record, walked by ``serve_query`` and ``serve_chunk``.
 
-    A lane bundles everything the routing loop needs — the deployment name,
-    its replica pool, the mean service time, the role flags and the
-    per-interval accumulators (offered count, cache hits; latencies are
-    kept per tenant, in ``_TenantRuntime.interval_latencies``) — into one
-    slotted struct, so the per-query path does no dict lookups.
+    Everything the tenant keeps per deployment, grouped in ``__slots__``,
+    in one slotted struct, so the per-query path does no dict lookups.
+    ``servers`` maps replica names to :class:`ReplicaServer` in creation
+    order, and ``pool`` mirrors it.  Latencies are kept per tenant, in
+    ``_TenantRuntime.interval_latencies``.
     """
 
     __slots__ = (
-        "name",
-        "pool",
-        "service_s",
-        "cost_bearing",
-        "dense",
-        "cached",
-        "count",
-        "hit_sum",
-        "gather_sum",
-        "twinned",
+        # The deployment, its replicas, their routing pool and batch model.
+        "deployment", "name", "servers", "pool", "batch_model",
+        # What the drain kernel reads of the lane.
+        "service_s", "cost_bearing", "dense", "cached", "twinned",
+        # Served totals of retired replicas, and the occupancy mark.
+        "retired_queries", "retired_batches", "occupancy_mark",
+        # Per-interval accumulators, cleared by ``start_interval``.
+        "count", "failures", "requeues", "hit_sum", "gather_sum",
+        # Rows of the per-deployment series, emptied by ``start_series``.
+        "replica_rows", "utilization_rows", "availability_rows",
+        "requeue_rows", "occupancy_rows", "hit_rate_rows",
     )
 
     def __init__(
-        self,
-        name: str,
-        pool: ReplicaPool,
-        service_s: float,
-        cost_bearing: bool,
-        dense: bool,
-        cached: bool = False,
+        self, deployment: Deployment, batch_model, cache_spec: CacheSpec | None
     ) -> None:
-        self.name = name
-        self.pool = pool
-        self.service_s = service_s
-        self.cost_bearing = cost_bearing
-        self.dense = dense
+        role = deployment.spec.role
+        self.deployment = deployment
+        self.name = deployment.name
+        self.servers: dict[str, ReplicaServer] = {}
+        # Membership and failed/draining changes invalidate the pool;
+        # accepted queries update its queue-drain array in place.  Pure
+        # dense shards do not gather embeddings, so per-query cost
+        # multipliers and caches only apply to embedding and monolithic
+        # deployments.
+        self.pool = ReplicaPool(self.servers, cache_spec if role != ROLE_DENSE else None)
+        self.batch_model = batch_model
+        self.service_s = 1.0 / deployment.spec.per_replica_qps
+        self.cost_bearing = role != ROLE_DENSE
+        self.dense = role in (ROLE_DENSE, ROLE_MONOLITHIC)
         #: Whether this lane's replicas carry embedding caches (their fills
         #: and pricing live in the lane's pool).
-        self.cached = cached
-        #: Queries offered to the deployment this sample interval.
-        self.count = 0
-        #: Cache-hit accounting for the interval: expected gathers served
-        #: from cache and total gathers offered (cached lanes only).
-        self.hit_sum = 0.0
-        self.gather_sum = 0.0
+        self.cached = self.pool.has_caches
         #: Whether another lane of the tenant has this lane's role, so the
         #: two can enter the drain kernel with equal inputs.
         self.twinned = False
+        # Replicas scaled away or killed, so occupancy deltas survive churn.
+        self.retired_queries = 0
+        self.retired_batches = 0
+        self.occupancy_mark = (0, 0)
+        self.start_interval()
+        self.start_series()
+
+    def start_interval(self) -> None:
+        """Zero the per-interval accumulators.
+
+        ``count`` is the queries offered this interval, ``failures`` those
+        that found no routable replica or were dropped, ``requeues`` the
+        crashed replicas' shares re-sent to a survivor, and ``hit_sum`` /
+        ``gather_sum`` the expected gathers served from cache and the total
+        offered (cached lanes only).
+        """
+        self.count = 0
+        self.failures = 0
+        self.requeues = 0
+        self.hit_sum = 0.0
+        self.gather_sum = 0.0
+
+    def start_series(self) -> None:
+        """Empty the lane's rows of the per-deployment series."""
+        self.replica_rows: list[int] = []
+        self.utilization_rows: list[float] = []
+        self.availability_rows: list[float] = []
+        self.requeue_rows: list[int] = []
+        self.occupancy_rows: list[float] = []
+        self.hit_rate_rows: list[float] = []
+
+    def retire(self, server: ReplicaServer) -> None:
+        """Fold a departing replica's served totals into the lane's."""
+        self.retired_queries += server.completed_queries
+        self.retired_batches += server.completed_batches
+
+    def served_totals(self) -> tuple[int, int]:
+        """Lifetime (queries, batches) served by the deployment's replicas."""
+        queries, batches = self.retired_queries, self.retired_batches
+        for server in self.servers.values():
+            queries += server.completed_queries
+            batches += server.completed_batches
+        return queries, batches
+
+    def sample(self, now: float, window_start: float) -> None:
+        """Append the interval ending at ``now`` to each of the lane's rows."""
+        self.replica_rows.append(len(self.deployment.active_replicas))
+        servers = self.servers.values()
+        if servers:
+            utilization = pairwise_mean(
+                [s.utilization(now, window_start=window_start) for s in servers]
+            )
+            # Utilization windows only move forward, so busy runs behind
+            # this window can never be read again — drop them, or a long
+            # run's per-replica busy history grows one entry per idle gap.
+            for server in servers:
+                server.prune_runs(window_start)
+        else:
+            utilization = 0.0
+        self.utilization_rows.append(utilization)
+        queries, batches = self.served_totals()
+        mark_queries, mark_batches = self.occupancy_mark
+        batch_delta = batches - mark_batches
+        if batch_delta:
+            occupancy = (queries - mark_queries) / batch_delta
+            self.occupancy_mark = (queries, batches)
+        else:
+            # No batch opened this interval: leave the query mark in
+            # place so queries that joined a straddling batch are
+            # attributed to the next batch-opening interval instead of
+            # being dropped from the occupancy accounting.
+            occupancy = 0.0
+        self.occupancy_rows.append(occupancy)
+        offered = self.count
+        failures = self.failures
+        if offered:
+            # Drops of queries offered in an earlier interval can push
+            # failures past this interval's offered count; availability
+            # is clamped at zero rather than going negative.
+            available = max(0.0, 1.0 - failures / offered)
+        else:
+            available = 1.0 if failures == 0 else 0.0
+        self.availability_rows.append(available)
+        self.requeue_rows.append(self.requeues)
+        if self.cached:
+            gathers = self.gather_sum
+            self.hit_rate_rows.append(self.hit_sum / gathers if gathers > 0 else 0.0)
 
 
 class _TenantRuntime:
     """One tenant's slice of the simulated cluster plus its run accumulators.
 
-    The run's accumulators are set up by :meth:`begin_run`; an engine (and
-    so each runtime) runs once.
+    Per-deployment state lives in the tenant's lanes (``_lanes``, one
+    :class:`_DeploymentLane` per deployment, in plan order); the runtime
+    keeps what the tenant's deployments share: routing and cost models, the
+    tracker, the watchdog and re-plan state, the fault stacks and in-flight
+    registry (keyed by deployment and replica name), and the tenant-wide
+    series.  The run's accumulators are set up by :meth:`begin_run`, and
+    :meth:`_start_interval` clears every per-interval one, the lanes'
+    included; an engine (and so each runtime) runs once.
     """
 
     def __init__(
@@ -596,9 +684,6 @@ class _TenantRuntime:
         # Scripts parse here, once; registry scenarios are duration-relative
         # and build per run in begin_run.
         self.faults_spec = resolve_fault_spec(spec.faults)
-        self.servers: dict[str, dict[str, ReplicaServer]] = {
-            d.name: {} for d in self.deployments
-        }
         is_monolithic = plan.strategy != "elasticrec"
         perf_model = PerfModel(plan.cluster)
         self.rpc_overhead_s = 0.0 if is_monolithic else perf_model.rpc_overhead_s()
@@ -646,39 +731,10 @@ class _TenantRuntime:
         self.slo_name = "none"
         if self.slo_policy is not None:
             self.slo_name = slo if isinstance(slo, str) else "custom"
-        self.batch_models = {
-            d.name: perf_model.batch_model(d.spec.role) for d in self.deployments
-        }
-        # Batch/query counters of replicas that were scaled away, so interval
-        # occupancy deltas survive server churn.
-        self._retired_totals: dict[str, list[int]] = {
-            d.name: [0, 0] for d in self.deployments
-        }
-        # Routing state: one replica pool per deployment, mirroring
-        # its servers dict; membership and failed/draining changes invalidate
-        # the pool, accepted queries update its queue-drain array in place.
-        # Pure dense shards do not gather embeddings, so per-query cost
-        # multipliers and caches only apply to embedding and monolithic
-        # deployments.
-        self.pools: dict[str, ReplicaPool] = {
-            d.name: ReplicaPool(
-                self.servers[d.name],
-                self.cache_spec if d.spec.role != ROLE_DENSE else None,
-            )
-            for d in self.deployments
-        }
         self._lanes = [
-            _DeploymentLane(
-                name=d.name,
-                pool=self.pools[d.name],
-                service_s=1.0 / d.spec.per_replica_qps,
-                cost_bearing=d.spec.role != ROLE_DENSE,
-                dense=d.spec.role in (ROLE_DENSE, ROLE_MONOLITHIC),
-                cached=self.pools[d.name].has_caches,
-            )
+            _DeploymentLane(d, perf_model.batch_model(d.spec.role), self.cache_spec)
             for d in self.deployments
         ]
-        self._lane_by_name = {lane.name: lane for lane in self._lanes}
         # Every Table II model gives all its tables one configuration, so
         # each shard type has a lane per table that ``serve_chunk`` can serve
         # once; a role held by one lane (the dense shard) never twins.
@@ -712,11 +768,11 @@ class _TenantRuntime:
 
     def sync_servers(self, now: float) -> None:
         """Mirror the tenant's active containers into replica queue servers."""
-        for deployment in self.deployments:
-            servers = self.servers[deployment.name]
+        for lane in self._lanes:
+            servers = lane.servers
             active_names = set()
             changed = False
-            for container in deployment.replicas:
+            for container in lane.deployment.replicas:
                 if not container.is_active:
                     continue
                 active_names.add(container.name)
@@ -730,18 +786,15 @@ class _TenantRuntime:
                         ready_at=ready_at,
                         max_batch=self.max_batch,
                         batch_window_s=self.batch_window_s,
-                        batch_model=self.batch_models[deployment.name],
+                        batch_model=lane.batch_model,
                     )
                     changed = True
             for name in list(servers):
                 if name not in active_names:
-                    retired = servers.pop(name)
-                    totals = self._retired_totals[deployment.name]
-                    totals[0] += retired.completed_queries
-                    totals[1] += retired.completed_batches
+                    lane.retire(servers.pop(name))
                     changed = True
             if changed:
-                self.pools[deployment.name].invalidate()
+                lane.pool.invalidate()
 
     def invalidate_caches(self) -> None:
         """Drop every replica's cached rows (they all restart cold).
@@ -751,8 +804,8 @@ class _TenantRuntime:
         will look for them, so the whole tier invalidates and the hit-rate
         series dips until the caches re-warm from served traffic.
         """
-        for pool in self.pools.values():
-            pool.reset_fills()
+        for lane in self._lanes:
+            lane.pool.reset_fills()
 
     # ------------------------------------------------------------------
     # Per-run lifecycle
@@ -763,8 +816,19 @@ class _TenantRuntime:
         The cost columns are float64 arrays in every run mode: the
         multiplier and, for a model with gather splits, the hot/cold/total
         gathers.  Pricing that depends on a replica's cache happens per
-        attempt in :meth:`_dispatch`.
+        attempt in :meth:`_dispatch`.  A pattern expecting more than
+        :data:`MAX_HORIZON` arrivals or sample ticks raises a one-line
+        :class:`ValueError` before either array is drawn.
         """
+        for quantity, expected in (
+            ("arrivals", pattern.expected_queries()),
+            ("sample ticks", pattern.duration_s / self.sample_interval_s),
+        ):
+            if not expected <= MAX_HORIZON:
+                raise ValueError(
+                    f"tenant {self.name!r} expects {expected:.3g} {quantity} over "
+                    f"{pattern.duration_s:g} s, more than the {MAX_HORIZON:,} a run can hold"
+                )
         self.pattern = pattern
         self.arrivals = pattern.arrivals(self.rng)
         self.policy.reset(np.random.default_rng([self.seed, 1]))
@@ -845,31 +909,17 @@ class _TenantRuntime:
         self._live_completions: list[float] = []
         self._retry_resolutions: list[float] = []
         self._retries_scheduled = 0
-        self.interval_arrivals = 0
-        self.interval_shed = 0
-        self.interval_rejected = 0
-        self.interval_timeouts = 0
-        self.interval_degraded = 0
+        self._start_interval()
         self._start_series_chunk()
         self.tracker = LatencyTracker()
-        #: End-to-end latencies of the queries served this sample interval
-        #: (first attempts and resolved retries, not shed queries), read by
-        #: the dense lanes' latency metric, drift detection and the watchdog.
-        self.interval_latencies: list[float] = []
         self.boundaries = np.arange(
             self.sample_interval_s,
             pattern.duration_s + self.sample_interval_s,
             self.sample_interval_s,
         )
         for lane in self._lanes:
-            lane.count = 0
-            lane.hit_sum = 0.0
-            lane.gather_sum = 0.0
-        for pool in self.pools.values():
-            pool.invalidate()
-        self._occupancy_marks: dict[str, tuple[int, int]] = {
-            d.name: self._served_totals(d.name) for d in self.deployments
-        }
+            lane.pool.invalidate()
+            lane.occupancy_mark = lane.served_totals()
         # Arrivals after the final sample boundary fall outside every recorded
         # interval and are never served (the seed loop behaved identically).
         self.num_served = (
@@ -910,8 +960,6 @@ class _TenantRuntime:
         self.rejected_indices: set[int] = set()
         self.dropped_indices: set[int] = set()
         self.requeued_count = 0
-        self.interval_failures: dict[str, int] = {d.name: 0 for d in self.deployments}
-        self.interval_requeues: dict[str, int] = {d.name: 0 for d in self.deployments}
         #: Sample points accumulated since the last streamed series flush.
         self._pending_series_samples = 0
 
@@ -949,13 +997,19 @@ class _TenantRuntime:
         """The ``index``-th arrival time as a Python float."""
         return float(self.arrivals[index])
 
-    def _served_totals(self, deployment_name: str) -> tuple[int, int]:
-        """Lifetime (queries, batches) served by a deployment's replicas."""
-        queries, batches = self._retired_totals[deployment_name]
-        for server in self.servers[deployment_name].values():
-            queries += server.completed_queries
-            batches += server.completed_batches
-        return queries, batches
+    def _start_interval(self) -> None:
+        """Clear every per-interval accumulator, the tenant's and its lanes'."""
+        #: End-to-end latencies of the queries served this sample interval
+        #: (first attempts and resolved retries, not shed queries), read by
+        #: the dense lanes' latency metric, drift detection and the watchdog.
+        self.interval_latencies: list[float] = []
+        self.interval_arrivals = 0
+        self.interval_shed = 0
+        self.interval_rejected = 0
+        self.interval_timeouts = 0
+        self.interval_degraded = 0
+        for lane in self._lanes:
+            lane.start_interval()
 
     def serve_query(self, arrival: float, query_index: int) -> None:
         """Route one query through every deployment the tenant needs.
@@ -1299,7 +1353,7 @@ class _TenantRuntime:
                 rejected = True
                 if record:
                     lane.count += 1
-                    self.interval_failures[name] += 1
+                    lane.failures += 1
                     if mode == _FIRST:
                         completion = now + 2.0 * self.sla_s
                         if completion > worst:
@@ -1413,11 +1467,6 @@ class _TenantRuntime:
         series["shed"].append(self.interval_shed / arrivals if arrivals else 0.0)
         series["timeouts"].append(float(self.interval_timeouts))
         series["degraded"].append(float(self.interval_degraded))
-        self.interval_arrivals = 0
-        self.interval_shed = 0
-        self.interval_rejected = 0
-        self.interval_timeouts = 0
-        self.interval_degraded = 0
 
     def apply_watchdog(self, now: float, action: tuple) -> None:
         """Apply one ladder action popped from the heap as a WATCHDOG event."""
@@ -1563,8 +1612,8 @@ class _TenantRuntime:
 
     def _pick_target(
         self, deployment: str | None, replica: int | None
-    ) -> tuple[str, str] | None:
-        """Choose a (deployment, replica) fault victim, deterministically.
+    ) -> tuple[_DeploymentLane, str] | None:
+        """Choose a (lane, replica name) fault victim, deterministically.
 
         ``deployment`` narrows by name substring; ``replica`` picks by index
         (wrapped) over the replicas in creation order; anything unspecified
@@ -1576,9 +1625,9 @@ class _TenantRuntime:
         when no matching live replica exists (the fault misfires).
         """
         candidates = [
-            d.name
-            for d in self.deployments
-            if (deployment is None or deployment in d.name) and self.servers[d.name]
+            lane
+            for lane in self._lanes
+            if (deployment is None or deployment in lane.name) and lane.servers
         ]
         if not candidates:
             return None
@@ -1586,7 +1635,7 @@ class _TenantRuntime:
             target = candidates[0]
         else:
             target = candidates[int(self.fault_rng.integers(len(candidates)))]
-        names = list(self.servers[target])
+        names = list(target.servers)
         if replica is not None:
             victim = names[replica % len(names)]
         else:
@@ -1598,8 +1647,8 @@ class _TenantRuntime:
         target = self._pick_target(event.deployment, event.replica)
         if target is None:
             return
-        deployment_name, victim = target
-        self._kill_server(now, deployment_name, victim, event.policy)
+        lane, victim = target
+        self._kill_server(now, lane, victim, event.policy)
         cluster.fail_replica(victim, now)
         self.faults_injected += 1
 
@@ -1611,14 +1660,14 @@ class _TenantRuntime:
         count as having struck it).
         """
         struck = False
-        for deployment in self.deployments:
+        for lane in self._lanes:
             hit = False
-            for name, server in self.servers[deployment.name].items():
+            for name, server in lane.servers.items():
                 if name in names:
                     server.start_drain()
                     hit = True
             if hit:
-                self.pools[deployment.name].invalidate()
+                lane.pool.invalidate()
                 struck = True
         if struck:
             self.faults_injected += 1
@@ -1626,31 +1675,30 @@ class _TenantRuntime:
 
     def on_replicas_lost(self, now: float, lost_names: set[str], policy: str) -> None:
         """Settle the fallout of replicas evicted cluster-side (node drain)."""
-        for deployment in self.deployments:
+        for lane in self._lanes:
             # Iterate in the servers dict's insertion (creation) order, not
             # name order — see _pick_target for why name order is unstable.
-            victims = [n for n in self.servers[deployment.name] if n in lost_names]
+            victims = [n for n in lane.servers if n in lost_names]
             for victim in victims:
-                self._kill_server(now, deployment.name, victim, policy)
+                self._kill_server(now, lane, victim, policy)
 
-    def _kill_server(self, now: float, deployment_name: str, victim: str, policy: str) -> None:
-        server = self.servers[deployment_name].pop(victim)
+    def _kill_server(
+        self, now: float, lane: _DeploymentLane, victim: str, policy: str
+    ) -> None:
+        server = lane.servers.pop(victim)
         server.fail()
-        self.pools[deployment_name].invalidate()
-        totals = self._retired_totals[deployment_name]
-        totals[0] += server.completed_queries
-        totals[1] += server.completed_batches
-        self.slowdowns.pop((deployment_name, victim), None)
+        lane.pool.invalidate()
+        lane.retire(server)
+        self.slowdowns.pop((lane.name, victim), None)
         # Hold the HPA's desired count steady while the replacement starts.
-        self.autoscaler.notice_capacity_loss(deployment_name, now)
-        self._reassign_inflight(now, deployment_name, victim, policy)
+        self.autoscaler.notice_capacity_loss(lane.name, now)
+        self._reassign_inflight(now, lane, victim, policy)
 
     def _reassign_inflight(
-        self, now: float, deployment_name: str, victim: str, policy: str
+        self, now: float, lane: _DeploymentLane, victim: str, policy: str
     ) -> None:
         """Re-queue or drop the dead replica's unfinished queries."""
-        lane = [self._lane_by_name[deployment_name]]
-        for completion, query_index in self.inflight.pop((deployment_name, victim), []):
+        for completion, query_index in self.inflight.pop((lane.name, victim), []):
             if completion <= now:
                 continue  # finished before the failure
             if query_index in self.dropped_indices or query_index in self.rejected_indices:
@@ -1666,10 +1714,10 @@ class _TenantRuntime:
             if policy == "requeue":
                 # Re-sent to a survivor on the same lane, priced there (its
                 # cache, not the victim's warm rows, serves the gathers).
-                new_completion, failed = self._dispatch(lane, now, query_index, _REQUEUE)
+                new_completion, failed = self._dispatch((lane,), now, query_index, _REQUEUE)
             if not failed:
                 self.requeued_count += 1
-                self.interval_requeues[deployment_name] += 1
+                lane.requeues += 1
                 # The re-queued shard finishes later than anything recorded
                 # for this query so far, so it now defines the end-to-end
                 # latency.
@@ -1685,12 +1733,12 @@ class _TenantRuntime:
                 # connection die and re-issues the whole query.
                 if not self._try_retry(now, query_index):
                     # _try_retry finalized it as a timeout instead of a drop.
-                    self.interval_failures[deployment_name] += 1
+                    lane.failures += 1
                 continue
             # Dropped: charge the rejection penalty (the query never
             # completed, so its recorded latency becomes the penalty).
             self.dropped_indices.add(query_index)
-            self.interval_failures[deployment_name] += 1
+            lane.failures += 1
             if self.watchdog_on:
                 self.interval_rejected += 1
             _, old_latency = self.tracker.sample(query_index)
@@ -1702,23 +1750,21 @@ class _TenantRuntime:
         target = self._pick_target(event.deployment, event.replica)
         if target is None:
             return
-        deployment_name, victim = target
-        self.slowdowns.setdefault((deployment_name, victim), []).append(
-            float(event.factor)
-        )
+        lane, victim = target
+        self.slowdowns.setdefault((lane.name, victim), []).append(float(event.factor))
         self.faults_injected += 1
         self.push(
             now + event.duration_s,
             EventKind.RECOVERY,
-            ("straggler-end", deployment_name, victim, float(event.factor)),
+            ("straggler-end", lane.name, victim, float(event.factor)),
         )
 
     def start_degradation(self, now: float, event: TransientDegradation) -> None:
         """Slow every replica of the matched deployments down for a window."""
         names = tuple(
-            d.name
-            for d in self.deployments
-            if event.deployment is None or event.deployment in d.name
+            lane.name
+            for lane in self._lanes
+            if event.deployment is None or event.deployment in lane.name
         )
         if not names:
             return
@@ -1796,21 +1842,20 @@ class _TenantRuntime:
         self.pending_successor = successor
         copy_gb_per_s = self.replan_policy.copy_gb_per_s
         cutover_at = now
-        for deployment, lane in zip(self.deployments, self._lanes):
+        for lane in self._lanes:
             if lane.dense:
                 # Dense shards hold no embedding rows; nothing to copy.
                 continue
-            copy_s = deployment.spec.resources.memory_bytes / (copy_gb_per_s * 1e9)
-            name = deployment.name
-            for server in self.servers[name].values():
+            copy_s = lane.deployment.spec.resources.memory_bytes / (copy_gb_per_s * 1e9)
+            for server in lane.servers.values():
                 completion = server.submit(now, copy_s, 1.0)
-                self.policy.on_submit(name, server, completion)
+                self.policy.on_submit(lane.name, server, completion)
                 if completion > cutover_at:
                     cutover_at = completion
             # Copies are synthetic work, not queries: they never enter the
             # in-flight registry (a crash mid-copy just loses the copy), but
             # the pool's busy mirror must see them — rebuild it lazily.
-            self.pools[name].invalidate()
+            lane.pool.invalidate()
         return cutover_at
 
     def apply_replan(self, now: float) -> None:
@@ -1831,16 +1876,16 @@ class _TenantRuntime:
         if successor is None:
             return
         by_name = {d.name: d for d in successor.deployments}
-        for deployment, lane in zip(self.deployments, self._lanes):
-            spec = by_name.get(deployment.name)
+        for lane in self._lanes:
+            spec = by_name.get(lane.name)
             if spec is None:
                 continue
             lane.service_s = 1.0 / spec.per_replica_qps
-            deployment.desired_replicas = spec.replicas
+            lane.deployment.desired_replicas = spec.replicas
             if self.autoscale:
                 # Hold the HPA off while the new capacity materialises, the
                 # same grace a crash replacement gets.
-                self.autoscaler.notice_capacity_loss(deployment.name, now)
+                self.autoscaler.notice_capacity_loss(lane.name, now)
         if self.drift_on:
             start_mean, end_mean = self._drift_means
             weight = float(self.drift_model.weight_at(now))
@@ -1876,62 +1921,13 @@ class _TenantRuntime:
         self.sample_times.append(now)
         self.memory_series.append(self.allocated_memory_gb)
         window_start = now - self.sample_interval_s
-        for deployment, lane in zip(self.deployments, self._lanes):
-            name = lane.name
-            self.replica_series[name].append(len(deployment.active_replicas))
-            servers = self.servers[name].values()
-            if servers:
-                utilization = pairwise_mean(
-                    [s.utilization(now, window_start=window_start) for s in servers]
-                )
-                # Utilization windows only move forward, so busy runs behind
-                # this window can never be read again — drop them, or a long
-                # run's per-replica busy history grows one entry per idle gap.
-                for server in servers:
-                    server.prune_runs(window_start)
-            else:
-                utilization = 0.0
-            self.utilization_series[name].append(utilization)
-            queries, batches = self._served_totals(name)
-            mark_queries, mark_batches = self._occupancy_marks[name]
-            batch_delta = batches - mark_batches
-            if batch_delta:
-                occupancy = (queries - mark_queries) / batch_delta
-                self._occupancy_marks[name] = (queries, batches)
-            else:
-                # No batch opened this interval: leave the query mark in
-                # place so queries that joined a straddling batch are
-                # attributed to the next batch-opening interval instead of
-                # being dropped from the occupancy accounting.
-                occupancy = 0.0
-            self.batch_occupancy_series[name].append(occupancy)
-            offered = lane.count
-            failures = self.interval_failures[name]
-            if offered:
-                # Drops of queries offered in an earlier interval can push
-                # failures past this interval's offered count; availability
-                # is clamped at zero rather than going negative.
-                available = max(0.0, 1.0 - failures / offered)
-            else:
-                available = 1.0 if failures == 0 else 0.0
-            self.availability_series[name].append(available)
-            self.requeue_series[name].append(self.interval_requeues[name])
-            if lane.cached:
-                gathers = lane.gather_sum
-                self.cache_hit_series[name].append(
-                    lane.hit_sum / gathers if gathers > 0 else 0.0
-                )
-                lane.hit_sum = 0.0
-                lane.gather_sum = 0.0
-            lane.count = 0
-        self.interval_latencies = []
+        for lane in self._lanes:
+            lane.sample(now, window_start)
         if self.track_inflight:
             # Prune settled in-flight entries so the registry stays bounded.
             for key, entries in self.inflight.items():
                 self.inflight[key] = [e for e in entries if e[0] > now]
-        for name in self.interval_failures:
-            self.interval_failures[name] = 0
-            self.interval_requeues[name] = 0
+        self._start_interval()
         if self.stream is not None:
             # Streamed flush hooks ride the coalesced control tick: series
             # chunks every `flush_series_every` samples, tracker spills as
@@ -1984,25 +1980,21 @@ class _TenantRuntime:
         a streamed run spools one every ``flush_series_every`` samples.
         """
         times = np.asarray(self.sample_times)
-        lanes = [lane.name for lane in self._lanes]
+        lanes = self._lanes
         chunk = dict(
             sample_times=times,
             target_qps=np.asarray(self.pattern.rate_at(times), dtype=np.float64),
             memory_gb=np.asarray(self.memory_series),
-            replica_counts=np.asarray(
-                [self.replica_series[name] for name in lanes], dtype=np.int64
-            ),
-            utilization=np.asarray([self.utilization_series[name] for name in lanes]),
-            availability=np.asarray([self.availability_series[name] for name in lanes]),
-            requeues=np.asarray(
-                [self.requeue_series[name] for name in lanes], dtype=np.int64
-            ),
-            batch_occupancy=np.asarray(
-                [self.batch_occupancy_series[name] for name in lanes]
-            ),
+            # Integer rows keep their dtype in a chunk with no samples too.
+            replica_counts=np.asarray([lane.replica_rows for lane in lanes], dtype=np.int64),
+            utilization=np.asarray([lane.utilization_rows for lane in lanes]),
+            availability=np.asarray([lane.availability_rows for lane in lanes]),
+            requeues=np.asarray([lane.requeue_rows for lane in lanes], dtype=np.int64),
+            batch_occupancy=np.asarray([lane.occupancy_rows for lane in lanes]),
         )
-        if self.cache_hit_series:
-            chunk["cache_hit_rate"] = np.asarray(list(self.cache_hit_series.values()))
+        hit_rates = [lane.hit_rate_rows for lane in lanes if lane.cached]
+        if hit_rates:
+            chunk["cache_hit_rate"] = np.asarray(hit_rates)
         if self.watchdog_series:
             chunk["watchdog"] = np.asarray(
                 [self.watchdog_series[key] for key in WATCHDOG_SERIES_KEYS]
@@ -2011,18 +2003,11 @@ class _TenantRuntime:
         return chunk
 
     def _start_series_chunk(self) -> None:
-        """Empty every per-interval series accumulator."""
-        lanes = [lane.name for lane in self._lanes]
+        """Empty every series accumulator, the tenant's and its lanes'."""
         self.sample_times: list[float] = []
         self.memory_series: list[float] = []
-        self.replica_series: dict[str, list[int]] = {name: [] for name in lanes}
-        self.utilization_series: dict[str, list[float]] = {name: [] for name in lanes}
-        self.availability_series: dict[str, list[float]] = {name: [] for name in lanes}
-        self.requeue_series: dict[str, list[int]] = {name: [] for name in lanes}
-        self.batch_occupancy_series: dict[str, list[float]] = {name: [] for name in lanes}
-        self.cache_hit_series: dict[str, list[float]] = {
-            lane.name: [] for lane in self._lanes if lane.cached
-        }
+        for lane in self._lanes:
+            lane.start_series()
         self.watchdog_series: dict[str, list[float]] = (
             {key: [] for key in WATCHDOG_SERIES_KEYS} if self.watchdog_on else {}
         )
@@ -2067,7 +2052,7 @@ class _TenantRuntime:
             "slo_recoveries": watchdog.recoveries if watchdog else 0,
             "sample_interval_s": self.sample_interval_s,
             "deployments": [lane.name for lane in self._lanes],
-            "cached_deployments": list(self.cache_hit_series),
+            "cached_deployments": [lane.name for lane in self._lanes if lane.cached],
             "num_samples": self.tracker.num_samples,
         }
 
@@ -2616,7 +2601,6 @@ class MultiTenantEngine:
         self,
         tenants: Sequence[TenantSpec],
         cluster_spec: ClusterSpec | None = None,
-        warm_start: bool = True,
         namespace: bool | None = None,
         stream: StreamConfig | None = None,
     ) -> None:
@@ -2657,8 +2641,12 @@ class MultiTenantEngine:
             )
             self._runtimes.append(_TenantRuntime(tenant, deployments, tenant_stream))
         self._cluster.reconcile(0.0)
-        if warm_start:
-            _force_ready(self._cluster, 0.0)
+        # Runs start warm: every container placed at time 0 is ready then.
+        for deployment in self._cluster.deployments:
+            for container in deployment.replicas:
+                if container.state is ContainerState.STARTING:
+                    container.ready_at = 0.0
+                    container.maybe_become_ready(0.0)
         for runtime in self._runtimes:
             runtime.sync_servers(0.0)
 
@@ -2736,12 +2724,8 @@ class ServingEngine(MultiTenantEngine):
     after the plan, and its traffic pattern comes with :meth:`run`.
     """
 
-    def __init__(
-        self, plan: DeploymentPlan, *, warm_start: bool = True, **options
-    ) -> None:
-        super().__init__(
-            [TenantSpec(name=plan.name, plan=plan, **options)], warm_start=warm_start
-        )
+    def __init__(self, plan: DeploymentPlan, **options) -> None:
+        super().__init__([TenantSpec(name=plan.name, plan=plan, **options)])
 
     def run(
         self,

@@ -71,8 +71,7 @@ class Harness:
 
     def lane_of(self, server_name: str):
         return next(
-            lane for lane in self.runtime._lanes
-            if server_name in self.runtime.servers[lane.name]
+            lane for lane in self.runtime._lanes if server_name in lane.servers
         )
 
     def serve(self) -> float:
@@ -87,7 +86,7 @@ class Harness:
         """Kill the replica that holds the last dispatch's shard on a lane."""
         victim = next(name for name, _ in self.charged if self.lane_of(name).dense == dense)
         self.charged.clear()
-        self.runtime._kill_server(now, self.lane_of(victim).name, victim, policy)
+        self.runtime._kill_server(now, self.lane_of(victim), victim, policy)
 
     def replay_retry(self) -> float:
         """Pop the query's scheduled client retry, re-issue it, return its time."""

@@ -107,18 +107,6 @@ class TestEngineBehaviour:
         assert np.mean(result.achieved_qps[4:]) == pytest.approx(25.0, rel=0.1)
         assert result.sla_violation_fraction() < 0.05
 
-    def test_ready_only_drops_queries_while_cold(self, plan):
-        short = TrafficPattern.constant(20.0, duration_s=120.0)
-        cold = ServingEngine(
-            plan, routing="ready-only", warm_start=False, autoscale=False, seed=0
-        ).run(short)
-        warm = ServingEngine(
-            plan, routing="ready-only", warm_start=True, autoscale=False, seed=0
-        ).run(short)
-        # Dropped queries are charged 2x SLA, so the cold start must show more
-        # violations than the warm one.
-        assert cold.sla_violation_fraction() > warm.sla_violation_fraction()
-
     def test_routing_recorded_in_result(self, plan, pattern):
         result = ServingEngine(plan, routing="round-robin", autoscale=False, seed=0).run(pattern)
         assert result.routing == "round-robin"
@@ -126,6 +114,13 @@ class TestEngineBehaviour:
     def test_invalid_sample_interval(self, plan):
         with pytest.raises(ValueError):
             ServingEngine(plan, sample_interval_s=0.0)
+
+    def test_absurd_horizon_refused_before_drawing(self, plan):
+        # Ten expected arrivals, but 6.7e8 sample ticks: refused before
+        # the arrival or tick array is drawn.
+        sparse = TrafficPattern.constant(1e-9, duration_s=1e10)
+        with pytest.raises(ValueError, match="6.67e\\+08 sample ticks"):
+            ServingEngine(plan, autoscale=False, seed=0).run(sparse)
 
     def test_target_series_uses_clamped_rate(self, plan):
         # Duration that is not a multiple of the sample interval: the last
@@ -236,22 +231,30 @@ class TestBatching:
 
 class TestRejectedQueryMetrics:
     def test_rejections_are_visible_to_the_autoscaler(self, plan):
-        # A cold ready-only cluster drops every query until startup finishes;
-        # those rejections must land in the interval metrics the HPA reads.
+        # A shard whose one replica crashed rejects every query under
+        # ready-only routing until the replacement is ready; those
+        # rejections must land in the interval metrics the HPA reads.
         short = TrafficPattern.constant(20.0, duration_s=120.0)
         engine = ServingEngine(
-            plan, routing="ready-only", warm_start=False, autoscale=False, seed=0
+            plan, routing="ready-only", autoscale=False, seed=0,
+            faults="crash@20:deployment=table0-shard1,replica=0",
         )
-        engine.run(short)
+        result = engine.run(short)
+        assert result.rejected_queries > 0
         metrics = engine.cluster.metrics
-        for deployment in plan.deployments:
-            samples = metrics.samples(f"{deployment.name}/queries")
-            assert samples and samples[0].value > 0
-        # The dropped queries carry their 2x-SLA penalty into the latency
+        # A rejected query was still offered: every deployment, the crashed
+        # one included, counts every query.
+        counts = {
+            tuple(sample.value for sample in metrics.samples(f"{d.name}/queries"))
+            for d in plan.deployments
+        }
+        assert len(counts) == 1
+        assert sum(counts.pop()) == result.tracker.num_samples
+        # The rejected queries carry their 2x-SLA penalty into the latency
         # metric, so the overload is impossible for the HPA to miss.
         dense = next(d for d in plan.deployments if d.role == "dense")
         latency = metrics.samples(f"{dense.name}/latency_s")
-        assert latency and latency[0].value >= 2.0 * plan.cluster.sla_s
+        assert max(sample.value for sample in latency) >= 2.0 * plan.cluster.sla_s
 
     @pytest.mark.parametrize("strategy", ["elasticrec", "model-wise"])
     def test_latency_metric_is_the_interval_end_to_end_p95(self, plan, pattern, strategy):

@@ -554,8 +554,8 @@ class TestDrainKernelUnderFaults:
         probe.run(pattern)
         runtime = probe._runtimes[0]
         rankings = [
-            (pool.refresh(), runtime.policy.least_work_ranking(pool))
-            for pool in runtime.pools.values()
+            (lane.pool.refresh(), runtime.policy.least_work_ranking(lane.pool))
+            for lane in runtime._lanes
         ]
         assert all(ranking[1] > 0 for _, ranking in rankings)
         boundary = max(pool.ready_threshold + ranking[0] for pool, ranking in rankings)
@@ -749,7 +749,7 @@ class TestTwinLanes:
             return serve_least_work(servers, ready, arrivals, *args)
 
         def copied(primary, marks, twins):
-            pool = next(p for p in tenant[0].pools.values() if p.servers is twins)
+            pool = next(lane.pool for lane in tenant[0]._lanes if lane.pool.servers is twins)
             warm = pool.cache_warm if pool.has_caches else None
             copies.append((*last[id(primary)], tenant[0].fallback_armed, warm))
             return copy_least_work(primary, marks, twins)

@@ -137,3 +137,45 @@ def test_adding_a_replica_never_delays_a_query(
     )
     assert fewer.rejected_queries == 0 and more.rejected_queries == 0
     assert np.all(more.tracker.latencies_s <= fewer.tracker.latencies_s)
+
+
+@given(
+    strategy=st.sampled_from(sorted(_PLANS)),
+    cost_model=st.sampled_from(["homogeneous", "skewed"]),
+    replicas=st.sampled_from([1, 2]),
+    scenario=st.sampled_from(scenario_names()),
+    peak_qps=st.floats(min_value=2.0, max_value=45.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    factor=st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_stretching_every_service_time_never_shortens_a_query(
+    strategy, cost_model, replicas, scenario, peak_qps, seed, factor
+):
+    """On fixed least-work FIFO lanes of single-query batches, a
+    degradation stretching every service time by ``factor`` for the whole
+    run leaves every query's latency equal or higher."""
+    plan = _PLANS[strategy]
+    duration_s = 60.0
+    pattern = build_scenario(scenario, peak_qps / 3.0, peak_qps, duration_s, seed=seed)
+    base, stretched = (
+        ServingEngine(
+            plan,
+            routing="least-work",
+            autoscale=False,
+            initial_replicas=replicas,
+            max_batch=1,
+            seed=seed,
+            cost_model=cost_model,
+            faults=faults,
+        ).run(pattern)
+        for faults in (None, f"degrade@0+{duration_s:g}:factor={factor!r}")
+    )
+    assert stretched.faults_injected == 1
+    assert base.rejected_queries == 0 and stretched.rejected_queries == 0
+    assert np.all(stretched.tracker.latencies_s >= base.tracker.latencies_s)

@@ -303,7 +303,7 @@ class TestLeastOutstanding:
             (lane.name, name): server.busy_until
             for lane in runtime._lanes
             if not lane.dense
-            for name, server in runtime.servers[lane.name].items()
+            for name, server in lane.servers.items()
         }
         assert len(copied) > 1
         assert {(d, name): c for d, name, c in policy.submits} == copied
@@ -329,18 +329,18 @@ class TestLeastOutstanding:
             seed=0,
             faults=f"crash@20:deployment={deployment},replica=0,policy=requeue",
         )
-        runtime = engine._runtimes[0]
+        lane = next(lane for lane in engine._runtimes[0]._lanes if lane.name == deployment)
         before: set[str] = set()
         seen: set[str] = set()
 
         def observe(now, kind):
-            names = set(runtime.servers[deployment])
+            names = set(lane.servers)
             if now < 20.0:
                 before.update(names)
             seen.update(names)
 
         engine.run(TrafficPattern.constant(20.0, duration_s=60.0), on_event=observe)
-        after = set(runtime.servers[deployment])
+        after = set(lane.servers)
         assert len(after) == len(before) == 2
         lost = before - after
         assert len(lost) == 1, "the crash did not take a replica"

@@ -320,6 +320,11 @@ class TestUnknownNameHints:
             (["simulate", "RM1", "--num-shards", "999"], "999 shards"),
             (["simulate", "RM1", "--strategy", "model-wise", "--replan", "sla@1.2",
               "--scenario", "constant", "--duration-s", "30"], "elasticrec"),
+            # Refused before any arrival or tick array is drawn.
+            (["simulate", "RM1", "--scenario", "paper", "--duration-s", "1e12"],
+             "arrivals over 1e+12 s"),
+            (["simulate", "RM1", "--scenario", "diurnal", "--duration-s", "1e12"],
+             "arrivals over 1e+12 s"),
         ],
     )
     def test_unservable_input_exits_with_one_line(self, argv, hint):
@@ -473,25 +478,36 @@ class TestSimulateSharded:
 
 
 class TestFleetStdout:
-    """A four-tenant fleet's table, pinned byte for byte.
+    """Multi-tenant fleets' tables, pinned byte for byte.
 
-    Tenants draw their own seeds, so their arrivals interleave; each drain
-    runs past the other tenants' arrivals to the next control event, and
-    each tenant's dense-replica crash requeues its in-flight queries.  CI's
-    fast job diffs the same command's stdout against the same file.
+    In the four-tenant fleet, tenants draw their own seeds, so their
+    arrivals interleave; each drain runs past the other tenants' arrivals to
+    the next control event, and each tenant's dense-replica crash requeues
+    its in-flight queries.  In the two-tenant one, rolling node drains evict
+    both tenants' replicas under the SLO watchdog, with timeouts.  CI's fast
+    job diffs the same commands' stdout against the same files.
     """
 
-    ARGV = [
-        "simulate", "RM1", "--tenants", "4", "--num-shards", "2", "--num-nodes", "8",
-        "--max-replicas", "4", "--routing", "least-outstanding",
-        "--scenario", "flash-crowd", "--base-qps", "4", "--peak-qps", "10",
-        "--duration-s", "180", "--faults", "crash@90:deployment=dense,policy=requeue",
-    ]
-    EXPECTED = Path(__file__).with_name("simulate_fleet.stdout")
+    CASES = {
+        "simulate_fleet.stdout": [
+            "simulate", "RM1", "--tenants", "4", "--num-shards", "2", "--num-nodes", "8",
+            "--max-replicas", "4", "--routing", "least-outstanding",
+            "--scenario", "flash-crowd", "--base-qps", "4", "--peak-qps", "10",
+            "--duration-s", "180", "--faults", "crash@90:deployment=dense,policy=requeue",
+        ],
+        "simulate_drain.stdout": [
+            "simulate", "RM1", "--tenants", "2", "--num-shards", "2", "--num-nodes", "8",
+            "--max-replicas", "4", "--scenario", "constant", "--base-qps", "6",
+            "--peak-qps", "6", "--duration-s", "240", "--faults", "rolling-drain",
+            "--slo", "p95@1.5:p99=2.5,shed=0.1,retries=2",
+        ],
+    }
 
-    def test_stdout_matches_the_recorded_table(self, capsys):
-        assert main(self.ARGV) == 0
-        assert capsys.readouterr().out == self.EXPECTED.read_text()
+    @pytest.mark.parametrize("expected", sorted(CASES))
+    def test_stdout_matches_the_recorded_table(self, expected, capsys):
+        assert main(self.CASES[expected]) == 0
+        recorded = Path(__file__).with_name(expected).read_text()
+        assert capsys.readouterr().out == recorded
 
     def test_query_counts_print_as_integers(self, capsys):
         # A short run serves under 1,000 queries: ``376``, not ``376.0``.
