@@ -16,6 +16,8 @@ def _format_value(value: Any) -> str:
         if abs(value) >= 10:
             return f"{value:.1f}"
         return f"{value:.3g}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value:,}"
     return str(value)
 
 

@@ -78,7 +78,13 @@ hardware layer's :class:`~repro.hardware.perf_model.BatchLatencyModel`.
 Routing policies receive the per-deployment cost hint, enabling
 cost-weighted selection.  The default configuration — ``homogeneous`` cost
 model, ``max_batch=1`` — reproduces the historical constant-service-time
-engine bit-for-bit.
+engine bit-for-bit.  A skewed run draws all its cost columns with one
+:meth:`~repro.serving.workload.SkewedCostModel.sample_priced` call:
+multiplier, gather split and, under an SLO policy, each query's
+quality-fallback price ratio (the policy's flat ``quality`` under the
+homogeneous model).  :meth:`_TenantRuntime._dispatch` and
+:meth:`_TenantRuntime.serve_chunk` price a degraded query as its cost times
+that ratio.
 
 The per-query hot path is vectorised end to end: every deployment keeps a
 :class:`~repro.serving.routing.ReplicaPool` — numpy arrays of queue-drain
@@ -168,13 +174,11 @@ from repro.serving.watchdog import (
 from repro.serving.workload import (
     HomogeneousCostModel,
     QueryCostModel,
-    degraded_gather_multiplier,
     drift_endpoint_model,
     make_cost_model,
     make_drift_model,
     parse_drift_spec,
     resolve_cost_model_name,
-    sample_drifting_priced,
 )
 
 __all__ = [
@@ -813,9 +817,10 @@ class _TenantRuntime:
     def begin_run(self, pattern: TrafficPattern) -> None:
         """Reset the per-run accumulators; draw this run's arrivals and cost columns.
 
-        The cost columns are float64 arrays in every run mode: the
-        multiplier and, for a model with gather splits, the hot/cold/total
-        gathers.  Pricing that depends on a replica's cache happens per
+        The cost columns are float64 arrays in every run mode: for the
+        skewed model the multiplier and the hot/cold/total gathers, and
+        under an SLO policy each query's quality-fallback price ratio (for
+        any model).  Pricing that depends on a replica's cache happens per
         attempt in :meth:`_dispatch`.  A pattern expecting more than
         :data:`MAX_HORIZON` arrivals or sample ticks raises a one-line
         :class:`ValueError` before either array is drawn.
@@ -834,35 +839,36 @@ class _TenantRuntime:
         self.policy.reset(np.random.default_rng([self.seed, 1]))
         # Pre-sample every query's cost columns, vectorised, from a dedicated
         # seed stream (the homogeneous model never draws, so it cannot
-        # perturb any other stream of the run).  The cache tier and watchdog
-        # quality fallback price from the gather splits; ``sample_priced``
-        # consumes the RNG exactly as ``sample`` does, so its multipliers
-        # are bit-for-bit the ones ``sample`` would draw.
-        columns = (None, None, None, None)
-        if not self.cost_model.is_homogeneous:
-            cost_rng = np.random.default_rng([self.seed, 2])
+        # perturb any other stream of the run).  Under drift the end pool
+        # and each query's endpoint draw only from the dedicated [seed, 4]
+        # stream, so drift-off runs never touch it.  A run the watchdog
+        # guards also gets each query's quality-fallback price ratio: the
+        # skewed model's cache-hot-only share, or the policy's flat quality.
+        watched = self.slo_policy is not None
+        if self.cost_model.is_homogeneous:
+            self.query_multipliers = self.query_hot = self.query_cold = None
+            self.query_total = None
+            self.query_fallback = (
+                np.full(self.arrivals.size, self.slo_policy.quality) if watched else None
+            )
+        else:
+            drift = None
             if self.drift_on:
-                # Drift-aware sampling.  The [seed, 2] cost stream is consumed
-                # exactly as the drift-free path consumes it (start-endpoint
-                # pool, then per-query assignment); the end-endpoint pool and
-                # the per-query endpoint choice draw only from the dedicated
-                # [seed, 4] drift stream — so a zero-weight drift reproduces
-                # the drift-free run bit-for-bit, and drift-off runs never
-                # touch [seed, 4] at all.
-                *columns, start_mean, end_mean = sample_drifting_priced(
-                    self.cost_model,
+                drift = (
                     self.end_cost_model,
                     self.drift_model.weight_at(self.arrivals),
-                    cost_rng,
                     np.random.default_rng([self.seed, 4]),
                 )
-                self._drift_means = (start_mean, end_mean)
-            elif self.cost_model.supports_gather_splits:
-                columns = self.cost_model.sample_priced(self.arrivals.size, cost_rng)
-            else:
-                multipliers = self.cost_model.sample(self.arrivals.size, cost_rng)
-                columns = (multipliers, None, None, None)
-        self.query_multipliers, self.query_hot, self.query_cold, self.query_total = columns
+            (
+                self.query_multipliers,
+                self.query_hot,
+                self.query_cold,
+                self.query_total,
+                self.query_fallback,
+                self._pool_means,
+            ) = self.cost_model.sample_priced(
+                self.arrivals.size, np.random.default_rng([self.seed, 2]), drift, watched
+            )
         # Re-plan state: the detector is re-armed per run; fires go through
         # the event loop as REPLAN heap events so migrations keep the
         # typed-event timeline (and its monotonicity invariant).
@@ -888,9 +894,6 @@ class _TenantRuntime:
             self.deadline_s = policy.deadline_beta * self.sla_s
             self.attempt_timeout_s = policy.timeout_beta * self.sla_s
             self.shed_fraction_value = policy.shed_fraction
-            self._hot_cost_fraction = getattr(
-                self.cost_model, "hot_cost_fraction", 0.0
-            )
         self.shed_armed = False
         self.deadline_armed = False
         self.fallback_armed = False
@@ -1139,28 +1142,20 @@ class _TenantRuntime:
             if (chunk <= 0).any():
                 raise ValueError("multiplier must be positive")
             multipliers = chunk.tolist()
-        fallback = self.fallback_armed
-        if self.query_hot is not None and (self.caches_on or fallback):
+        if self.caches_on:
             hot = self.query_hot[rows].tolist()
             cold = self.query_cold[rows].tolist()
             total = self.query_total[rows].tolist()
         # Quality fallback: the cost-bearing lanes' degraded costs, as
         # _dispatch prices them; the cache tier is bypassed.
+        fallback = self.fallback_armed
         degraded = None
         if fallback:
-            if self.query_hot is not None:
-                hot_fraction = self._hot_cost_fraction
-                degraded = [
-                    degraded_gather_multiplier(cost, h, c, hot_fraction)
-                    for cost, h, c in zip(multipliers, hot, cold)
-                ]
-            elif multipliers is not None:
-                quality = self.slo_policy.quality
-                degraded = [cost * quality for cost in multipliers]
-            else:
-                degraded = [self.slo_policy.quality] * len(arrivals)
-            if min(degraded, default=1.0) <= 0:
+            ratios = self.query_fallback[rows]
+            degraded = ratios if multipliers is None else chunk * ratios
+            if (degraded <= 0).any():
                 raise ValueError("multiplier must be positive")
+            degraded = degraded.tolist()
         dispatch = self._dispatch
         ranking = self.policy.least_work_ranking
         inflight = self.inflight if self.track_inflight else None
@@ -1314,11 +1309,10 @@ class _TenantRuntime:
         penalty there, so the query's end-to-end latency shows the dense
         HPA the overload it most needs to react to.
 
-        The query's cost multiplier and gather split are read once from
-        the float64 cost columns by ``query_index`` (``item`` yields Python
-        floats), its warm-cache pricing is computed from them once, and the
-        fallback flag is read at ``now``, so every kind of attempt prices
-        the query identically.
+        The query's cost multiplier, gather split and fallback ratio are
+        read from the float64 cost columns by ``query_index`` (``item``
+        yields Python floats), and the fallback flag is read at ``now``, so
+        every kind of attempt prices the query identically.
 
         Returns the latest completion over the lanes and whether any lane
         had no routable replica.
@@ -1366,20 +1360,11 @@ class _TenantRuntime:
                 service = service * self._slowdown_factor(name, server.name)
             submit_cost = cost
             if fallback and lane.cost_bearing:
-                # Quality fallback (ladder level 3): serve cache-hot-only
-                # gathers at their exact reduced price (or the policy's flat
-                # quality fraction when the cost model has no splits).  The
-                # cache tier's accounting is deliberately bypassed — a
-                # degraded gather admits nothing and warms nothing.
-                if self.query_hot is not None:
-                    submit_cost = degraded_gather_multiplier(
-                        cost,
-                        self.query_hot.item(query_index),
-                        self.query_cold.item(query_index),
-                        self._hot_cost_fraction,
-                    )
-                else:
-                    submit_cost = cost * self.slo_policy.quality
+                # Quality fallback (ladder level 3): the query's degraded
+                # price from the run's fallback column.  The cache tier's
+                # accounting is deliberately bypassed — a degraded gather
+                # admits nothing and warms nothing.
+                submit_cost = cost * self.query_fallback.item(query_index)
             elif lane.cached:
                 # Embedding-cache tier: the selected replica's cache serves a
                 # fill-dependent fraction of this query's gathers at the hit
@@ -1887,7 +1872,7 @@ class _TenantRuntime:
                 # same grace a crash replacement gets.
                 self.autoscaler.notice_capacity_loss(lane.name, now)
         if self.drift_on:
-            start_mean, end_mean = self._drift_means
+            start_mean, end_mean = self._pool_means
             weight = float(self.drift_model.weight_at(now))
             mixture_mean = (1.0 - weight) * start_mean + weight * end_mean
             if mixture_mean > 0.0:
@@ -2351,9 +2336,10 @@ def check_run_options(options) -> None:
     ``faults``, ``drift``, ``replan`` and ``slo``.  Raises a one-line
     :class:`ValueError` (a :class:`~repro.serving.spec.SpecError` for a
     malformed control spec), so bad input fails in the parent process before
-    any worker starts.  The cache and drift need per-query gather splits;
-    that is read from the cost-model name or an instance's
-    ``supports_gather_splits``, without building a model.
+    any worker starts.  The cache and drift need per-query gather splits,
+    which every cost model but the homogeneous one samples; that is read
+    from the cost-model name or an instance's ``is_homogeneous``, without
+    building a model.
     """
     if options.seed < 0:
         raise ValueError("seed must be non-negative")
@@ -2365,7 +2351,7 @@ def check_run_options(options) -> None:
         raise ValueError("cache_mb must be non-negative and finite")
     cost_model = options.cost_model
     if isinstance(cost_model, QueryCostModel):
-        gather_splits = cost_model.supports_gather_splits
+        gather_splits = not cost_model.is_homogeneous
     else:
         gather_splits = resolve_cost_model_name(cost_model) != HomogeneousCostModel.name
     if options.cache_mb > 0 and not gather_splits:
@@ -2549,34 +2535,58 @@ class MultiTenantResult:
 
 
 class _ClusterProbe:
-    """Samples cluster-wide metrics at tenant sample points (dedup by time)."""
+    """Samples cluster-wide metrics at tenant sample points (dedup by time).
 
-    def __init__(self, cluster: Cluster) -> None:
+    Given a spool ``writer``, the probe writes every ``flush_every`` points
+    as one ``cluster`` chunk, so a streamed run holds at most that many.
+    """
+
+    def __init__(
+        self, cluster: Cluster, writer: SpoolWriter | None = None, flush_every: int = 0
+    ) -> None:
         self._cluster = cluster
-        self._points: dict[float, tuple[float, float, int, int]] = {}
+        self._writer = writer
+        self._flush_every = flush_every
+        self._last: float | None = None
+        self._points: list[tuple[float, float, float, int, int]] = []
 
     def __call__(self, now: float) -> None:
         # At a given timestamp every reconcile precedes every sample and
         # sampling never mutates the cluster, so the first snapshot stands.
-        if now in self._points:
+        # Probes arrive in event order, so a repeat is always the last time.
+        if now == self._last:
             return
-        self._points[now] = (
-            self._cluster.allocated_memory_gb,
-            self._cluster.memory_utilization(),
-            self._cluster.pending_placement_count,
-            self._cluster.nodes_in_use(),
+        self._last = now
+        self._points.append(
+            (
+                now,
+                self._cluster.allocated_memory_gb,
+                self._cluster.memory_utilization(),
+                self._cluster.pending_placement_count,
+                self._cluster.nodes_in_use(),
+            )
         )
+        if self._writer is not None and len(self._points) >= self._flush_every:
+            self.flush()
 
     def series(self) -> ClusterSeries:
-        times = sorted(self._points)
-        values = [self._points[t] for t in times]
+        """The points held since the last flush."""
+        times, memory, utilization, pending, nodes = list(zip(*self._points)) or [()] * 5
         return ClusterSeries(
-            sample_times=np.asarray(times),
-            memory_gb=np.asarray([v[0] for v in values]),
-            memory_utilization=np.asarray([v[1] for v in values]),
-            pending_placements=np.asarray([v[2] for v in values], dtype=np.int64),
-            nodes_in_use=np.asarray([v[3] for v in values], dtype=np.int64),
+            sample_times=np.asarray(times, dtype=np.float64),
+            memory_gb=np.asarray(memory, dtype=np.float64),
+            memory_utilization=np.asarray(utilization, dtype=np.float64),
+            pending_placements=np.asarray(pending, dtype=np.int64),
+            nodes_in_use=np.asarray(nodes, dtype=np.int64),
         )
+
+    def flush(self) -> None:
+        """Write the points held since the last flush as one ``cluster`` chunk."""
+        series = self.series()
+        self._writer.append(
+            "cluster", **{f.name: getattr(series, f.name) for f in fields(series)}
+        )
+        self._points = []
 
 
 class MultiTenantEngine:
@@ -2673,13 +2683,17 @@ class MultiTenantEngine:
         """Drive every tenant's traffic pattern through the shared event heap.
 
         In streamed mode the results live in the spool (each tenant's runtime
-        flushed them as the run progressed, and the cluster series and shard
-        manifest are written here) and ``None`` returns;
+        and the cluster probe flushed them as the run progressed, and the
+        shard manifest is written here) and ``None`` returns;
         :func:`repro.serving.sharding.merge_stream` turns the spool back into
         a :class:`MultiTenantResult`.
         """
         self._claim_run()
-        probe = _ClusterProbe(self._cluster)
+        stream = self._stream
+        writer = SpoolWriter(stream.directory) if stream is not None else None
+        probe = _ClusterProbe(
+            self._cluster, writer, stream.flush_series_every if stream is not None else 0
+        )
         results = _drive(
             self._cluster,
             self._runtimes,
@@ -2687,21 +2701,12 @@ class MultiTenantEngine:
             probe=probe,
             on_event=on_event,
         )
-        if self._stream is None:
+        if writer is None:
             return MultiTenantResult(
                 tenants={result.tenant: result for result in results},
                 cluster_series=probe.series(),
             )
-        series = probe.series()
-        writer = SpoolWriter(self._stream.directory)
-        writer.append(
-            "cluster",
-            sample_times=series.sample_times,
-            memory_gb=series.memory_gb,
-            memory_utilization=series.memory_utilization,
-            pending_placements=series.pending_placements,
-            nodes_in_use=series.nodes_in_use,
-        )
+        probe.flush()
         writer.write_meta(
             {
                 "schema": 1,

@@ -108,6 +108,7 @@ class SpoolWriter:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.directory)
         self._counters: dict[str, int] = {}
 
     def append(self, stream: str, **arrays: np.ndarray) -> Path:
@@ -115,14 +116,18 @@ class SpoolWriter:
         if not arrays:
             raise ValueError("a chunk needs at least one array")
         index = self._counters.get(stream, 0)
-        path = self.directory / f"{stream}-{index:06d}.npz"
+        # Plain-string names: pathlib interns every name it parses, and
+        # CPython 3.12 keeps interned strings for the life of the process,
+        # so parsing each chunk's name would leak one string per chunk.
+        path = os.path.join(self._root, f"{stream}-{index:06d}.npz")
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
-        temp = path.with_name(path.name + ".tmp")
-        temp.write_bytes(buffer.getvalue())
+        temp = path + ".tmp"
+        with open(temp, "wb") as handle:
+            handle.write(buffer.getvalue())
         os.replace(temp, path)
         self._counters[stream] = index + 1
-        return path
+        return Path(path)
 
     def write_meta(self, meta: dict) -> Path:
         """Atomically write the directory's ``meta.json`` (the commit marker)."""

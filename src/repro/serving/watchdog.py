@@ -160,8 +160,9 @@ class SloPolicy:
     #: Consecutive breached ticks at the top level before escalating to
     #: the re-planner.
     escalate_patience: int = 4
-    #: Fallback cost fraction for cost models without gather splits (the
-    #: skewed model prices its cache-hot-only gathers exactly instead).
+    #: Fallback cost fraction under the homogeneous cost model, which has no
+    #: per-query gathers (the skewed model prices each query's cache-hot-only
+    #: share of its gathers instead).
     quality: float = 0.25
 
     def __post_init__(self) -> None:

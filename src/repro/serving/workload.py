@@ -23,6 +23,15 @@ O(num_queries) work, not O(num_queries * pooling):
   a 100k-query run within a few percent of the homogeneous engine's
   wall-clock (``benchmarks/bench_query_costs.py`` tracks this).
 
+:meth:`SkewedCostModel.sample_priced` is the one producer of a run's cost
+columns: the multiplier, the hot/cold/total gather counts the embedding
+cache prices from, and — when the SLO watchdog may arm quality fallback —
+each query's degraded-to-full price ratio.  Every column is computed once
+per profile and gathered through the per-query assignment.  Under
+access-skew drift the same call also draws the end endpoint's pool and
+each query's endpoint from a second generator, so a drift whose weight
+stays zero reproduces the drift-free columns bit-for-bit.
+
 Multipliers are normalised to mean 1.0 over the profile pool, so the
 deployment's planned service time stays the mean service time for any skew.
 """
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,27 +67,28 @@ __all__ = [
     "parse_drift_spec",
     "make_drift_model",
     "drift_endpoint_model",
-    "sample_drifting_priced",
-    "degraded_gather_multiplier",
+    "PricedQueries",
 ]
 
 
-def degraded_gather_multiplier(
-    multiplier: float, hot: float, cold: float, hot_cost_fraction: float
-) -> float:
-    """Cache-hot-only price of a query under watchdog quality fallback.
+class PricedQueries(NamedTuple):
+    """One run's per-query cost columns, float64, one row per arrival."""
 
-    A degraded gather serves only the query's hot rows (cache-resident, at
-    ``hot_cost_fraction`` per row) and skips the cold rows entirely, so the
-    full-price ``multiplier`` scales by the hot share of the priced work:
-    ``hot_cost_fraction * hot / (hot_cost_fraction * hot + cold)``.  A query
-    with no priced work keeps its multiplier unchanged (nothing to shed).
-    """
-    hot_cost = hot_cost_fraction * hot
-    denominator = hot_cost + cold
-    if denominator <= 0.0:
-        return multiplier
-    return multiplier * (hot_cost / denominator)
+    #: Service-cost multiplier (mean ~1.0 over the start pool).
+    multipliers: np.ndarray
+    #: Distinct hot-prefix gathers.
+    hot: np.ndarray
+    #: Distinct cold gathers.
+    cold: np.ndarray
+    #: ``hot + cold``.
+    total: np.ndarray
+    #: Degraded-to-full price ratio under quality fallback; ``None`` unless
+    #: asked for.
+    fallback: np.ndarray | None
+    #: Mean cost of the start and end profile pools in cold-gather units
+    #: (the multiplier normaliser and, at a re-plan cutover under drift,
+    #: the renormaliser); both 1.0 for an empty or every-gather-free run.
+    pool_means: tuple[float, float] = (1.0, 1.0)
 
 
 class QueryCostModel:
@@ -91,31 +102,9 @@ class QueryCostModel:
         """Whether every multiplier is exactly 1.0 (the compatibility mode)."""
         return False
 
-    @property
-    def supports_gather_splits(self) -> bool:
-        """Whether :meth:`sample_priced` exposes hot/cold gather counts."""
-        return False
-
     def sample(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``num_queries`` cost multipliers (float64, mean ~1.0)."""
         raise NotImplementedError
-
-    def sample_priced(
-        self, num_queries: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`sample`, plus per-query hot/cold gather counts and totals.
-
-        Only models with ``supports_gather_splits`` implement this; the
-        serving engine's embedding-cache tier needs the split to drive
-        per-replica hit rates.  The totals are summed once per *profile* and
-        broadcast through the assignment, so pre-pricing a run costs
-        O(num_profiles) adds instead of O(num_queries) — and each total is
-        the identical ``hot + cold`` IEEE-754 sum the engine would compute
-        per query.  Consumes the RNG exactly like :meth:`sample`.
-        """
-        raise NotImplementedError(
-            f"cost model {self.name!r} does not expose per-query gather splits"
-        )
 
 
 class HomogeneousCostModel(QueryCostModel):
@@ -199,10 +188,6 @@ class SkewedCostModel(QueryCostModel):
         return self._distribution
 
     @property
-    def supports_gather_splits(self) -> bool:
-        return True
-
-    @property
     def num_profiles(self) -> int:
         """Size of the pre-sampled query-profile pool."""
         return self._num_profiles
@@ -273,65 +258,101 @@ class SkewedCostModel(QueryCostModel):
             costs = costs * pooling_factors
         return costs, hot_gathers, cold_gathers
 
-    def _sample_profiles(
-        self, num_queries: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Shared sampling core: (costs, assignment, hot, cold) per profile.
+    def _profile_columns(
+        self, multipliers: np.ndarray, hot: np.ndarray, cold: np.ndarray, fallback: bool
+    ) -> list[np.ndarray]:
+        """Per-profile cost columns: multiplier, hot, cold, total[, fallback ratio].
 
-        Consumes the RNG identically for every caller, so multipliers from
-        :meth:`sample` and :meth:`sample_priced` are bit-identical for
-        the same seed.  ``assignment`` is ``None`` on the degenerate
-        every-gather-free path, which returns before drawing it (matching the
-        historical stream).
+        The fallback ratio is the cache-hot-only share of a profile's priced
+        work, ``f * hot / (f * hot + cold)`` with ``f = hot_cost_fraction``:
+        under quality fallback a degraded gather serves only its hot rows.
+        A profile with no hot work has nothing to degrade to and keeps its
+        full price (ratio 1.0).  Elementwise float64 ``*``, ``+`` and ``/``
+        round like Python floats, so ``multiplier * ratio`` is the price a
+        per-query scalar computation would give, bit for bit.
         """
-        costs, hot_gathers, cold_gathers = self._raw_pool(rng)
-        mean = float(costs.mean())
-        if mean <= 0:
-            # Every gather free (hot_cost_fraction == 0 and all-hot table).
-            return np.ones(self._num_profiles, dtype=np.float64), None, hot_gathers, cold_gathers
-        assignment = rng.integers(0, self._num_profiles, size=num_queries)
-        return costs / mean, assignment, hot_gathers, cold_gathers
+        columns = [multipliers, hot, cold, hot + cold]
+        if fallback:
+            hot_cost = self._hot_cost_fraction * hot
+            ratio = np.ones_like(hot_cost)
+            np.divide(hot_cost, hot_cost + cold, out=ratio, where=hot_cost > 0)
+            columns.append(ratio)
+        return columns
 
     def sample(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_priced(num_queries, rng).multipliers
+
+    def sample_priced(
+        self,
+        num_queries: int,
+        rng: np.random.Generator,
+        drift: tuple[SkewedCostModel, np.ndarray, np.random.Generator] | None = None,
+        fallback: bool = False,
+    ) -> PricedQueries:
+        """Draw one run's per-query cost columns (see :class:`PricedQueries`).
+
+        ``rng`` draws the profile pool and then each query's profile
+        assignment.  Every column is computed once per *profile* and
+        gathered through the assignment, so pre-pricing a run costs
+        O(num_profiles) arithmetic plus one gather per column, and each
+        total is the identical ``hot + cold`` IEEE-754 sum a per-query
+        computation would give.  ``fallback`` adds the quality-fallback
+        ratio column.
+
+        ``drift`` is ``(end_model, weights, drift_rng)``: ``weights[i]`` is
+        the drift weight at query ``i``'s arrival, the probability that its
+        profile comes from ``end_model``'s pool instead of this model's.
+        Everything drift-specific (the end pool, then each query's endpoint
+        choice) draws only from ``drift_rng``, after ``rng`` is consumed
+        exactly as a drift-free call consumes it, so a drift whose weight
+        is identically zero reproduces the drift-free columns bit-for-bit.
+        """
         if num_queries < 0:
             raise ValueError("num_queries must be non-negative")
         if num_queries == 0:
             # Nothing to draw: return before any RNG use so an idle tenant
             # leaves the shared cost stream untouched (matching the
             # homogeneous model's guarantee).
-            return np.empty(0, dtype=np.float64)
-        multipliers, assignment, _, _ = self._sample_profiles(num_queries, rng)
-        if assignment is None:
-            return np.ones(num_queries, dtype=np.float64)
-        return multipliers[assignment]
-
-    def sample_priced(
-        self, num_queries: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if num_queries < 0:
-            raise ValueError("num_queries must be non-negative")
-        empty = np.empty(0, dtype=np.float64)
-        if num_queries == 0:
-            return empty, empty, empty, empty
-        multipliers, assignment, hot, cold = self._sample_profiles(num_queries, rng)
-        if assignment is None:
-            zeros = np.zeros(num_queries, dtype=np.float64)
+            empty = np.empty(0, dtype=np.float64)
+            return PricedQueries(empty, empty, empty, empty, empty if fallback else None)
+        costs, hot, cold = self._raw_pool(rng)
+        mean = float(costs.mean())
+        if mean <= 0:
+            # Every gather free (hot_cost_fraction == 0 and an all-hot
+            # table): flat multipliers, no assignment drawn, and the drift
+            # stream is never touched.
             ones = np.ones(num_queries, dtype=np.float64)
-            return ones, zeros, zeros, zeros
-        # Per-profile sums broadcast through the assignment: elementwise
-        # (hot + cold)[assignment] == hot[assignment] + cold[assignment],
-        # so the totals match a per-query sum bit-for-bit.
-        totals = hot + cold
-        return (
-            multipliers[assignment],
-            hot[assignment],
-            cold[assignment],
-            totals[assignment],
-        )
+            zeros = np.zeros(num_queries, dtype=np.float64)
+            return PricedQueries(ones, zeros, zeros, zeros, ones if fallback else None)
+        assignment = rng.integers(0, self._num_profiles, size=num_queries)
+        # Normalising the pool *then* indexing is elementwise-identical to
+        # indexing then dividing.
+        columns = self._profile_columns(costs / mean, hot, cold, fallback)
+        if drift is None:
+            picked = [column[assignment] for column in columns]
+            end_mean = mean
+        else:
+            end_model, weights, drift_rng = drift
+            end_costs, end_hot, end_cold = end_model._raw_pool(drift_rng)
+            end_mean = float(end_costs.mean())
+            # The end pool normalises by the *start* mean: a drift toward a
+            # costlier distribution raises the mean offered load a stale
+            # plan sees, which is the whole point.
+            end_columns = end_model._profile_columns(
+                end_costs / mean, end_hot, end_cold, fallback
+            )
+            use_end = drift_rng.random(num_queries) < weights
+            picked = [
+                np.where(use_end, end_column[assignment], column[assignment])
+                for column, end_column in zip(columns, end_columns)
+            ]
+        if not fallback:
+            picked.append(None)
+        return PricedQueries(*picked, pool_means=(mean, end_mean))
 
 
 # ---------------------------------------------------------------------------
-# Access-skew drift: spec grammar and the drift-aware priced sampler
+# Access-skew drift: spec grammar and endpoint models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -465,64 +486,6 @@ def drift_endpoint_model(
         hot_fraction=model.hot_fraction,
         hot_cost_fraction=model.hot_cost_fraction,
     )
-
-
-def sample_drifting_priced(
-    start_model: "SkewedCostModel",
-    end_model: "SkewedCostModel",
-    weights: np.ndarray,
-    cost_rng: np.random.Generator,
-    drift_rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Priced per-query costs under access-skew drift.
-
-    ``weights[i]`` is the drift weight at query ``i``'s arrival time: the
-    probability its gather set is drawn from the end endpoint's profile pool
-    instead of the start endpoint's.  Returns
-    ``(multipliers, hot, cold, total, start_mean, end_mean)`` where the pool
-    means are in cold-gather units (the multiplier normaliser and, at
-    re-plan cutover, the renormaliser).
-
-    RNG contract (the satellite-3 isolation lock): ``cost_rng`` — the
-    engine's ``[seed, 2]`` stream — is consumed *exactly* as the drift-free
-    :meth:`SkewedCostModel.sample_priced` path consumes it (start pool, then
-    per-query assignment), and everything drift-specific (end pool, per-query
-    endpoint choice) draws only from ``drift_rng`` (``[seed, 4]``).  A drift
-    whose weight is identically zero therefore reproduces the drift-free
-    multipliers bit-for-bit.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    num_queries = weights.size
-    empty = np.empty(0, dtype=np.float64)
-    if num_queries == 0:
-        # Nothing to draw: leave both streams untouched, like sample().
-        return empty, empty, empty, empty, 1.0, 1.0
-    costs_a, hot_a, cold_a = start_model._raw_pool(cost_rng)
-    start_mean = float(costs_a.mean())
-    if start_mean <= 0:
-        # Degenerate every-gather-free start pool: mirror the drift-free
-        # degenerate path (all-ones multipliers, assignment never drawn)
-        # without touching drift_rng.
-        zeros = np.zeros(num_queries, dtype=np.float64)
-        return np.ones(num_queries, dtype=np.float64), zeros, zeros, zeros, 1.0, 1.0
-    assignment = cost_rng.integers(0, start_model.num_profiles, size=num_queries)
-    # Normalising the start pool *then* indexing is elementwise-identical to
-    # indexing then dividing, so weight-zero queries reproduce the drift-free
-    # multipliers bit-for-bit.  The end pool normalises by the *start* mean:
-    # a drift toward a costlier distribution raises the mean offered load a
-    # stale plan sees, which is the whole point.
-    norm_a = costs_a / start_mean
-    totals_a = hot_a + cold_a
-    costs_b, hot_b, cold_b = end_model._raw_pool(drift_rng)
-    end_mean = float(costs_b.mean())
-    norm_b = costs_b / start_mean
-    totals_b = hot_b + cold_b
-    use_end = drift_rng.random(num_queries) < weights
-    multipliers = np.where(use_end, norm_b[assignment], norm_a[assignment])
-    hot = np.where(use_end, hot_b[assignment], hot_a[assignment])
-    cold = np.where(use_end, cold_b[assignment], cold_a[assignment])
-    total = np.where(use_end, totals_b[assignment], totals_a[assignment])
-    return multipliers, hot, cold, total, start_mean, end_mean
 
 
 #: Registry of query-cost models by CLI-facing name.

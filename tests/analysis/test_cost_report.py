@@ -64,6 +64,11 @@ class TestReportFormatting:
         text = format_table(rows, columns=["b"])
         assert "a" not in text.splitlines()[0]
 
+    def test_ints_get_thousands_separators(self):
+        rows = [{"queries": 1471, "big": 1234567, "small": 999, "neg": -1500, "ok": True}]
+        cells = format_table(rows).splitlines()[2].split()
+        assert cells == ["1,471", "1,234,567", "999", "-1,500", "True"]
+
     def test_format_ratio(self):
         assert format_ratio(330.0, 100.0) == "3.3x"
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from repro.core.baseline import ModelWisePlanner
 from repro.core.gpu_cache import CachedModelWisePlanner
 from repro.core.hpa_policy import DENSE_LATENCY_SLA_FRACTION
+from repro.core.partitioning import DEFAULT_MAX_SHARDS
 from repro.core.plan import ROLE_DENSE
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.perf_model import PerfModel
@@ -98,6 +99,8 @@ class TestPlannerOptions:
         """The DP-chosen shard count should beat (or match) forcing other counts."""
         planner = ElasticRecPlanner(cpu_cluster)
         chosen = planner.partition(small_config)
+        assert chosen.boundaries[-1] == small_config.embedding.rows_per_table
+        assert 1 <= chosen.num_shards <= DEFAULT_MAX_SHARDS
         for forced in (1, 2, 8):
             alternative = planner.partition(small_config, num_shards=forced)
             assert chosen.total_cost_bytes <= alternative.total_cost_bytes * (1 + 1e-9)

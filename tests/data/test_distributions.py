@@ -115,6 +115,7 @@ class TestZipfDistribution:
         dist = ZipfDistribution(10_000, 1.1)
         total = dist.expected_unique(30_000)
         split = dist.expected_unique(30_000, 0, 4000) + dist.expected_unique(30_000, 4000, 10_000)
+        assert 0 < dist.expected_unique(30_000, 0, 4000) <= 4000
         assert split == pytest.approx(total, rel=1e-9)
 
     def test_invalid_range_rejected(self):

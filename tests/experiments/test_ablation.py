@@ -26,6 +26,7 @@ class TestAblation:
     def test_microservices_alone_already_help(self, result):
         by_strategy = {r["strategy"]: r["memory_gb"] for r in result.rows}
         assert by_strategy["none"] < by_strategy["model-wise"]
+        assert by_strategy["model-wise"] == max(by_strategy.values())
 
     def test_hotness_aware_beats_oblivious(self, result):
         by_strategy = {r["strategy"]: r["memory_gb"] for r in result.rows}

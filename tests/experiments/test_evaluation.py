@@ -34,6 +34,7 @@ class TestFig12Microbenchmarks:
     def test_table_count_sweep(self):
         result = fig12.run_num_tables()
         assert [r["num_tables"] for r in result.rows] == [1, 4, 10, 16]
+        assert all(r["reduction"] > 1.0 for r in result.rows)
         gaps = [r["model_wise_gb"] - r["elasticrec_gb"] for r in result.rows]
         assert all(b >= a for a, b in zip(gaps, gaps[1:]))
 

@@ -25,7 +25,10 @@ to them exactly, float for float.
 :class:`ReplicaCache` is the scalar reference of one replica's embedding
 cache: given a deployment's ``CacheSpec`` (the hit-fraction curves), it
 prices and admits one query's gathers at a time, the rule the engine's
-pool-array cache pricing must reproduce.
+pool-array cache pricing must reproduce.  :func:`degraded_gather_multiplier`
+is the scalar reference of one query's price under watchdog quality
+fallback, which the engine reads as ``multiplier * ratio`` from a per-query
+column.
 """
 
 from __future__ import annotations
@@ -156,6 +159,24 @@ def simulate(
         overhead_s,
     )
     return np.asarray(completions), np.asarray(latencies)
+
+
+def degraded_gather_multiplier(
+    multiplier: float, hot: float, cold: float, hot_cost_fraction: float
+) -> float:
+    """Cache-hot-only price of a query under watchdog quality fallback.
+
+    A degraded gather serves only the query's hot rows (cache-resident, at
+    ``hot_cost_fraction`` per row) and skips the cold rows entirely, so the
+    full-price ``multiplier`` scales by the hot share of the priced work:
+    ``hot_cost_fraction * hot / (hot_cost_fraction * hot + cold)``.  A query
+    with no hot work keeps its multiplier unchanged (nothing to shed down
+    to).
+    """
+    hot_cost = hot_cost_fraction * hot
+    if hot_cost <= 0.0:
+        return multiplier
+    return multiplier * (hot_cost / (hot_cost + cold))
 
 
 class ReplicaCache:

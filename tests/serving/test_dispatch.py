@@ -13,7 +13,7 @@ import heapq
 import itertools
 
 import pytest
-from oracle import ReplicaCache
+from oracle import ReplicaCache, degraded_gather_multiplier
 
 from repro.core.planner import ElasticRecPlanner
 from repro.hardware.perf_model import cache_adjusted_multiplier
@@ -22,7 +22,6 @@ from repro.model.configs import microbenchmark
 from repro.serving.engine import EventKind, ServingEngine
 from repro.serving.replica_server import ReplicaServer
 from repro.serving.traffic import TrafficPattern
-from repro.serving.workload import degraded_gather_multiplier
 
 
 @pytest.fixture(scope="module")

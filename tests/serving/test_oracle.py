@@ -4,12 +4,17 @@
 every configuration it covers — least-work or round-robin routing, the
 plan's replica counts or a uniform override, homogeneous or skewed costs,
 disaggregated or monolithic plans — the engine must reproduce its
-per-query completion times and latencies exactly.  A metamorphic
-property rides along: on fixed least-work lanes, adding a replica never
-delays a query.
+per-query completion times and latencies exactly.  Metamorphic
+properties ride along on fixed least-work lanes: adding a replica never
+delays a query, stretching every service time never shortens one, and
+shifting every arrival by a whole number of sample intervals shifts every
+completion by the same amount.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracle import ROUTINGS, simulate  # noqa: E402
+from oracle import ROUTINGS, SAMPLE_INTERVAL_S, simulate  # noqa: E402
 
 from repro.core.baseline import ModelWisePlanner  # noqa: E402
 from repro.core.planner import ElasticRecPlanner  # noqa: E402
@@ -26,6 +31,7 @@ from repro.hardware.specs import cpu_only_cluster  # noqa: E402
 from repro.model.configs import microbenchmark  # noqa: E402
 from repro.serving.engine import EventKind, ServingEngine, _TenantRuntime  # noqa: E402
 from repro.serving.scenarios import build_scenario, scenario_names  # noqa: E402
+from repro.serving.traffic import TrafficPattern  # noqa: E402
 
 _CLUSTER = cpu_only_cluster(num_nodes=4)
 _MODEL = microbenchmark(num_tables=2)
@@ -179,3 +185,73 @@ def test_stretching_every_service_time_never_shortens_a_query(
     assert stretched.faults_injected == 1
     assert base.rejected_queries == 0 and stretched.rejected_queries == 0
     assert np.all(stretched.tracker.latencies_s >= base.tracker.latencies_s)
+
+
+@dataclass(frozen=True)
+class _Replay(TrafficPattern):
+    """A traffic pattern that serves a fixed arrival vector."""
+
+    times: tuple[float, ...] = ()
+
+    def arrivals(self, rng: np.random.Generator) -> np.ndarray:
+        return np.array(self.times, dtype=np.float64)
+
+
+def _dyadic(plan):
+    """``plan`` with a power-of-two per-replica QPS on every deployment and
+    a power-of-two RPC overhead, so every service time is a binary fraction."""
+    cluster = plan.cluster
+    calibration = replace(cluster.calibration, rpc_overhead_cpu_s=2.0**-5)
+    return replace(
+        plan,
+        cluster=replace(cluster, calibration=calibration),
+        deployments=tuple(
+            replace(d, per_replica_qps=2.0 ** round(math.log2(d.per_replica_qps)))
+            for d in plan.deployments
+        ),
+    )
+
+
+@given(
+    strategy=st.sampled_from(sorted(_PLANS)),
+    replicas=st.sampled_from([1, 2]),
+    scenario=st.sampled_from(scenario_names()),
+    peak_qps=st.floats(min_value=2.0, max_value=45.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+    shift_intervals=st.integers(min_value=1, max_value=3),
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_shifting_every_arrival_shifts_every_completion(
+    strategy, replicas, scenario, peak_qps, seed, shift_intervals
+):
+    """Time invariance: on fixed least-work lanes with the HPA off, arrivals
+    moved ``shift_s`` later complete exactly ``shift_s`` later, with equal
+    latencies.  Arrivals sit on a 1/8 s grid, the shift is a whole number
+    of sample intervals and (with homogeneous costs) every service time is
+    a power of two, so every sum the engine forms is exact in float64."""
+    plan = _dyadic(_PLANS[strategy])
+    duration_s = 60.0
+    shift_s = shift_intervals * SAMPLE_INTERVAL_S
+    pattern = build_scenario(scenario, peak_qps / 3.0, peak_qps, duration_s, seed=seed)
+    arrivals = np.floor(pattern.arrivals(np.random.default_rng(seed)) * 8.0) / 8.0
+    base, shifted = (
+        ServingEngine(
+            plan,
+            routing="least-work",
+            autoscale=False,
+            initial_replicas=replicas,
+            seed=seed,
+        ).run(_Replay(pattern.phases, duration_s + offset, tuple(arrivals + offset)))
+        for offset in (0.0, shift_s)
+    )
+    assert base.rejected_queries == 0 and shifted.rejected_queries == 0
+    assert base.tracker.num_samples == shifted.tracker.num_samples == arrivals.size
+    assert np.array_equal(
+        shifted.tracker.completion_times, base.tracker.completion_times + shift_s
+    )
+    assert np.array_equal(shifted.tracker.latencies_s, base.tracker.latencies_s)

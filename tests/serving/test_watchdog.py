@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import degraded_gather_multiplier
 
+from repro.core.planner import ElasticRecPlanner
+from repro.hardware.specs import cpu_only_cluster
+from repro.model.configs import rm3
+from repro.serving.engine import ServingEngine
 from repro.serving.replanner import DriftDetector, ReplanPolicy
 from repro.serving.spec import SpecError
+from repro.serving.traffic import TrafficPattern
 from repro.serving.watchdog import (
     MIN_TIER2_SAMPLES,
     SloPolicy,
@@ -24,7 +30,6 @@ from repro.serving.watchdog import (
     parse_slo_spec,
     retry_allowed,
 )
-from repro.serving.workload import degraded_gather_multiplier
 
 
 class TestSpecGrammar:
@@ -272,3 +277,32 @@ class TestDegradedPricing:
 
     def test_zero_work_keeps_the_multiplier(self):
         assert degraded_gather_multiplier(2.0, 0.0, 0.0, 0.5) == 2.0
+
+    def test_no_hot_work_keeps_the_multiplier(self):
+        # An all-cold query has no cache-hot gathers to fall back to.
+        assert degraded_gather_multiplier(2.0, 0.0, 40.0, 0.5) == 2.0
+        assert degraded_gather_multiplier(2.0, 30.0, 40.0, 0.0) == 2.0
+
+    def test_fallback_serves_queries_without_hot_rows(self):
+        # RM3 pools 32 lookups; after a drift to locality 0.1, 64 of the
+        # 2,048 end-pool profiles drawn with seed 0 have no hot row.  Under
+        # quality fallback such a query keeps its full price; pricing it at
+        # zero used to end the run in "multiplier must be positive".
+        plan = ElasticRecPlanner(cpu_only_cluster(num_nodes=8)).plan(rm3(), target_qps=90.0)
+        engine = ServingEngine(
+            plan,
+            seed=0,
+            cost_model="skewed",
+            drift="step@10:to=0.1",
+            faults="degrade@20+100:factor=2",
+            slo="p95@0.5:patience=1,shed=0.0,deadline=1000,timeout=1000,recover=50",
+        )
+        result = engine.run(TrafficPattern.constant(90.0, duration_s=120.0))
+        assert result.degraded_queries > 0
+        assert (
+            result.completed_queries
+            + result.rejected_queries
+            + result.dropped_queries
+            + result.timeout_queries
+            == result.tracker.num_samples
+        )

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import degraded_gather_multiplier
 
 from repro.data.distributions import (
     DriftingDistribution,
     UniformDistribution,
     ZipfDistribution,
 )
-from repro.model.configs import microbenchmark
+from repro.model.configs import microbenchmark, rm1, rm3
 from repro.serving.spec import SpecError
 from repro.serving.workload import (
     DriftSpec,
@@ -18,6 +19,7 @@ from repro.serving.workload import (
     QueryCostModel,
     SkewedCostModel,
     cost_model_names,
+    drift_endpoint_model,
     make_cost_model,
     make_drift_model,
     parse_drift_spec,
@@ -105,23 +107,22 @@ class TestSkewed:
     def test_empty_sample_priced_never_touches_the_rng(self):
         model = _skewed(0.9)
         rng = np.random.default_rng(42)
-        multipliers, hot, cold, total = model.sample_priced(0, rng)
-        assert multipliers.shape == hot.shape == cold.shape == total.shape == (0,)
+        priced = model.sample_priced(0, rng, fallback=True)
+        for column in priced[:5]:
+            assert column.shape == (0,)
         assert rng.random() == np.random.default_rng(42).random()
 
-    def test_sample_priced_matches_sample_stream(self):
-        # The split-aware variant must consume the RNG identically, so a
-        # cached run prices the same multipliers as an uncached one.
+    def test_priced_columns_share_one_profile_per_query(self):
         model = _skewed(0.9)
-        plain = model.sample(5000, np.random.default_rng(7))
-        multipliers, hot, cold, total = model.sample_priced(
-            5000, np.random.default_rng(7)
-        )
-        assert plain.tobytes() == multipliers.tobytes()
-        assert np.all(hot >= 0) and np.all(cold >= 0)
-        assert np.all(hot + cold > 0)
-        assert total.tobytes() == (hot + cold).tobytes()
-
+        priced = model.sample_priced(5000, np.random.default_rng(7))
+        assert priced.fallback is None
+        assert np.all(priced.hot >= 0) and np.all(priced.cold >= 0)
+        assert np.all(priced.hot + priced.cold > 0)
+        assert priced.total.tobytes() == (priced.hot + priced.cold).tobytes()
+        assert priced.pool_means[0] == priced.pool_means[1] > 0
+        fallback = model.sample_priced(5000, np.random.default_rng(7), fallback=True)
+        for plain, column in zip(priced[:4], fallback[:4]):
+            assert plain.tobytes() == column.tobytes()
     def test_gather_splits_sum_to_profile_gathers(self):
         model = _skewed(0.5, pooling_spread=0.0)
         hot, cold = model.profile_splits(np.random.default_rng(0))
@@ -131,12 +132,6 @@ class TestSkewed:
         np.testing.assert_allclose(
             cold + model.hot_cost_fraction * hot, gathers, rtol=1e-12
         )
-
-    def test_supports_gather_splits_flags(self):
-        assert _skewed(0.5).supports_gather_splits
-        assert not HomogeneousCostModel().supports_gather_splits
-        with pytest.raises(NotImplementedError, match="homogeneous"):
-            HomogeneousCostModel().sample_priced(8, np.random.default_rng(0))
 
     def test_invalid_parameters_rejected(self):
         dist = UniformDistribution(ROWS)
@@ -150,6 +145,75 @@ class TestSkewed:
             SkewedCostModel(dist, POOLING, hot_cost_fraction=1.5)
         with pytest.raises(ValueError):
             SkewedCostModel(dist, POOLING, pooling_spread=-0.1)
+
+
+class TestPricedSampling:
+    """``sample_priced`` is the one producer of a run's cost columns."""
+
+    @pytest.mark.parametrize("workload,hot_free", [(rm1, False), (rm3, True)], ids=["RM1", "RM3"])
+    def test_fallback_price_matches_the_scalar_reference(self, workload, hot_free):
+        # Drifting RM3 (pooling 32) to locality 0.1 mixes in profiles with
+        # no hot row.
+        model = make_cost_model("skewed", workload())
+        end_model = drift_endpoint_model(
+            model, ZipfDistribution.from_locality(model.distribution.num_items, 0.1)
+        )
+        weights = np.linspace(0.0, 1.0, 20_000)
+        priced = model.sample_priced(
+            weights.size,
+            np.random.default_rng(0),
+            (end_model, weights, np.random.default_rng(1)),
+            fallback=True,
+        )
+        assert np.any(priced.hot == 0) == hot_free
+        degraded = priced.multipliers * priced.fallback
+        reference = [
+            degraded_gather_multiplier(m, h, c, model.hot_cost_fraction)
+            for m, h, c in zip(
+                priced.multipliers.tolist(), priced.hot.tolist(), priced.cold.tolist()
+            )
+        ]
+        assert degraded.tolist() == reference
+        assert np.all(degraded > 0)
+
+    def test_homogeneous_share_comes_from_the_hot_split(self):
+        model = _skewed(0.5)
+        priced = model.sample_priced(5000, np.random.default_rng(3), fallback=True)
+        hot_cost = model.hot_cost_fraction * priced.hot
+        assert np.all((priced.fallback == 1.0) | (hot_cost > 0))
+        assert np.all((priced.fallback > 0) & (priced.fallback <= 1.0))
+
+    def test_zero_weight_drift_is_bit_exact_with_no_drift(self):
+        model = _skewed(0.9)
+        end_model = drift_endpoint_model(model, ZipfDistribution.from_locality(ROWS, 0.2))
+        plain = model.sample_priced(5000, np.random.default_rng(7), fallback=True)
+        drifting = model.sample_priced(
+            5000,
+            np.random.default_rng(7),
+            (end_model, np.zeros(5000), np.random.default_rng(8)),
+            fallback=True,
+        )
+        for column, drifted in zip(plain[:5], drifting[:5]):
+            assert column.tobytes() == drifted.tobytes()
+        assert drifting.pool_means[0] == plain.pool_means[0]
+        assert drifting.pool_means[1] != plain.pool_means[1]
+
+    def test_full_weight_drift_prices_from_the_end_pool(self):
+        model = _skewed(0.9)
+        end_model = drift_endpoint_model(model, ZipfDistribution.from_locality(ROWS, 0.2))
+        start_mean = model.sample_priced(1, np.random.default_rng(7)).pool_means[0]
+        costs, hot, cold = end_model._raw_pool(np.random.default_rng(8))
+        drifting = model.sample_priced(
+            5000,
+            np.random.default_rng(7),
+            (end_model, np.ones(5000), np.random.default_rng(8)),
+        )
+        assert drifting.pool_means == (start_mean, float(costs.mean()))
+        profiles = set(zip((costs / start_mean).tolist(), hot.tolist(), cold.tolist()))
+        rows = zip(
+            drifting.multipliers.tolist(), drifting.hot.tolist(), drifting.cold.tolist()
+        )
+        assert set(rows) <= profiles
 
 
 class TestRegistry:
